@@ -3,7 +3,9 @@
 //! perf-regression gate.
 //!
 //! Usage: run `cargo bench --workspace` first, then
-//! `cargo run -p mux-bench --bin report [output.md] [flags]`.
+//! `cargo run -p mux-bench --bin report [output.md] [flags]`. An unknown
+//! `--` flag or a second positional argument exits with code 2 before
+//! anything runs or is written.
 //!
 //! Flags:
 //! - `--trace-out <path>`: run the Fig-14 Testbed-A scenario with tracing
@@ -980,6 +982,14 @@ fn main() -> ExitCode {
                 }
                 None => return ExitCode::from(2),
             },
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag `{flag}`");
+                return ExitCode::from(2);
+            }
+            _ if out_path.is_some() => {
+                eprintln!("error: unexpected argument `{arg}` (only one output path is accepted)");
+                return ExitCode::from(2);
+            }
             _ => out_path = Some(PathBuf::from(arg)),
         }
     }

@@ -1,0 +1,43 @@
+//! `report` argument handling: CLI misuse is a typed error with exit code
+//! 2, never a stray file named after a misspelt flag's value.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A fresh, empty working directory for one test.
+fn empty_dir(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create working dir");
+    dir
+}
+
+/// Runs `report` in `dir` and asserts it refused with code 2, naming
+/// `culprit`, without writing anything there.
+fn assert_refused(dir: &Path, args: &[&str], culprit: &str) {
+    let out: Output = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("run report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "report {args:?}: {stderr}");
+    assert!(stderr.contains(culprit), "report {args:?}: {stderr}");
+    let written: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list working dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert!(written.is_empty(), "report {args:?} wrote {written:?}");
+}
+
+#[test]
+fn unknown_flag_exits_2_and_writes_nothing() {
+    let dir = empty_dir("report_cli_unknown_flag");
+    assert_refused(&dir, &["--seed", "42"], "--seed");
+}
+
+#[test]
+fn second_positional_argument_exits_2_and_writes_nothing() {
+    let dir = empty_dir("report_cli_second_positional");
+    assert_refused(&dir, &["a.md", "b.md"], "b.md");
+}

@@ -120,24 +120,35 @@ pub fn plan_estimate(
     if tasks.is_empty() {
         return Err(PlanError::NoTasks);
     }
-    let mbs = cfg.micro_batches;
-    let align = cfg.align;
+    let fusion = with_range_build(corpora, cfg, |build| {
+        fuse_tasks(&cm, &tasks, cfg.fusion, build)
+    })?;
+    Ok(estimate_throughput(&cm, &fusion))
+}
+
+/// Runs `f` with the range builder every planning path fuses with: each
+/// candidate range is packed from its members' corpora through data
+/// alignment when all of them have one, and padded otherwise. Without
+/// corpora every range is the canonical padded build, which lets the
+/// fusion DP prove memory feasibility in O(1) per range.
+fn with_range_build<R>(
+    corpora: &BTreeMap<TaskId, Vec<usize>>,
+    cfg: &PlannerConfig,
+    f: impl FnOnce(&RangeBuild<'_>) -> R,
+) -> R {
+    let (mbs, align) = (cfg.micro_batches, cfg.align);
+    if corpora.is_empty() {
+        return f(&RangeBuild::Padded { micro_batches: mbs });
+    }
     let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
-        let have_all = members.iter().all(|t| corpora.contains_key(&t.id));
-        if have_all {
+        if members.iter().all(|t| corpora.contains_key(&t.id)) {
             let lens: Vec<Vec<usize>> = members.iter().map(|t| corpora[&t.id].clone()).collect();
             HTask::fuse(members, &lens, mbs, align)
         } else {
             Ok(HTask::from_padded(members, mbs))
         }
     };
-    let build = if corpora.is_empty() {
-        RangeBuild::Padded { micro_batches: mbs }
-    } else {
-        RangeBuild::Custom(&custom)
-    };
-    let fusion = fuse_tasks(&cm, &tasks, cfg.fusion, &build)?;
-    Ok(estimate_throughput(&cm, &fusion))
+    f(&RangeBuild::Custom(&custom))
 }
 
 /// The Appendix-A throughput estimate of a fusion plan: Eq. 7 grouping,
@@ -266,24 +277,7 @@ impl IncrementalEstimator {
             self.cached_throughput = None;
         }
         let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
-        let mbs = cfg.micro_batches;
-        let align = cfg.align;
-        let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
-            let have_all = members.iter().all(|t| corpora.contains_key(&t.id));
-            if have_all {
-                let lens: Vec<Vec<usize>> =
-                    members.iter().map(|t| corpora[&t.id].clone()).collect();
-                HTask::fuse(members, &lens, mbs, align)
-            } else {
-                Ok(HTask::from_padded(members, mbs))
-            }
-        };
-        let build = if corpora.is_empty() {
-            RangeBuild::Padded { micro_batches: mbs }
-        } else {
-            RangeBuild::Custom(&custom)
-        };
-        let fusion = self.planner.plan(&cm, &build)?;
+        let fusion = with_range_build(corpora, cfg, |build| self.planner.plan(&cm, build))?;
         let tp = estimate_throughput(&cm, &fusion);
         self.cached_throughput = Some(tp);
         Ok(tp)
@@ -338,25 +332,6 @@ fn plan_and_run_inner(
         return Err(PlanError::NoTasks);
     }
 
-    let mbs = cfg.micro_batches;
-    let align = cfg.align;
-    let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
-        let have_all = members.iter().all(|t| corpora.contains_key(&t.id));
-        if have_all {
-            let lens: Vec<Vec<usize>> = members.iter().map(|t| corpora[&t.id].clone()).collect();
-            HTask::fuse(members, &lens, mbs, align)
-        } else {
-            Ok(HTask::from_padded(members, mbs))
-        }
-    };
-    // Without corpora every range is the canonical padded build, which lets
-    // the fusion DP prove memory feasibility in O(1) per range.
-    let build = if corpora.is_empty() {
-        RangeBuild::Padded { micro_batches: mbs }
-    } else {
-        RangeBuild::Custom(&custom)
-    };
-
     // Candidate fusion plans. The Eq. 6 DP minimizes the *cost model's*
     // objective; like the paper's planner (which validates against offline
     // profiles), we validate the shortlist on the simulator and keep the
@@ -378,7 +353,7 @@ fn plan_and_run_inner(
     for policy in policies {
         let fusion = {
             let _s = mux_obs::span("planner.fusion");
-            match fuse_tasks(&cm, &tasks, policy, &build) {
+            match with_range_build(corpora, cfg, |build| fuse_tasks(&cm, &tasks, policy, build)) {
                 Ok(f) => f,
                 Err(e) => {
                     plan_err.get_or_insert(e);

@@ -13,11 +13,16 @@
 //!   `busy + attributed stalls == window` per device.
 //! - [`PerfBaseline`]: a checked-in makespan/utilization/stall-share
 //!   baseline with tolerances, for a CI perf-regression gate.
-//! - [`analyze_journal`]: per-job causal span trees reconstructed from a
-//!   service event journal, each JCT decomposed into queue-wait / run /
-//!   fault-recovery / replan-stall shares under its own conservation
-//!   invariant, plus the journaled scheduler decision provenance that
-//!   [`explain_job`] renders as a replayable plain-text account.
+//! - [`journal`]: the service event journal's line format — the typed
+//!   [`EventKind`](journal::EventKind), its JSONL codec, and the one
+//!   reader ([`journal::parse_jsonl`]) that the service's replay and this
+//!   crate's lifecycle analysis both parse with.
+//! - [`analyze_journal`]: per-job causal span trees folded from a
+//!   service event journal's typed events, each JCT decomposed into
+//!   queue-wait / run / fault-recovery / replan-stall /
+//!   serving-preemption shares under its own conservation invariant, plus
+//!   the journaled scheduler decision provenance that [`explain_job`]
+//!   renders as a replayable plain-text account.
 //!
 //! Everything here is pure post-processing: no simulator state is needed
 //! beyond the op records, so the analyzers run on live engine output, on
@@ -29,6 +34,7 @@ pub mod attribution;
 pub mod baseline;
 pub mod critical_path;
 pub mod fairness;
+pub mod journal;
 mod labels;
 pub mod lifecycle;
 pub mod online;
@@ -46,8 +52,8 @@ pub use critical_path::{critical_path, CategorySeconds, CpKind, CpSegment, Criti
 pub use fairness::{dominant_share, jain_index, slo_attainment};
 pub use labels::{htask_refs_in_label, HTaskRef};
 pub use lifecycle::{
-    analyze_journal, explain_job, lifecycle_chrome_trace, CandidateRecord, DecisionRecord,
-    JctDecomposition, JobLifecycle, LifecycleAnalysis, Span, Terminal,
+    analyze_journal, explain_job, lifecycle_chrome_trace, DecisionRecord, JctDecomposition,
+    JobLifecycle, LifecycleAnalysis, Span, Terminal,
 };
 pub use online::{
     Alert, AlertEvent, BurnRateConfig, BurnRateEvaluator, DetectorConfig, EwmaMadDetector,

@@ -1,7 +1,10 @@
 //! Per-job causal lifecycle reconstruction from the event journal.
 //!
-//! [`analyze_journal`] parses a journal's JSONL (any journal — live,
-//! merged, golden, chaos) and rebuilds, for every job, the **span tree**
+//! [`analyze_journal`] reads a journal's JSONL (any journal — live,
+//! merged, golden, chaos) with the shared line reader
+//! ([`crate::journal::parse_jsonl`]), folds the typed
+//! [`EventKind`]s in journal order, and rebuilds, for every job, the
+//! **span tree**
 //! of its lifetime: queued → running segments → fault/replan/serving
 //! interruptions → terminal. Each job's JCT decomposes into five shares —
 //!
@@ -15,7 +18,7 @@
 //! the invariant holding (within float tolerance) certifies the algebra,
 //! not a tautology.
 //!
-//! Alongside the spans, every [`decision`] event is collected as a
+//! Alongside the spans, every [`EventKind::Decision`] event is collected as a
 //! [`DecisionRecord`]: which candidates a scheduling policy (or the
 //! service's shed path) weighed and how they scored. [`explain_job`]
 //! joins both into a human-readable account — "dispatched after jobs X,
@@ -28,16 +31,16 @@
 //! loadable in `chrome://tracing` or <https://ui.perfetto.dev> next to
 //! the device traces the simulator already emits.
 //!
-//! This module deliberately parses journal JSON itself instead of
-//! depending on the service crate (which depends on this one): the
-//! journal's JSONL schema is the stable contract, pinned by the schema
-//! golden test.
-//!
-//! [`decision`]: DecisionRecord
+//! The journal's line format lives in [`crate::journal`], below the
+//! service crate that writes it, so this analysis and the service's
+//! replay fold over one enum read by one codec: a line the service could
+//! not replay fails the analysis too, instead of defaulting a field.
 
 use std::collections::BTreeMap;
 
 use serde_json::{Map, Value};
+
+use crate::journal::{parse_jsonl, DecisionCandidate, EventKind};
 
 /// How a job's journal lifetime ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,21 +163,6 @@ pub struct JobLifecycle {
     pub decomposition: JctDecomposition,
 }
 
-/// One weighed candidate inside a [`DecisionRecord`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateRecord {
-    /// Candidate id (the decision's id space).
-    pub id: u64,
-    /// Candidate's tenant.
-    pub tenant: String,
-    /// Policy score — lower wins.
-    pub score: f64,
-    /// Candidate priority.
-    pub priority: u8,
-    /// Candidate arrival, seconds.
-    pub arrival: f64,
-}
-
 /// One journaled scheduling decision, with its candidate set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
@@ -197,7 +185,7 @@ pub struct DecisionRecord {
     /// Total candidates weighed (≥ `candidates.len()`).
     pub considered: usize,
     /// The journaled top candidates, winner first.
-    pub candidates: Vec<CandidateRecord>,
+    pub candidates: Vec<DecisionCandidate>,
 }
 
 /// Everything [`analyze_journal`] reconstructs.
@@ -262,27 +250,13 @@ fn total(iv: &[(f64, f64)]) -> f64 {
     iv.iter().map(|(s, e)| e - s).sum::<f64>() + 0.0
 }
 
-// ------------------------------------------------------------------
-// Journal parsing.
-// ------------------------------------------------------------------
-
-fn get_u64(m: &Map, k: &str) -> Option<u64> {
-    m.get(k).and_then(Value::as_u64)
-}
-
-fn get_f64(m: &Map, k: &str) -> Option<f64> {
-    m.get(k).and_then(Value::as_f64)
-}
-
-fn get_str<'a>(m: &'a Map, k: &str) -> Option<&'a str> {
-    m.get(k).and_then(Value::as_str)
-}
-
-/// Parses a journal's JSONL and reconstructs every job's span tree,
-/// decomposition, and the decision log. Lines must be valid JSON objects
-/// with `seq`/`tick`/`now`/`event` fields (the journal schema); unknown
-/// event types are ignored so the analyzer keeps working across schema
-/// additions.
+/// Parses a journal's JSONL with the shared line reader
+/// ([`parse_jsonl`]) and folds its typed events, in journal order, into
+/// every job's span tree, decomposition, and the decision log. A line the
+/// reader rejects (invalid JSON, a missing or mistyped field, a sequence
+/// gap) fails the whole analysis with the reader's message; unknown event
+/// kinds parse as [`EventKind::Opaque`] and have no lifecycle effect, so
+/// the analyzer keeps working across schema additions.
 pub fn analyze_journal(jsonl: &str) -> Result<LifecycleAnalysis, String> {
     struct JobAcc {
         tenant: String,
@@ -293,6 +267,7 @@ pub fn analyze_journal(jsonl: &str) -> Result<LifecycleAnalysis, String> {
         terminal: Option<(f64, Terminal)>,
         markers: Vec<Span>,
     }
+    let events = parse_jsonl(jsonl)?;
     let mut jobs: BTreeMap<u64, JobAcc> = BTreeMap::new();
     let mut decisions: Vec<DecisionRecord> = Vec::new();
     // Trace replays admit jobs lazily (head-of-line blocking holds them in
@@ -313,31 +288,21 @@ pub fn analyze_journal(jsonl: &str) -> Result<LifecycleAnalysis, String> {
     let mut open_serving: BTreeMap<usize, f64> = BTreeMap::new();
     let mut end_time: f64 = 0.0;
 
-    for (lineno, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: invalid JSON: {e}", lineno + 1))?;
-        let m = v
-            .as_object()
-            .ok_or_else(|| format!("line {}: not an object", lineno + 1))?;
-        let now =
-            get_f64(m, "now").ok_or_else(|| format!("line {}: missing \"now\"", lineno + 1))?;
-        let tick =
-            get_u64(m, "tick").ok_or_else(|| format!("line {}: missing \"tick\"", lineno + 1))?;
-        let event =
-            get_str(m, "event").ok_or_else(|| format!("line {}: missing \"event\"", lineno + 1))?;
+    for ev in &events {
+        let now = ev.now;
         end_time = end_time.max(now);
-        let miss = |k: &str| format!("line {}: {event} missing {k:?}", lineno + 1);
-        match event {
-            "submit" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
+        match &ev.kind {
+            EventKind::Submit {
+                job,
+                tenant,
+                backbone,
+                ..
+            } => {
                 jobs.insert(
-                    job,
+                    *job,
                     JobAcc {
-                        tenant: get_str(m, "tenant").unwrap_or("default").to_string(),
-                        backbone: get_str(m, "backbone").unwrap_or("").to_string(),
+                        tenant: tenant.clone(),
+                        backbone: backbone.clone(),
                         submitted_at: now,
                         dispatched_at: None,
                         instance: None,
@@ -346,152 +311,133 @@ pub fn analyze_journal(jsonl: &str) -> Result<LifecycleAnalysis, String> {
                     },
                 );
             }
-            "dispatch" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
-                if let Some(acc) = jobs.get_mut(&job) {
+            EventKind::Dispatch { job, instance } => {
+                if let Some(acc) = jobs.get_mut(job) {
                     acc.dispatched_at.get_or_insert(now);
-                    acc.instance = get_u64(m, "instance").map(|i| i as usize);
+                    acc.instance = Some(*instance);
                 }
             }
-            "complete" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
-                if let Some(acc) = jobs.get_mut(&job) {
+            EventKind::Complete { job } => {
+                if let Some(acc) = jobs.get_mut(job) {
                     acc.terminal.get_or_insert((now, Terminal::Completed));
                 }
             }
-            "reject" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
-                let reason = get_str(m, "reason").unwrap_or("").to_string();
-                if let Some(acc) = jobs.get_mut(&job) {
+            EventKind::Reject { job, reason } => {
+                if let Some(acc) = jobs.get_mut(job) {
                     acc.terminal
-                        .get_or_insert((now, Terminal::Rejected(reason)));
+                        .get_or_insert_with(|| (now, Terminal::Rejected(reason.clone())));
                 }
             }
-            "shed" | "recover_shed" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
-                let reason = get_str(m, "reason").unwrap_or("").to_string();
-                if let Some(acc) = jobs.get_mut(&job) {
-                    acc.markers.push(Span::leaf(
-                        if event == "shed" {
-                            "shed"
-                        } else {
-                            "recover_shed"
-                        },
-                        now,
-                        now,
-                        reason,
-                    ));
+            EventKind::Shed { job, reason, .. } | EventKind::RecoverShed { job, reason, .. } => {
+                if let Some(acc) = jobs.get_mut(job) {
+                    acc.markers
+                        .push(Span::leaf(ev.kind.name(), now, now, reason.clone()));
                 }
             }
-            "recover_retry" => {
+            EventKind::RecoverRetry {
+                instance,
+                attempt,
+                backoff_seconds,
+            } => {
                 // Instance-scoped: attach to every job running there.
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                let attempt = get_u64(m, "attempt").unwrap_or(0);
-                let backoff = get_f64(m, "backoff_seconds").unwrap_or(0.0);
                 for acc in jobs.values_mut() {
-                    if acc.instance == Some(instance) && acc.terminal.is_none() {
+                    if acc.instance == Some(*instance) && acc.terminal.is_none() {
                         acc.markers.push(Span::leaf(
                             "retry",
                             now,
                             now,
-                            format!("attempt {attempt}, backoff {backoff:.3}s"),
+                            format!("attempt {attempt}, backoff {backoff_seconds:.3}s"),
                         ));
                     }
                 }
             }
-            "recover_restart" => {
-                let job = get_u64(m, "job").ok_or_else(|| miss("job"))?;
-                let tokens = get_f64(m, "checkpoint_tokens").unwrap_or(0.0);
-                if let Some(acc) = jobs.get_mut(&job) {
+            EventKind::RecoverRestart {
+                job,
+                checkpoint_tokens,
+                ..
+            } => {
+                if let Some(acc) = jobs.get_mut(job) {
                     acc.markers.push(Span::leaf(
                         "restart",
                         now,
                         now,
-                        format!("checkpoint at {tokens:.0} tokens"),
+                        format!("checkpoint at {checkpoint_tokens:.0} tokens"),
                     ));
                 }
             }
-            "fault_injected" => {
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                match get_str(m, "kind").unwrap_or("") {
-                    "comm_transient" => {
-                        open_outage.entry(instance).or_insert(now);
-                    }
-                    "device_loss" => {
-                        open_replan.entry(instance).or_insert(now);
-                    }
-                    // Slowdowns and link degradation stretch progress but
-                    // never zero it; they shift run time, not a separate
-                    // share.
-                    _ => {}
+            EventKind::FaultInjected { kind, instance, .. } => match kind.as_str() {
+                "comm_transient" => {
+                    open_outage.entry(*instance).or_insert(now);
                 }
-            }
-            "fault_cleared" => {
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                if get_str(m, "kind") == Some("comm_transient") {
-                    if let Some(start) = open_outage.remove(&instance) {
-                        outages.entry(instance).or_default().push((start, now));
+                "device_loss" => {
+                    open_replan.entry(*instance).or_insert(now);
+                }
+                // Slowdowns and link degradation stretch progress but never
+                // zero it; they shift run time, not a separate share.
+                _ => {}
+            },
+            EventKind::FaultCleared { kind, instance } => {
+                if kind == "comm_transient" {
+                    if let Some(start) = open_outage.remove(instance) {
+                        outages.entry(*instance).or_default().push((start, now));
                     }
                 }
             }
-            "recover_replan" => {
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                if let Some(start) = open_replan.remove(&instance) {
-                    replans.entry(instance).or_default().push((start, now));
+            EventKind::RecoverReplan { instance, .. } => {
+                if let Some(start) = open_replan.remove(instance) {
+                    replans.entry(*instance).or_default().push((start, now));
                 }
             }
-            "serving_preempt" => {
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                open_serving.entry(instance).or_insert(now);
+            EventKind::ServingPreempt { instance } => {
+                open_serving.entry(*instance).or_insert(now);
             }
-            "serving_resume" => {
-                let instance = get_u64(m, "instance").ok_or_else(|| miss("instance"))? as usize;
-                if let Some(start) = open_serving.remove(&instance) {
-                    servings.entry(instance).or_default().push((start, now));
+            EventKind::ServingResume { instance } => {
+                if let Some(start) = open_serving.remove(instance) {
+                    servings.entry(*instance).or_default().push((start, now));
                 }
             }
-            "decision" => {
-                let candidates = m
-                    .get("candidates")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| miss("candidates"))?
-                    .iter()
-                    .map(|c| {
-                        let cm = c.as_object().ok_or("candidate not an object")?;
-                        Ok(CandidateRecord {
-                            id: get_u64(cm, "id").ok_or("candidate missing id")?,
-                            tenant: get_str(cm, "tenant").unwrap_or("").to_string(),
-                            score: get_f64(cm, "score").ok_or("candidate missing score")?,
-                            priority: get_u64(cm, "priority").unwrap_or(0) as u8,
-                            arrival: get_f64(cm, "arrival").unwrap_or(0.0),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                let dec = DecisionRecord {
-                    tick,
-                    now,
-                    policy: get_str(m, "policy").unwrap_or("").to_string(),
-                    action: get_str(m, "action").unwrap_or("").to_string(),
-                    score_kind: get_str(m, "score_kind").unwrap_or("").to_string(),
-                    chosen: get_u64(m, "chosen").ok_or_else(|| miss("chosen"))?,
-                    job: get_u64(m, "job"),
-                    instance: get_u64(m, "instance").map(|i| i as usize),
-                    considered: get_u64(m, "considered").unwrap_or(0) as usize,
-                    candidates,
-                };
-                if dec.action == "dispatch" {
+            EventKind::Decision {
+                policy,
+                action,
+                score_kind,
+                chosen,
+                job,
+                instance,
+                considered,
+                candidates,
+            } => {
+                if action == "dispatch" {
                     if let (Some(handle), Some(winner)) =
-                        (dec.job, dec.candidates.iter().find(|c| c.id == dec.chosen))
+                        (job, candidates.iter().find(|c| c.id == *chosen))
                     {
-                        arrival_hints.entry(handle).or_insert(winner.arrival);
+                        arrival_hints.entry(*handle).or_insert(winner.arrival);
                     }
                 }
-                decisions.push(dec);
+                decisions.push(DecisionRecord {
+                    tick: ev.tick,
+                    now,
+                    policy: policy.clone(),
+                    action: action.clone(),
+                    score_kind: score_kind.clone(),
+                    chosen: *chosen,
+                    job: *job,
+                    instance: *instance,
+                    considered: *considered,
+                    candidates: candidates.clone(),
+                });
             }
-            // Replan, alerts, final, unknown future kinds: no lifecycle
-            // effect.
-            _ => {}
+            // Replans, alerts, requests, the final record, and unknown
+            // future kinds: no job-lifecycle effect.
+            EventKind::Replan { .. }
+            | EventKind::AlertFired { .. }
+            | EventKind::AlertCleared { .. }
+            | EventKind::RequestArrive { .. }
+            | EventKind::RequestPrefill { .. }
+            | EventKind::RequestComplete { .. }
+            | EventKind::RequestReject { .. }
+            | EventKind::RequestTimeout { .. }
+            | EventKind::Opaque { .. }
+            | EventKind::Final { .. } => {}
         }
     }
 
@@ -871,7 +817,7 @@ pub fn explain_job(analysis: &LifecycleAnalysis, id: u64) -> Result<String, Stri
                             "  {:.3}s: dispatched by {} ({own}) over {} candidate(s); beat {}\n",
                             dec.now,
                             dec.policy,
-                            dec.considered - 1,
+                            dec.considered.saturating_sub(1),
                             runners.join(", ")
                         ));
                     }
@@ -983,6 +929,27 @@ mod tests {
     }
 
     #[test]
+    fn a_line_the_journal_reader_rejects_fails_the_analysis() {
+        // A dispatch without its instance used to default to no host, so
+        // job 0's 4..7 outage was counted as run time instead of
+        // fault recovery. Now the analysis fails with the reader's error.
+        let damaged = tiny_journal().replacen("\"job\":0,\"instance\":0", "\"job\":0", 1);
+        let err = analyze_journal(&damaged).expect_err("dispatch lacks its instance");
+        assert_eq!(err, "line 3: missing/invalid field \"instance\"");
+        assert_eq!(Err(err), parse_jsonl(&damaged));
+    }
+
+    #[test]
+    fn explain_saturates_a_zero_considered_count() {
+        // `considered` is journal input: a zero count with candidates
+        // present must render, not underflow.
+        let text = tiny_journal().replacen("\"considered\":2", "\"considered\":0", 1);
+        let a = analyze_journal(&text).expect("parse");
+        let out = explain_job(&a, 0).expect("explain");
+        assert!(out.contains("over 0 candidate(s); beat job 1"), "{out}");
+    }
+
+    #[test]
     fn decisions_are_collected_and_explain_renders_provenance() {
         let a = analyze_journal(&tiny_journal()).expect("parse");
         assert_eq!(a.decisions.len(), 1);
@@ -1047,29 +1014,6 @@ mod tests {
         assert!((d.jct - 5.0).abs() < 1e-12);
         assert!((d.fault_recovery - 2.0).abs() < 1e-12, "3..end(5)");
         assert!(d.conservation_error() < 1e-9);
-    }
-
-    #[test]
-    fn chrome_trace_lanes_are_per_tenant() {
-        let a = analyze_journal(&tiny_journal()).expect("parse");
-        let text = lifecycle_chrome_trace(&a);
-        let v: Value = serde_json::from_str(&text).expect("valid JSON");
-        let events = v["traceEvents"].as_array().expect("events");
-        let lanes: Vec<&str> = events
-            .iter()
-            .filter(|e| e["name"].as_str() == Some("process_name"))
-            .map(|e| e["args"]["name"].as_str().unwrap())
-            .collect();
-        assert_eq!(lanes, vec!["tenant acme", "tenant beta"]);
-        let has = |kind: &str| {
-            events
-                .iter()
-                .any(|e| e["ph"].as_str() == Some("X") && e["name"].as_str() == Some(kind))
-        };
-        assert!(has("running"));
-        assert!(has("fault_recovery"));
-        // Determinism again — byte-for-byte.
-        assert_eq!(text, lifecycle_chrome_trace(&a));
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //!
 //! * **Conservation** — for every job the replayed journal yields, the
 //!   JCT decomposition's shares sum back to the JCT within 1e-9
-//!   (`queue_wait + run + fault_recovery + replan_stall == jct`), the
-//!   invariant the interval-union/complement algebra must maintain.
+//!   (`queue_wait + run + fault_recovery + replan_stall +
+//!   serving_preemption == jct`), the invariant the
+//!   interval-union/complement algebra must maintain.
+//! * **One schema** — the lifecycle fold and `Journal::replay` read the
+//!   same typed events, so every job's terminal agrees with the replayed
+//!   job state, and a journal written through the typed `EventKind`
+//!   analyzes into per-tenant Chrome-trace lanes.
 //! * **Determinism** — `explain_job` and the tenant-lane Chrome trace are
 //!   pure functions of the journal: two independent replays of the same
 //!   trace produce bitwise-identical output (CI re-runs the binary twice
@@ -16,12 +21,15 @@
 //!   its documented relative error against exact ceil-rank quantiles on
 //!   randomized streams, shard-merged in random order (property test).
 
-use muxtune::api::DECISION_CANDIDATE_CAP;
+use muxtune::api::{EventKind, Journal, DECISION_CANDIDATE_CAP};
 use muxtune::obs::timeseries::quantile_of;
 use muxtune::obs::QuantileSketch;
-use muxtune::obs_analysis::lifecycle::{analyze_journal, explain_job, lifecycle_chrome_trace};
+use muxtune::obs_analysis::lifecycle::{
+    analyze_journal, explain_job, lifecycle_chrome_trace, Terminal,
+};
 use muxtune::workload::{generate, replay_trace_by_name, ReplayOptions, TraceConfig};
 use proptest::prelude::*;
+use serde_json::Value;
 
 fn golden_replay_journal(policy: &str) -> String {
     let trace = generate(42, &TraceConfig::standard(300));
@@ -44,19 +52,121 @@ fn golden_replay_decomposition_conserves_within_1e9() {
             assert!(
                 d.conservation_error() < 1e-9,
                 "{policy}: job {} decomposition leaks {:.3e}s \
-                 (jct {} = queue {} + run {} + recovery {} + replan {})",
+                 (jct {} = queue {} + run {} + recovery {} + replan {} + serving {})",
                 j.job,
                 d.conservation_error(),
                 d.jct,
                 d.queue_wait,
                 d.run,
                 d.fault_recovery,
-                d.replan_stall
+                d.replan_stall,
+                d.serving_preemption
             );
             assert!(d.queue_wait >= 0.0 && d.run >= 0.0);
             assert!(d.fault_recovery >= 0.0 && d.replan_stall >= 0.0);
         }
     }
+}
+
+#[test]
+fn lifecycle_terminals_agree_with_journal_replay() {
+    for policy in ["fcfs", "drf"] {
+        let jsonl = golden_replay_journal(policy);
+        let analysis = analyze_journal(&jsonl).expect("analyze");
+        let replayed = Journal::from_jsonl(&jsonl).expect("parse").replay();
+        let analyzed: Vec<&u64> = analysis.jobs.keys().collect();
+        let replayed_jobs: Vec<&u64> = replayed.jobs.keys().collect();
+        assert_eq!(
+            analyzed, replayed_jobs,
+            "{policy}: both folds see the same jobs"
+        );
+        for (job, state) in &replayed.jobs {
+            let terminal = &analysis.jobs[job].terminal;
+            let agrees = match terminal {
+                Terminal::Completed => state == "completed",
+                Terminal::Rejected(_) => state == "rejected",
+                Terminal::Truncated => state == "queued" || state.starts_with("running@"),
+            };
+            assert!(
+                agrees,
+                "{policy}: job {job} analyzed as {terminal:?} but replays to {state}"
+            );
+        }
+    }
+}
+
+#[test]
+fn typed_journal_analyzes_into_per_tenant_chrome_lanes() {
+    // Written through the typed writer, so the analyzer reads exactly the
+    // lines the service emits: acme's job 0 runs through a 4..7 comm
+    // outage; beta's job 1 is rejected at submit.
+    let mut journal = Journal::new();
+    let submit = |job: u64, tenant: &str| EventKind::Submit {
+        job,
+        tenant: tenant.into(),
+        backbone: "B".into(),
+        total_tokens: 100,
+        slo_seconds: None,
+    };
+    journal.push(0, 0.0, submit(0, "acme"));
+    journal.push(
+        0,
+        2.0,
+        EventKind::Dispatch {
+            job: 0,
+            instance: 0,
+        },
+    );
+    journal.push(
+        0,
+        4.0,
+        EventKind::FaultInjected {
+            kind: "comm_transient".into(),
+            instance: 0,
+            device: None,
+            magnitude: 3.0,
+        },
+    );
+    journal.push(
+        0,
+        7.0,
+        EventKind::FaultCleared {
+            kind: "comm_transient".into(),
+            instance: 0,
+        },
+    );
+    journal.push(0, 12.0, EventKind::Complete { job: 0 });
+    journal.push(0, 12.0, submit(1, "beta"));
+    journal.push(
+        0,
+        12.0,
+        EventKind::Reject {
+            job: 1,
+            reason: "pool exhausted".into(),
+        },
+    );
+    let analysis = analyze_journal(&journal.to_jsonl()).expect("analyze");
+    let d = &analysis.jobs[&0].decomposition;
+    assert!((d.fault_recovery - 3.0).abs() < 1e-12 && (d.run - 7.0).abs() < 1e-12);
+
+    let text = lifecycle_chrome_trace(&analysis);
+    let v: Value = serde_json::from_str(&text).expect("valid JSON");
+    let events = v["traceEvents"].as_array().expect("events");
+    let lanes: Vec<&str> = events
+        .iter()
+        .filter(|e| e["name"].as_str() == Some("process_name"))
+        .map(|e| e["args"]["name"].as_str().unwrap())
+        .collect();
+    assert_eq!(lanes, vec!["tenant acme", "tenant beta"]);
+    let has = |kind: &str| {
+        events
+            .iter()
+            .any(|e| e["ph"].as_str() == Some("X") && e["name"].as_str() == Some(kind))
+    };
+    assert!(has("running"));
+    assert!(has("fault_recovery"));
+    // Deterministic: byte-for-byte.
+    assert_eq!(text, lifecycle_chrome_trace(&analysis));
 }
 
 #[test]
