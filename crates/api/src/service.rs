@@ -17,8 +17,8 @@ use mux_gpu_sim::timeline::{OpKind, OpRecord};
 use mux_model::config::ModelConfig;
 use mux_obs_analysis::online::{self, Alert, AlertEvent, MonitorConfig, OnlineMonitor};
 use mux_obs_analysis::{
-    critical_path, device_attribution, jain_index, slo_attainment, CriticalPath, DeviceAttribution,
-    HTaskRef, StallClass,
+    critical_path, device_attribution, jain_index, slo_attainment, DeviceAttribution, HTaskRef,
+    StallClass,
 };
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
@@ -27,7 +27,7 @@ use muxtune_core::planner::{
     degraded_plan, plan_and_run, plan_and_run_traced, plan_estimate, IncrementalEstimator,
     MuxTuneReport, PlannerConfig,
 };
-use serde_json::{Map, Value};
+use serde_json::{json, Map, Value};
 
 use crate::job::{Job, JobId, JobSpec, JobState};
 use crate::journal::{DecisionCandidate, EventKind, Journal, ReplayState};
@@ -348,16 +348,120 @@ impl Ord for ResumeEvent {
     }
 }
 
-/// The derived analyses of one traced instance re-plan (see
-/// [`FineTuneService::instance_analysis`]).
-struct InstanceAnalysis {
+/// One traced re-plan of a non-empty instance (see
+/// [`FineTuneService::traced_instance`]).
+struct TracedInstance {
     report: MuxTuneReport,
     ops: Vec<OpRecord>,
+    /// The instance's own device count (its shrunk cluster after a device
+    /// loss): every per-device array it renders has this length.
+    devices: usize,
     attribution: Vec<DeviceAttribution>,
-    cp: CriticalPath,
-    /// Attributed stall seconds charged to each job: shared blame on an
-    /// hTask splits evenly among its member jobs.
-    stall_by_job: BTreeMap<JobId, f64>,
+    stalls: StallTotals,
+}
+
+/// An instance's stall totals summed over its devices: the attribution
+/// window, the stalled seconds, and each [`StallClass`]'s seconds in
+/// [`StallClass::ALL`] order. The report's instance `stall_share`, the
+/// `muxtune_instance_stall_*` families and the monitor's stall-share
+/// signal all read these.
+struct StallTotals {
+    window: f64,
+    stall: f64,
+    class_seconds: [f64; StallClass::COUNT],
+}
+
+impl StallTotals {
+    fn of(attribution: &[DeviceAttribution]) -> Self {
+        Self {
+            window: attribution.iter().map(|d| d.window).sum(),
+            stall: attribution
+                .iter()
+                .map(DeviceAttribution::stall_seconds)
+                .sum(),
+            class_seconds: StallClass::ALL
+                .map(|class| attribution.iter().map(|d| d.class_seconds(class)).sum()),
+        }
+    }
+
+    /// Stalled share of the window.
+    fn share(&self) -> f64 {
+        self.stall / self.window.max(1e-12)
+    }
+
+    /// Each class's share of the window.
+    fn class_shares(&self) -> [f64; StallClass::COUNT] {
+        self.class_seconds.map(|secs| secs / self.window.max(1e-12))
+    }
+}
+
+impl TracedInstance {
+    /// Inserts the report's plan outcome for this instance into `m`:
+    /// makespan and utilization, per-device compute-lane occupancy, the
+    /// legacy 3-way stall breakdown, the 5-class attribution with its
+    /// conservation-checked window, the stall share, and the critical path.
+    fn insert_json(&self, m: &mut Map) {
+        let metrics = &self.report.metrics;
+        let mut busy = vec![0.0f64; self.devices];
+        let mut util_weighted = vec![0.0f64; self.devices];
+        for op in &self.ops {
+            if op.kind == OpKind::Compute && op.end > op.start {
+                let (d, dur) = (op.devices[0], op.end - op.start);
+                busy[d] += dur;
+                util_weighted[d] += op.utilization * dur;
+            }
+        }
+        let span = metrics.makespan.max(1e-12);
+        let devices: Vec<Value> = (0..self.devices)
+            .map(|d| {
+                json!({
+                    "device": d,
+                    "busy_fraction": busy[d] / span,
+                    "avg_utilization": util_weighted[d] / busy[d].max(1e-12),
+                })
+            })
+            .collect();
+        let breakdown: Vec<Value> = mux_gpu_sim::stall_breakdown(&self.ops, self.devices)
+            .iter()
+            .map(|b| {
+                json!({
+                    "device": b.device,
+                    "bubble_seconds": b.bubble_seconds,
+                    "comm_seconds": b.comm_seconds,
+                    "dependency_seconds": b.dependency_seconds,
+                })
+            })
+            .collect();
+        let attribution: Vec<Value> = self
+            .attribution
+            .iter()
+            .map(|d| {
+                let mut am = Map::new();
+                am.insert("device".into(), d.device.into());
+                am.insert("window_seconds".into(), d.window.into());
+                am.insert("busy_seconds".into(), d.busy_seconds.into());
+                for class in StallClass::ALL {
+                    am.insert(
+                        format!("{}_seconds", class.name()),
+                        d.class_seconds(class).into(),
+                    );
+                }
+                Value::Object(am)
+            })
+            .collect();
+        for (key, value) in [
+            ("makespan_seconds", metrics.makespan.into()),
+            ("effective_throughput", metrics.effective_throughput.into()),
+            ("mean_utilization", metrics.mean_utilization.into()),
+            ("devices", Value::Array(devices)),
+            ("stall_breakdown", Value::Array(breakdown)),
+            ("attribution", Value::Array(attribution)),
+            ("stall_share", self.stalls.share().into()),
+            ("critical_path", critical_path(&self.ops).to_json(16)),
+        ] {
+            m.insert(key.into(), value);
+        }
+    }
 }
 
 /// Resolves an engine-label hTask reference to the jobs behind it:
@@ -463,6 +567,34 @@ struct TenantStats {
     throughput: f64,
     slo_met: usize,
     slo_violated: usize,
+}
+
+/// One job's live facts, as both report renderers print them.
+struct JobRow<'a> {
+    job: &'a Job,
+    progress: f64,
+    rate: f64,
+    eta: Option<f64>,
+    stall_share: f64,
+    slo_violated: Option<bool>,
+}
+
+/// One view of the service (see [`FineTuneService::report_view`]),
+/// rendered as the JSON report or as the Prometheus body.
+struct ReportView<'a> {
+    jobs: Vec<JobRow<'a>>,
+    /// One traced re-plan per instance, `None` for empty or unplaceable
+    /// ones.
+    instances: Vec<Option<TracedInstance>>,
+    tenants: BTreeMap<&'a str, TenantStats>,
+    jain_throughput: f64,
+    jain_work: f64,
+    headroom_fraction: f64,
+    /// `(rule, severity, active, fired_total)` for every rule in
+    /// [`online::rules`].
+    rules: Vec<(String, online::Severity, usize, u64)>,
+    /// The `mux-obs` registry as the re-plans left it.
+    obs: mux_obs::Snapshot,
 }
 
 impl FineTuneService {
@@ -1479,26 +1611,12 @@ impl FineTuneService {
         // change, amortized over all the ticks in between).
         for i in 0..self.instances.len() {
             let epoch = self.instances[i].epoch;
-            let stale = rt
-                .stall_cache
-                .get(&i)
-                .map(|&(e, _)| e != epoch)
-                .unwrap_or(true);
-            if !stale {
+            if rt.stall_cache.get(&i).is_some_and(|&(e, _)| e == epoch) {
                 continue;
             }
             let shares = self
-                .instance_analysis(i)
-                .map(|a| {
-                    let total: f64 = a.attribution.iter().map(|d| d.window).sum();
-                    let mut s = [0.0f64; StallClass::COUNT];
-                    for (ci, class) in StallClass::ALL.iter().enumerate() {
-                        let secs: f64 = a.attribution.iter().map(|d| d.class_seconds(*class)).sum();
-                        s[ci] = secs / total.max(1e-12);
-                    }
-                    s
-                })
-                .unwrap_or([0.0; StallClass::COUNT]);
+                .traced_instance(i)
+                .map_or([0.0; StallClass::COUNT], |t| t.stalls.class_shares());
             rt.stall_cache.insert(i, (epoch, shares));
         }
 
@@ -1643,14 +1761,14 @@ impl FineTuneService {
         }
     }
 
-    /// Traced re-plan of instance `i` plus the derived analyses: 4-class
-    /// stall attribution per device, the critical path, and attributed
-    /// stall seconds folded back onto the jobs responsible.
+    /// Traced re-plan of instance `i` on its own cluster (the shrunk one
+    /// after a device loss), its 5-class stall attribution per device, and
+    /// the instance's stall totals. Engine op durations feed the
+    /// `engine.*_seconds` histograms.
     ///
-    /// Shared by [`Self::service_report`] and [`Self::snapshot_prom`].
     /// `None` when the instance is empty or the planner cannot place the
     /// current membership.
-    fn instance_analysis(&self, i: usize) -> Option<InstanceAnalysis> {
+    fn traced_instance(&self, i: usize) -> Option<TracedInstance> {
         let inst = &self.instances[i];
         if inst.registry.is_empty() {
             return None;
@@ -1660,7 +1778,6 @@ impl FineTuneService {
         let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
         let (report, ops) =
             plan_and_run_traced(&inst.registry, cluster, &inst.corpora, &cfg).ok()?;
-        let num_devices = cluster.gpus.len();
         for op in &ops {
             let dur = op.end - op.start;
             if dur <= 0.0 {
@@ -1672,27 +1789,15 @@ impl FineTuneService {
                 _ => {}
             }
         }
-        let attribution = device_attribution(&ops, num_devices);
-        let cp = critical_path(&ops);
-        let mut stall_by_job: BTreeMap<JobId, f64> = BTreeMap::new();
-        for d in &attribution {
-            for (href, &secs) in &d.by_htask {
-                let jobs = jobs_of_htask(inst, &report, href);
-                if jobs.is_empty() {
-                    continue;
-                }
-                let share = secs / jobs.len() as f64;
-                for j in jobs {
-                    *stall_by_job.entry(j).or_insert(0.0) += share;
-                }
-            }
-        }
-        Some(InstanceAnalysis {
+        let devices = cluster.gpus.len();
+        let attribution = device_attribution(&ops, devices);
+        let stalls = StallTotals::of(&attribution);
+        Some(TracedInstance {
             report,
             ops,
+            devices,
             attribution,
-            cp,
-            stall_by_job,
+            stalls,
         })
     }
 
@@ -1735,473 +1840,316 @@ impl FineTuneService {
         (rate > 0.0).then(|| ((j.spec.total_tokens as f64 - self.job_progress(j)) / rate).max(0.0))
     }
 
-    /// Builds the service's observability report as JSON: the job table
-    /// with **per-job throughput, stall share, ETA, and SLO verdicts**;
-    /// per-instance plan outcomes with per-device utilization, a 4-class
-    /// **stall attribution** (pipeline bubble / comm wait / dependency
-    /// wait / alignment imbalance, from a traced re-plan of the current
-    /// membership) alongside the legacy 3-way breakdown, and the
-    /// **critical path** through the instance's timeline; and the
-    /// `mux-obs` registry — planner phase wall times, counters, gauges,
-    /// and histograms — collected while those re-plans ran.
-    pub fn service_report(&self) -> Value {
+    /// The one view [`Self::service_report`] and [`Self::snapshot_prom`]
+    /// render. Resets the `mux-obs` registry, re-plans every non-empty
+    /// instance once with tracing on, captures the registry, then derives
+    /// the per-job, per-tenant, capacity and per-rule facts.
+    fn report_view(&self) -> ReportView<'_> {
         let _on = mux_obs::enabled_scope();
         mux_obs::reset();
-
-        let analyses: Vec<Option<InstanceAnalysis>> = (0..self.instances.len())
-            .map(|i| self.instance_analysis(i))
+        let instances: Vec<Option<TracedInstance>> = (0..self.instances.len())
+            .map(|i| self.traced_instance(i))
             .collect();
+        let obs = mux_obs::snapshot();
 
-        // Attributed stall seconds per job, normalized by the hosting
-        // instance's total device-window (a share in [0, 1]).
-        let mut stall_share_of_job: BTreeMap<JobId, f64> = BTreeMap::new();
-        for analysis in analyses.iter().flatten() {
-            let total_window: f64 = analysis.attribution.iter().map(|d| d.window).sum();
-            if total_window <= 0.0 {
-                continue;
+        // Attributed stall seconds per job (shared blame on an hTask splits
+        // evenly among its member jobs), normalized by the hosting
+        // instance's total device-window: a share in [0, 1].
+        let mut stall_share: BTreeMap<JobId, f64> = BTreeMap::new();
+        for (inst, t) in self.instances.iter().zip(&instances) {
+            let Some(t) = t else { continue };
+            let mut by_job: BTreeMap<JobId, f64> = BTreeMap::new();
+            for (href, &secs) in t.attribution.iter().flat_map(|d| &d.by_htask) {
+                let jobs = jobs_of_htask(inst, &t.report, href);
+                let share = secs / jobs.len() as f64;
+                for j in jobs {
+                    *by_job.entry(j).or_insert(0.0) += share;
+                }
             }
-            for (&jid, &secs) in &analysis.stall_by_job {
-                *stall_share_of_job.entry(jid).or_insert(0.0) += secs / total_window;
+            if t.stalls.window > 0.0 {
+                for (j, secs) in by_job {
+                    *stall_share.entry(j).or_insert(0.0) += secs / t.stalls.window;
+                }
             }
         }
 
-        let jobs: Vec<Value> = self
+        let jobs: Vec<JobRow> = self
             .jobs
             .values()
-            .map(|j| {
-                let mut m = Map::new();
-                m.insert("id".into(), j.id.0.into());
-                m.insert("tenant".into(), j.spec.tenant.as_str().into());
-                m.insert("backbone".into(), j.spec.backbone.as_str().into());
+            .map(|job| {
+                let eta = self.job_eta(job.id);
+                JobRow {
+                    job,
+                    progress: self.job_progress(job),
+                    rate: self.job_rate(job.id),
+                    eta,
+                    stall_share: stall_share.get(&job.id).copied().unwrap_or(0.0),
+                    slo_violated: job.slo_violated(self.now, eta),
+                }
+            })
+            .collect();
+        // SLO verdicts are realized for completed jobs and predicted for
+        // in-flight ones.
+        let mut tenants: BTreeMap<&str, TenantStats> = BTreeMap::new();
+        for r in &jobs {
+            let s = tenants.entry(r.job.spec.tenant.as_str()).or_default();
+            match r.job.state {
+                JobState::Queued => s.queued += 1,
+                JobState::Running { .. } => s.running += 1,
+                JobState::Completed => s.completed += 1,
+                JobState::Rejected => s.rejected += 1,
+            }
+            s.progressed_tokens += r.progress;
+            s.throughput += r.rate;
+            match r.slo_violated {
+                Some(true) => s.slo_violated += 1,
+                Some(false) => s.slo_met += 1,
+                None => {}
+            }
+        }
+        let rules = online::rules()
+            .into_iter()
+            .map(|(rule, severity)| {
+                let (active, fired) = self.monitor.as_ref().map_or((0, 0), |rt| {
+                    (
+                        rt.monitor.active().filter(|a| a.rule == rule).count(),
+                        rt.monitor.fired_total().get(&rule).copied().unwrap_or(0),
+                    )
+                });
+                (rule, severity, active, fired)
+            })
+            .collect();
+        ReportView {
+            jain_throughput: jain_index(tenants.values().map(|s| s.throughput)),
+            jain_work: jain_index(tenants.values().map(|s| s.progressed_tokens)),
+            headroom_fraction: self.slots_free() as f64 / (self.slot_capacity() as f64).max(1.0),
+            jobs,
+            instances,
+            tenants,
+            rules,
+            obs,
+        }
+    }
+
+    /// Builds the service's observability report as JSON: the job table
+    /// with **per-job throughput, stall share, ETA, and SLO verdicts**;
+    /// per-instance plan outcomes with per-device utilization, a 5-class
+    /// **stall attribution** (pipeline bubble / comm wait / dependency
+    /// wait / alignment imbalance / fault recovery, from a traced re-plan
+    /// of the current membership) alongside the legacy 3-way breakdown,
+    /// and the **critical path** through the instance's timeline; the
+    /// tenant, capacity, alert, fault and serving sections; and the
+    /// `mux-obs` registry — planner phase wall times, counters, gauges,
+    /// and histograms — collected while those re-plans ran.
+    pub fn service_report(&self) -> Value {
+        let view = self.report_view();
+        let jobs: Vec<Value> = view
+            .jobs
+            .iter()
+            .map(|r| {
+                let j = r.job;
                 let state = match j.state {
                     JobState::Queued => "queued".to_string(),
                     JobState::Running { instance } => format!("running@{instance}"),
                     JobState::Completed => "completed".to_string(),
                     JobState::Rejected => "rejected".to_string(),
                 };
-                m.insert("state".into(), state.into());
-                m.insert(
-                    "reject_reason".into(),
-                    j.reject_reason
-                        .as_deref()
-                        .map(Value::from)
-                        .unwrap_or(Value::Null),
-                );
-                m.insert("total_tokens".into(), j.spec.total_tokens.into());
-                m.insert("progressed_tokens".into(), self.job_progress(j).into());
-                match j.jct() {
-                    Some(jct) => m.insert("jct_seconds".into(), jct.into()),
-                    None => m.insert("jct_seconds".into(), Value::Null),
-                };
-                m.insert(
-                    "throughput_tokens_per_second".into(),
-                    self.job_rate(j.id).into(),
-                );
-                let eta = self.job_eta(j.id);
-                m.insert(
-                    "eta_seconds".into(),
-                    eta.map(Value::from).unwrap_or(Value::Null),
-                );
-                m.insert(
-                    "stall_share".into(),
-                    stall_share_of_job.get(&j.id).copied().unwrap_or(0.0).into(),
-                );
-                m.insert(
-                    "slo_seconds".into(),
-                    j.spec.slo_seconds.map(Value::from).unwrap_or(Value::Null),
-                );
-                m.insert(
-                    "slo_violated".into(),
-                    j.slo_violated(self.now, eta)
-                        .map(Value::from)
-                        .unwrap_or(Value::Null),
-                );
-                Value::Object(m)
+                json!({
+                    "id": j.id.0,
+                    "tenant": j.spec.tenant,
+                    "backbone": j.spec.backbone,
+                    "state": state,
+                    "reject_reason": j.reject_reason,
+                    "total_tokens": j.spec.total_tokens,
+                    "progressed_tokens": r.progress,
+                    "jct_seconds": j.jct(),
+                    "throughput_tokens_per_second": r.rate,
+                    "eta_seconds": r.eta,
+                    "stall_share": r.stall_share,
+                    "slo_seconds": j.spec.slo_seconds,
+                    "slo_violated": r.slo_violated,
+                })
             })
             .collect();
-
-        let num_devices = self.cluster.gpus.len();
         let instances: Vec<Value> = self
             .instances
             .iter()
+            .zip(&view.instances)
             .enumerate()
-            .map(|(i, inst)| {
+            .map(|(i, (inst, traced))| {
                 let mut m = Map::new();
                 m.insert("instance".into(), i.into());
                 m.insert("backbone".into(), inst.backbone_name.as_str().into());
                 m.insert("tasks".into(), inst.registry.len().into());
-                let Some(analysis) = &analyses[i] else {
-                    return Value::Object(m);
-                };
-                let (report, ops) = (&analysis.report, &analysis.ops);
-                m.insert("makespan_seconds".into(), report.metrics.makespan.into());
-                m.insert(
-                    "effective_throughput".into(),
-                    report.metrics.effective_throughput.into(),
-                );
-                m.insert(
-                    "mean_utilization".into(),
-                    report.metrics.mean_utilization.into(),
-                );
-                // Per-device compute-lane occupancy + achieved utilization.
-                let mut busy = vec![0.0f64; num_devices];
-                let mut util_weighted = vec![0.0f64; num_devices];
-                for op in ops {
-                    if op.kind == OpKind::Compute && op.end > op.start {
-                        let d = op.devices[0];
-                        let dur = op.end - op.start;
-                        busy[d] += dur;
-                        util_weighted[d] += op.utilization * dur;
-                    }
+                if let Some(t) = traced {
+                    t.insert_json(&mut m);
                 }
-                let span = report.metrics.makespan.max(1e-12);
-                let devices: Vec<Value> = (0..num_devices)
-                    .map(|d| {
-                        let mut dm = Map::new();
-                        dm.insert("device".into(), d.into());
-                        dm.insert("busy_fraction".into(), (busy[d] / span).into());
-                        dm.insert(
-                            "avg_utilization".into(),
-                            (util_weighted[d] / busy[d].max(1e-12)).into(),
-                        );
-                        Value::Object(dm)
-                    })
-                    .collect();
-                m.insert("devices".into(), Value::Array(devices));
-                let stalls: Vec<Value> = mux_gpu_sim::stall_breakdown(ops, num_devices)
-                    .iter()
-                    .map(|b| {
-                        let mut sm = Map::new();
-                        sm.insert("device".into(), b.device.into());
-                        sm.insert("bubble_seconds".into(), b.bubble_seconds.into());
-                        sm.insert("comm_seconds".into(), b.comm_seconds.into());
-                        sm.insert("dependency_seconds".into(), b.dependency_seconds.into());
-                        Value::Object(sm)
-                    })
-                    .collect();
-                m.insert("stall_breakdown".into(), Value::Array(stalls));
-                // 4-class attribution with the conservation-checked window.
-                let attribution: Vec<Value> = analysis
-                    .attribution
-                    .iter()
-                    .map(|d| {
-                        let mut am = Map::new();
-                        am.insert("device".into(), d.device.into());
-                        am.insert("window_seconds".into(), d.window.into());
-                        am.insert("busy_seconds".into(), d.busy_seconds.into());
-                        for class in StallClass::ALL {
-                            am.insert(
-                                format!("{}_seconds", class.name()),
-                                d.class_seconds(class).into(),
-                            );
-                        }
-                        Value::Object(am)
-                    })
-                    .collect();
-                m.insert("attribution".into(), Value::Array(attribution));
-                let total_window: f64 = analysis.attribution.iter().map(|d| d.window).sum();
-                let total_stall: f64 = analysis
-                    .attribution
-                    .iter()
-                    .map(DeviceAttribution::stall_seconds)
-                    .sum();
-                m.insert(
-                    "stall_share".into(),
-                    (total_stall / total_window.max(1e-12)).into(),
-                );
-                m.insert("critical_path".into(), analysis.cp.to_json(16));
                 Value::Object(m)
             })
             .collect();
-
-        let snap = mux_obs::snapshot();
-        let mut phases = Map::new();
-        for (name, stat) in &snap.phases {
-            let mut pm = Map::new();
-            pm.insert("count".into(), stat.count.into());
-            pm.insert("total_seconds".into(), stat.total_seconds.into());
-            phases.insert(name.clone(), Value::Object(pm));
-        }
-        let mut counters = Map::new();
-        for (name, v) in &snap.counters {
-            counters.insert(name.clone(), (*v).into());
-        }
-        let mut gauges = Map::new();
-        for (name, v) in &snap.gauges {
-            gauges.insert(name.clone(), (*v).into());
-        }
-        let mut histograms = Map::new();
-        for (name, h) in &snap.histograms {
-            let mut hm = Map::new();
-            hm.insert("count".into(), h.count.into());
-            hm.insert("sum".into(), h.sum.into());
-            hm.insert("min".into(), h.min.into());
-            hm.insert("max".into(), h.max.into());
-            hm.insert("p50".into(), h.quantile(0.50).into());
-            hm.insert("p95".into(), h.quantile(0.95).into());
-            hm.insert("p99".into(), h.quantile(0.99).into());
-            histograms.insert(name.clone(), Value::Object(hm));
-        }
-
-        let mut root = Map::new();
-        root.insert("now_seconds".into(), self.now.into());
-        root.insert("tick".into(), self.tick.into());
-        root.insert("jobs".into(), Value::Array(jobs));
-        root.insert("instances".into(), Value::Array(instances));
-        root.insert("tenants".into(), self.tenants_json());
-        root.insert("capacity".into(), self.capacity_json());
-        root.insert("alerts".into(), self.alerts_json());
-        root.insert("faults".into(), self.faults_json());
-        root.insert(
-            "serving".into(),
-            self.serving
-                .as_ref()
-                .map(|s| s.report_json(self.now))
-                .unwrap_or_else(serving::disabled_report_json),
-        );
-        let mut obs = Map::new();
-        obs.insert("phases".into(), Value::Object(phases));
-        obs.insert("counters".into(), Value::Object(counters));
-        obs.insert("gauges".into(), Value::Object(gauges));
-        obs.insert("histograms".into(), Value::Object(histograms));
-        root.insert("observability".into(), Value::Object(obs));
-        Value::Object(root)
-    }
-
-    /// Per-tenant accounting the report and exposition aggregate over:
-    /// job-state counts, work and throughput totals, and SLO verdicts
-    /// (realized for completed jobs, predicted for in-flight ones).
-    fn tenant_stats(&self) -> BTreeMap<String, TenantStats> {
-        let mut stats: BTreeMap<String, TenantStats> = BTreeMap::new();
-        for j in self.jobs.values() {
-            let s = stats.entry(j.spec.tenant.clone()).or_default();
-            match j.state {
-                JobState::Queued => s.queued += 1,
-                JobState::Running { .. } => s.running += 1,
-                JobState::Completed => s.completed += 1,
-                JobState::Rejected => s.rejected += 1,
-            }
-            s.progressed_tokens += self.job_progress(j);
-            s.throughput += self.job_rate(j.id);
-            match j.slo_violated(self.now, self.job_eta(j.id)) {
-                Some(true) => s.slo_violated += 1,
-                Some(false) => s.slo_met += 1,
-                None => {}
-            }
-        }
-        stats
-    }
-
-    /// The report's `tenants` section: one entry per tenant plus
-    /// cross-tenant Jain fairness indices over throughput and dispatched
-    /// work. Fairness is vacuously 1.0 with zero or one tenant.
-    fn tenants_json(&self) -> Value {
-        let stats = self.tenant_stats();
-        let per_tenant: Vec<Value> = stats
+        let per_tenant: Vec<Value> = view
+            .tenants
             .iter()
-            .map(|(tenant, s)| {
-                let mut m = Map::new();
-                m.insert("tenant".into(), tenant.as_str().into());
-                m.insert("queued".into(), s.queued.into());
-                m.insert("running".into(), s.running.into());
-                m.insert("completed".into(), s.completed.into());
-                m.insert("rejected".into(), s.rejected.into());
-                m.insert("progressed_tokens".into(), s.progressed_tokens.into());
-                m.insert("throughput_tokens_per_second".into(), s.throughput.into());
-                m.insert("slo_met".into(), s.slo_met.into());
-                m.insert("slo_violated".into(), s.slo_violated.into());
-                m.insert(
-                    "slo_attainment".into(),
-                    slo_attainment(s.slo_met, s.slo_violated).into(),
-                );
-                Value::Object(m)
+            .map(|(&tenant, s)| {
+                json!({
+                    "tenant": tenant,
+                    "queued": s.queued,
+                    "running": s.running,
+                    "completed": s.completed,
+                    "rejected": s.rejected,
+                    "progressed_tokens": s.progressed_tokens,
+                    "throughput_tokens_per_second": s.throughput,
+                    "slo_met": s.slo_met,
+                    "slo_violated": s.slo_violated,
+                    "slo_attainment": slo_attainment(s.slo_met, s.slo_violated),
+                })
             })
             .collect();
-        let mut fairness = Map::new();
-        fairness.insert(
-            "jain_throughput".into(),
-            jain_index(stats.values().map(|s| s.throughput)).into(),
-        );
-        fairness.insert(
-            "jain_work".into(),
-            jain_index(stats.values().map(|s| s.progressed_tokens)).into(),
-        );
-        let mut m = Map::new();
-        m.insert("per_tenant".into(), Value::Array(per_tenant));
-        m.insert("fairness".into(), Value::Object(fairness));
-        Value::Object(m)
-    }
 
-    /// The report's `capacity` section: how much multiplexing headroom
-    /// the pool has left, in instances and in co-location task slots.
-    fn capacity_json(&self) -> Value {
-        let max_instances = self.cfg.gpus_total / self.cfg.gpus_per_instance;
-        let slot_capacity = self.slot_capacity();
-        let slots_free = self.slots_free();
-        let mut m = Map::new();
-        m.insert("gpus_total".into(), self.cfg.gpus_total.into());
-        m.insert(
-            "gpus_per_instance".into(),
-            self.cfg.gpus_per_instance.into(),
-        );
-        m.insert("instances_max".into(), max_instances.into());
-        m.insert("instances_live".into(), self.instances.len().into());
-        m.insert("instance_headroom".into(), self.capacity_left().into());
-        m.insert(
-            "max_tasks_per_instance".into(),
-            self.cfg.max_tasks_per_instance.into(),
-        );
-        m.insert("task_slots_total".into(), slot_capacity.into());
-        m.insert("task_slots_free".into(), slots_free.into());
-        m.insert(
-            "headroom_fraction".into(),
-            (slots_free as f64 / (slot_capacity as f64).max(1.0)).into(),
-        );
-        Value::Object(m)
-    }
-
-    /// The report's `alerts` section: the active alert list, counts by
-    /// severity, and total fires per rule. Every rule in
-    /// [`online::rules`] is always present (0 when it never fired), so
-    /// the key set is stable whether or not monitoring is on.
-    fn alerts_json(&self) -> Value {
-        let mut m = Map::new();
-        let active: Vec<Value> = self
-            .monitor
-            .as_ref()
-            .map(|rt| {
-                rt.monitor
-                    .active()
-                    .map(|a| {
-                        let mut am = Map::new();
-                        am.insert("rule".into(), a.rule.as_str().into());
-                        am.insert("severity".into(), a.severity.name().into());
-                        am.insert("job".into(), a.job.into());
-                        am.insert("window".into(), a.window.into());
-                        am.insert("value".into(), a.value.into());
-                        am.insert("threshold".into(), a.threshold.into());
-                        am.insert("tick".into(), a.tick.into());
-                        Value::Object(am)
-                    })
-                    .collect()
+        // Every rule in `online::rules`, fault kind and recovery action is
+        // always present (0 when it never happened), so dashboards and
+        // goldens can pin on the key set whether or not monitoring is on.
+        let active = || self.monitor.iter().flat_map(|rt| rt.monitor.active());
+        let active_alerts: Vec<Value> = active()
+            .map(|a| {
+                json!({
+                    "rule": a.rule,
+                    "severity": a.severity.name(),
+                    "job": a.job,
+                    "window": a.window,
+                    "value": a.value,
+                    "threshold": a.threshold,
+                    "tick": a.tick,
+                })
             })
-            .unwrap_or_default();
-        let mut by_severity = Map::new();
-        for sev in [online::Severity::Warning, online::Severity::Critical] {
-            let n = self
-                .monitor
-                .as_ref()
-                .map(|rt| rt.monitor.active().filter(|a| a.severity == sev).count())
-                .unwrap_or(0);
-            by_severity.insert(sev.name().to_string(), n.into());
-        }
-        let mut fired = Map::new();
-        for (rule, _) in online::rules() {
-            let n = self
-                .monitor
-                .as_ref()
-                .and_then(|rt| rt.monitor.fired_total().get(&rule).copied())
-                .unwrap_or(0);
-            fired.insert(rule, n.into());
-        }
-        m.insert("active".into(), Value::Array(active));
-        m.insert("active_by_severity".into(), Value::Object(by_severity));
-        m.insert("fired_total".into(), Value::Object(fired));
-        Value::Object(m)
-    }
-
-    /// The report's `faults` section: injection and recovery totals plus
-    /// per-instance live fault state. The key set is stable — every fault
-    /// kind and recovery action is always present (0 when it never
-    /// happened) — so dashboards and goldens can pin on it.
-    fn faults_json(&self) -> Value {
-        let mut injected = Map::new();
-        for kind in [
-            "device_slowdown",
-            "link_degrade",
-            "comm_transient",
-            "device_loss",
-        ] {
-            injected.insert(
-                kind.to_string(),
-                self.fault_stats
-                    .injected
-                    .get(kind)
-                    .copied()
-                    .unwrap_or(0)
-                    .into(),
-            );
-        }
-        let mut recoveries = Map::new();
-        for action in ["retry", "restart", "replan", "shed"] {
-            recoveries.insert(
-                action.to_string(),
-                self.fault_stats
-                    .recoveries
-                    .get(action)
-                    .copied()
-                    .unwrap_or(0)
-                    .into(),
-            );
-        }
-        let instances: Vec<Value> = self
+            .collect();
+        let by_severity: Map = [online::Severity::Warning, online::Severity::Critical]
+            .into_iter()
+            .map(|sev| {
+                let n = active().filter(|a| a.severity == sev).count();
+                (sev.name().to_string(), n.into())
+            })
+            .collect();
+        let fired: Map = view
+            .rules
+            .iter()
+            .map(|(rule, _, _, fired)| (rule.clone(), (*fired).into()))
+            .collect();
+        let totals = |counts: &BTreeMap<String, u64>, keys: [&str; 4]| -> Map {
+            keys.into_iter()
+                .map(|k| (k.to_string(), counts.get(k).copied().unwrap_or(0).into()))
+                .collect()
+        };
+        let fault_instances: Vec<Value> = self
             .instances
             .iter()
             .enumerate()
             .map(|(i, inst)| {
-                let mut im = Map::new();
-                im.insert("instance".into(), i.into());
-                im.insert(
-                    "lost_devices".into(),
-                    Value::Array(
-                        inst.lost_devices
-                            .iter()
-                            .map(|&d| Value::from(d as u64))
-                            .collect(),
-                    ),
-                );
-                im.insert(
-                    "slow_factor".into(),
-                    inst.slow_factors
-                        .values()
-                        .fold(1.0f64, |a, &b| a.max(b))
-                        .into(),
-                );
-                im.insert("link_factor".into(), inst.link_factor.into());
-                im.insert("in_outage".into(), inst.outage.is_some().into());
-                Value::Object(im)
+                let lost: Vec<usize> = inst.lost_devices.iter().copied().collect();
+                json!({
+                    "instance": i,
+                    "lost_devices": lost,
+                    "slow_factor": inst.slow_factors.values().fold(1.0f64, |a, &b| a.max(b)),
+                    "link_factor": inst.link_factor,
+                    "in_outage": inst.outage.is_some(),
+                })
             })
             .collect();
-        let mut m = Map::new();
-        m.insert("injected_total".into(), Value::Object(injected));
-        m.insert("recoveries_total".into(), Value::Object(recoveries));
-        m.insert("instances".into(), Value::Array(instances));
-        Value::Object(m)
+
+        let obs = &view.obs;
+        let phases: Map = obs
+            .phases
+            .iter()
+            .map(|(name, stat)| {
+                let phase = json!({ "count": stat.count, "total_seconds": stat.total_seconds });
+                (name.clone(), phase)
+            })
+            .collect();
+        let counters: Map = obs
+            .counters
+            .iter()
+            .map(|(name, &v)| (name.clone(), v.into()))
+            .collect();
+        let gauges: Map = obs
+            .gauges
+            .iter()
+            .map(|(name, &v)| (name.clone(), v.into()))
+            .collect();
+        let histograms: Map = obs
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                let hist = json!({
+                    "count": h.count,
+                    "sum": h.sum,
+                    "min": h.min,
+                    "max": h.max,
+                    "p50": h.quantile(0.50),
+                    "p95": h.quantile(0.95),
+                    "p99": h.quantile(0.99),
+                });
+                (name.clone(), hist)
+            })
+            .collect();
+
+        json!({
+            "now_seconds": self.now,
+            "tick": self.tick,
+            "jobs": jobs,
+            "instances": instances,
+            "tenants": {
+                "per_tenant": per_tenant,
+                "fairness": {
+                    "jain_throughput": view.jain_throughput,
+                    "jain_work": view.jain_work,
+                },
+            },
+            "capacity": {
+                "gpus_total": self.cfg.gpus_total,
+                "gpus_per_instance": self.cfg.gpus_per_instance,
+                "instances_max": self.cfg.gpus_total / self.cfg.gpus_per_instance,
+                "instances_live": self.instances.len(),
+                "instance_headroom": self.capacity_left(),
+                "max_tasks_per_instance": self.cfg.max_tasks_per_instance,
+                "task_slots_total": self.slot_capacity(),
+                "task_slots_free": self.slots_free(),
+                "headroom_fraction": view.headroom_fraction,
+            },
+            "alerts": {
+                "active": active_alerts,
+                "active_by_severity": by_severity,
+                "fired_total": fired,
+            },
+            "faults": {
+                "injected_total": totals(
+                    &self.fault_stats.injected,
+                    ["device_slowdown", "link_degrade", "comm_transient", "device_loss"],
+                ),
+                "recoveries_total": totals(
+                    &self.fault_stats.recoveries,
+                    ["retry", "restart", "replan", "shed"],
+                ),
+                "instances": fault_instances,
+            },
+            "serving": serving::report_json(self.serving.as_ref(), self.now),
+            "observability": {
+                "phases": phases,
+                "counters": counters,
+                "gauges": gauges,
+                "histograms": histograms,
+            },
+        })
     }
 
     /// Renders the service's current state in Prometheus text-exposition
     /// format: per-job progress/throughput/ETA/stall-share/SLO gauges,
     /// per-instance makespan, utilization and per-class stall seconds,
-    /// followed by the `mux-obs` registry (planner phases, counters,
-    /// gauges, histograms) captured during the underlying re-plans.
+    /// per-tenant fairness/SLO/JCT families, pool headroom and alert
+    /// tallies, the serving families when serving is enabled, then the
+    /// `mux-obs` registry (planner phases, counters, gauges, histograms)
+    /// captured during the underlying re-plans.
     pub fn snapshot_prom(&self) -> String {
-        let _on = mux_obs::enabled_scope();
-        mux_obs::reset();
-
-        let analyses: Vec<Option<InstanceAnalysis>> = (0..self.instances.len())
-            .map(|i| self.instance_analysis(i))
-            .collect();
-        let mut stall_share_of_job: BTreeMap<JobId, f64> = BTreeMap::new();
-        for analysis in analyses.iter().flatten() {
-            let total_window: f64 = analysis.attribution.iter().map(|d| d.window).sum();
-            if total_window <= 0.0 {
-                continue;
-            }
-            for (&jid, &secs) in &analysis.stall_by_job {
-                *stall_share_of_job.entry(jid).or_insert(0.0) += secs / total_window;
-            }
-        }
-
+        let view = self.report_view();
         let mut out = String::new();
         out.push_str("# TYPE muxtune_service_now_seconds gauge\n");
         out.push_str(&format!("muxtune_service_now_seconds {}\n", self.now));
@@ -2211,28 +2159,25 @@ impl FineTuneService {
         out.push_str("# TYPE muxtune_job_eta_seconds gauge\n");
         out.push_str("# TYPE muxtune_job_stall_share gauge\n");
         out.push_str("# TYPE muxtune_job_slo_violated gauge\n");
-        for j in self.jobs.values() {
-            let id = j.id.0;
-            let backbone = mux_obs::prom_escape_label(&j.spec.backbone);
+        for r in &view.jobs {
+            let id = r.job.id.0;
+            let backbone = mux_obs::prom_escape_label(&r.job.spec.backbone);
             out.push_str(&format!(
                 "muxtune_job_progress_tokens{{job=\"{id}\",backbone=\"{backbone}\"}} {}\n",
-                self.job_progress(j)
+                r.progress
             ));
             out.push_str(&format!(
                 "muxtune_job_throughput_tokens_per_second{{job=\"{id}\",backbone=\"{backbone}\"}} {}\n",
-                self.job_rate(j.id)
+                r.rate
             ));
-            let eta = self.job_eta(j.id);
-            if let Some(eta_s) = eta {
-                out.push_str(&format!(
-                    "muxtune_job_eta_seconds{{job=\"{id}\"}} {eta_s}\n"
-                ));
+            if let Some(eta) = r.eta {
+                out.push_str(&format!("muxtune_job_eta_seconds{{job=\"{id}\"}} {eta}\n"));
             }
             out.push_str(&format!(
                 "muxtune_job_stall_share{{job=\"{id}\"}} {}\n",
-                stall_share_of_job.get(&j.id).copied().unwrap_or(0.0)
+                r.stall_share
             ));
-            if let Some(v) = j.slo_violated(self.now, eta) {
+            if let Some(v) = r.slo_violated {
                 out.push_str(&format!(
                     "muxtune_job_slo_violated{{job=\"{id}\"}} {}\n",
                     v as u8
@@ -2244,32 +2189,21 @@ impl FineTuneService {
         out.push_str("# TYPE muxtune_instance_mean_utilization gauge\n");
         out.push_str("# TYPE muxtune_instance_stall_share gauge\n");
         out.push_str("# TYPE muxtune_instance_stall_seconds gauge\n");
-        for (i, analysis) in analyses.iter().enumerate() {
-            let Some(analysis) = analysis else { continue };
+        for (i, t) in view.instances.iter().enumerate() {
+            let Some(t) = t else { continue };
             out.push_str(&format!(
                 "muxtune_instance_makespan_seconds{{instance=\"{i}\"}} {}\n",
-                analysis.report.metrics.makespan
+                t.report.metrics.makespan
             ));
             out.push_str(&format!(
                 "muxtune_instance_mean_utilization{{instance=\"{i}\"}} {}\n",
-                analysis.report.metrics.mean_utilization
+                t.report.metrics.mean_utilization
             ));
-            let total_window: f64 = analysis.attribution.iter().map(|d| d.window).sum();
-            let total_stall: f64 = analysis
-                .attribution
-                .iter()
-                .map(DeviceAttribution::stall_seconds)
-                .sum();
             out.push_str(&format!(
                 "muxtune_instance_stall_share{{instance=\"{i}\"}} {}\n",
-                total_stall / total_window.max(1e-12)
+                t.stalls.share()
             ));
-            for class in StallClass::ALL {
-                let secs: f64 = analysis
-                    .attribution
-                    .iter()
-                    .map(|d| d.class_seconds(class))
-                    .sum();
+            for (class, secs) in StallClass::ALL.iter().zip(t.stalls.class_seconds) {
                 out.push_str(&format!(
                     "muxtune_instance_stall_seconds{{instance=\"{i}\",class=\"{}\"}} {secs}\n",
                     class.name()
@@ -2277,14 +2211,11 @@ impl FineTuneService {
             }
         }
 
-        // Per-tenant fairness/SLO families plus pool headroom, mirroring
-        // the report's `tenants`/`capacity` sections.
-        let stats = self.tenant_stats();
         out.push_str("# TYPE muxtune_tenant_jobs gauge\n");
         out.push_str("# TYPE muxtune_tenant_throughput_tokens_per_second gauge\n");
         out.push_str("# TYPE muxtune_tenant_progressed_tokens gauge\n");
         out.push_str("# TYPE muxtune_tenant_slo_attainment gauge\n");
-        for (tenant, s) in &stats {
+        for (tenant, s) in &view.tenants {
             let label = mux_obs::prom_escape_label(tenant);
             for (state, n) in [
                 ("queued", s.queued),
@@ -2349,11 +2280,11 @@ impl FineTuneService {
         out.push_str("# TYPE muxtune_fairness_jain gauge\n");
         out.push_str(&format!(
             "muxtune_fairness_jain{{dimension=\"throughput\"}} {}\n",
-            jain_index(stats.values().map(|s| s.throughput))
+            view.jain_throughput
         ));
         out.push_str(&format!(
             "muxtune_fairness_jain{{dimension=\"work\"}} {}\n",
-            jain_index(stats.values().map(|s| s.progressed_tokens))
+            view.jain_work
         ));
         out.push_str("# TYPE muxtune_capacity_instances gauge\n");
         out.push_str(&format!(
@@ -2367,25 +2298,15 @@ impl FineTuneService {
         out.push_str("# TYPE muxtune_capacity_headroom_fraction gauge\n");
         out.push_str(&format!(
             "muxtune_capacity_headroom_fraction {}\n",
-            self.slots_free() as f64 / (self.slot_capacity() as f64).max(1.0)
+            view.headroom_fraction
         ));
 
         // Alert families are always rendered (zeros while quiet or with
         // monitoring off), so dashboards can pin queries on them.
         out.push_str("# TYPE muxtune_alerts_active gauge\n");
         out.push_str("# TYPE muxtune_alerts_fired_total counter\n");
-        for (rule, severity) in online::rules() {
-            let active = self
-                .monitor
-                .as_ref()
-                .map(|rt| rt.monitor.active().filter(|a| a.rule == rule).count())
-                .unwrap_or(0);
-            let fired = self
-                .monitor
-                .as_ref()
-                .and_then(|rt| rt.monitor.fired_total().get(&rule).copied())
-                .unwrap_or(0);
-            let label = mux_obs::prom_escape_label(&rule);
+        for (rule, severity, active, fired) in &view.rules {
+            let label = mux_obs::prom_escape_label(rule);
             out.push_str(&format!(
                 "muxtune_alerts_active{{rule=\"{label}\",severity=\"{}\"}} {active}\n",
                 severity.name()
@@ -2401,7 +2322,7 @@ impl FineTuneService {
             s.render_prom(&mut out, self.now);
         }
 
-        out.push_str(&mux_obs::snapshot_prom());
+        out.push_str(&mux_obs::render_prom(&view.obs));
         out
     }
 
@@ -2705,6 +2626,14 @@ mod tests {
         JobSpec::lora("LLaMA2-7B", DatasetKind::OpenBookQa, 16, 4, tokens)
     }
 
+    /// `service_report()` and `snapshot_prom()` reset and read the
+    /// process-global `mux-obs` registry, so the tests calling them run one
+    /// at a time: a concurrent reset would wipe another test's snapshot.
+    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn same_backbone_jobs_share_one_instance() {
         let mut svc = service(16);
@@ -2793,6 +2722,7 @@ mod tests {
 
     #[test]
     fn service_report_surfaces_devices_stalls_and_planner_phases() {
+        let _serial = obs_lock();
         let mut svc = service(4);
         svc.submit(spec(100_000));
         svc.submit(spec(100_000));
@@ -2817,13 +2747,14 @@ mod tests {
 
     #[test]
     fn service_report_attributes_stalls_and_tracks_slos() {
+        let _serial = obs_lock();
         let mut svc = service(4);
         let relaxed = svc.submit(spec(100_000).with_slo(1e9));
         let tight = svc.submit(spec(100_000).with_slo(1e-3));
         let rep = svc.service_report();
         let inst = &rep["instances"][0];
 
-        // 4-class attribution conserves busy + stalls == window per device.
+        // 5-class attribution conserves busy + stalls == window per device.
         let attribution = inst["attribution"].as_array().expect("attribution");
         assert_eq!(attribution.len(), 4);
         for d in attribution {
@@ -2882,6 +2813,7 @@ mod tests {
 
     #[test]
     fn snapshot_prom_is_well_formed_exposition() {
+        let _serial = obs_lock();
         let mut svc = service(4);
         svc.submit(spec(100_000).with_slo(3600.0));
         svc.submit(spec(100_000));
@@ -2926,6 +2858,7 @@ mod tests {
 
     #[test]
     fn tenant_quantile_families_survive_hostile_tenant_names() {
+        let _serial = obs_lock();
         // The new per-tenant JCT/queue-wait families interpolate tenant
         // names into label values; hostile names (quotes, newlines,
         // backslashes, UTF-8, leading digits) must escape into valid
@@ -3550,6 +3483,7 @@ mod tests {
 
     #[test]
     fn report_faults_section_has_stable_keys_and_live_counts() {
+        let _serial = obs_lock();
         let mut svc = service(4);
         svc.submit(spec(50_000));
         let quiet = svc.service_report();
@@ -3598,6 +3532,12 @@ mod tests {
         assert_eq!(inst["link_factor"].as_f64(), Some(3.0));
         assert_eq!(inst["lost_devices"][0].as_u64(), Some(0));
         assert_eq!(inst["in_outage"].as_bool(), Some(false));
+        // The instance re-planned onto its 3 surviving devices: every
+        // per-device array has 3 rows, with no phantom for the lost one.
+        let row = &rep["instances"][0];
+        for key in ["devices", "stall_breakdown", "attribution"] {
+            assert_eq!(row[key].as_array().map(Vec::len), Some(3), "{key}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use mux_gpu_sim::PhaseModel;
 use mux_obs::QuantileSketch;
-use serde_json::{Map, Value};
+use serde_json::{json, Value};
 
 use crate::journal::{EventKind, Journal};
 
@@ -524,99 +524,6 @@ impl ServingRuntime {
         );
     }
 
-    /// The always-present `serving` section of `service_report()`:
-    /// stable keys, zeros when nothing is enabled or nothing happened.
-    pub fn report_json(&self, now: f64) -> Value {
-        let mut root = Map::new();
-        root.insert("enabled".into(), true.into());
-        root.insert("policy".into(), self.cfg.policy.name().into());
-        root.insert("preempted".into(), self.preempted.into());
-        root.insert("preemptions".into(), self.stats.preemptions.into());
-        root.insert("headroom".into(), self.headroom.into());
-        root.insert("latency_scale".into(), self.scale.into());
-
-        let mut requests = Map::new();
-        requests.insert("arrived".into(), self.stats.arrived.into());
-        requests.insert("completed".into(), self.stats.completed.into());
-        requests.insert("rejected".into(), self.stats.rejected.into());
-        requests.insert("timed_out".into(), self.stats.timed_out.into());
-        requests.insert("pending".into(), self.pending.len().into());
-        requests.insert("in_flight".into(), self.in_flight().into());
-        root.insert("requests".into(), Value::Object(requests));
-
-        let mut tokens = Map::new();
-        tokens.insert("prompt".into(), self.stats.prompt_tokens.into());
-        tokens.insert("decode".into(), self.stats.decode_tokens.into());
-        root.insert("tokens".into(), Value::Object(tokens));
-
-        let mut slo = Map::new();
-        slo.insert("attained".into(), self.stats.slo_attained.into());
-        slo.insert("violated".into(), self.stats.slo_violated.into());
-        let concluded = self.stats.slo_attained + self.stats.slo_violated;
-        slo.insert(
-            "attainment".into(),
-            if concluded == 0 {
-                1.0
-            } else {
-                self.stats.slo_attained as f64 / concluded as f64
-            }
-            .into(),
-        );
-        slo.insert("ttft_seconds".into(), self.cfg.ttft_slo_seconds.into());
-        slo.insert(
-            "per_token_seconds".into(),
-            self.cfg.per_token_slo_seconds.into(),
-        );
-        root.insert("slo".into(), Value::Object(slo));
-
-        root.insert(
-            "goodput_requests_per_second".into(),
-            if now > 0.0 {
-                self.stats.slo_attained as f64 / now
-            } else {
-                0.0
-            }
-            .into(),
-        );
-
-        let per_tenant: Vec<Value> = self
-            .tenants
-            .iter()
-            .map(|(name, t)| {
-                let mut e = Map::new();
-                e.insert("tenant".into(), name.as_str().into());
-                e.insert("completed".into(), t.completed.into());
-                e.insert(
-                    "slo_attainment".into(),
-                    if t.completed == 0 {
-                        1.0
-                    } else {
-                        t.slo_attained as f64 / t.completed as f64
-                    }
-                    .into(),
-                );
-                for (label, sketch) in [("ttft", &t.ttft), ("per_token", &t.per_token)] {
-                    let mut q = Map::new();
-                    for (quantile, key) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
-                        q.insert(
-                            key.into(),
-                            if sketch.is_empty() {
-                                0.0
-                            } else {
-                                sketch.quantile(quantile)
-                            }
-                            .into(),
-                        );
-                    }
-                    e.insert(label.into(), Value::Object(q));
-                }
-                Value::Object(e)
-            })
-            .collect();
-        root.insert("per_tenant".into(), Value::Array(per_tenant));
-        Value::Object(root)
-    }
-
     /// Appends the `muxtune_request_*` / `muxtune_serving_*` prom
     /// families to `out` (families always render; gauges read 0 when no
     /// request concluded yet).
@@ -649,25 +556,19 @@ impl ServingRuntime {
                 ("muxtune_request_ttft_seconds", &t.ttft),
                 ("muxtune_request_per_token_seconds", &t.per_token),
             ] {
-                for (quantile, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                    let v = if sketch.is_empty() {
-                        0.0
-                    } else {
-                        sketch.quantile(quantile)
-                    };
+                for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
                     out.push_str(&format!(
-                        "{family}{{tenant=\"{esc}\",quantile=\"{label}\"}} {v}\n"
+                        "{family}{{tenant=\"{esc}\",quantile=\"{label}\"}} {}\n",
+                        quantile(sketch, q)
                     ));
                 }
             }
         }
         out.push_str("# TYPE muxtune_request_goodput_under_slo gauge\n");
-        let goodput = if now > 0.0 {
-            self.stats.slo_attained as f64 / now
-        } else {
-            0.0
-        };
-        out.push_str(&format!("muxtune_request_goodput_under_slo {goodput}\n"));
+        out.push_str(&format!(
+            "muxtune_request_goodput_under_slo {}\n",
+            goodput(&self.stats, now)
+        ));
         out.push_str("# TYPE muxtune_serving_preemptions_total counter\n");
         out.push_str(&format!(
             "muxtune_serving_preemptions_total {}\n",
@@ -676,42 +577,87 @@ impl ServingRuntime {
     }
 }
 
-/// The `serving` report section when serving is disabled: the same
-/// stable key set, zeroed, so report consumers never branch on presence.
-pub fn disabled_report_json() -> Value {
-    let mut root = Map::new();
-    root.insert("enabled".into(), false.into());
-    root.insert("policy".into(), "none".into());
-    root.insert("preempted".into(), false.into());
-    root.insert("preemptions".into(), 0u64.into());
-    root.insert("headroom".into(), 1.0.into());
-    root.insert("latency_scale".into(), 1.0.into());
-    let mut requests = Map::new();
-    for k in [
-        "arrived",
-        "completed",
-        "rejected",
-        "timed_out",
-        "pending",
-        "in_flight",
-    ] {
-        requests.insert(k.into(), 0u64.into());
+/// The always-present `serving` section of `service_report()`. The key
+/// set is stable: with serving disabled (`None`) every count is 0, the
+/// policy is `none` and the SLOs read 0, so report consumers never branch
+/// on presence.
+pub fn report_json(runtime: Option<&ServingRuntime>, now: f64) -> Value {
+    let idle = ServingStats::default();
+    let stats = runtime.map_or(&idle, |r| &r.stats);
+    let concluded = stats.slo_attained + stats.slo_violated;
+    let per_tenant: Vec<Value> = runtime
+        .into_iter()
+        .flat_map(|r| &r.tenants)
+        .map(|(name, t)| {
+            let quantiles = |sketch: &QuantileSketch| {
+                json!({
+                    "p50": quantile(sketch, 0.5),
+                    "p95": quantile(sketch, 0.95),
+                    "p99": quantile(sketch, 0.99),
+                })
+            };
+            json!({
+                "tenant": name,
+                "completed": t.completed,
+                "slo_attainment": ratio_or_one(t.slo_attained, t.completed),
+                "ttft": quantiles(&t.ttft),
+                "per_token": quantiles(&t.per_token),
+            })
+        })
+        .collect();
+    json!({
+        "enabled": runtime.is_some(),
+        "policy": runtime.map_or("none", |r| r.cfg.policy.name()),
+        "preempted": runtime.is_some_and(|r| r.preempted),
+        "preemptions": stats.preemptions,
+        "headroom": runtime.map_or(1.0, |r| r.headroom),
+        "latency_scale": runtime.map_or(1.0, |r| r.scale),
+        "requests": {
+            "arrived": stats.arrived,
+            "completed": stats.completed,
+            "rejected": stats.rejected,
+            "timed_out": stats.timed_out,
+            "pending": runtime.map_or(0, |r| r.pending.len()),
+            "in_flight": runtime.map_or(0, ServingRuntime::in_flight),
+        },
+        "tokens": { "prompt": stats.prompt_tokens, "decode": stats.decode_tokens },
+        "slo": {
+            "attained": stats.slo_attained,
+            "violated": stats.slo_violated,
+            "attainment": ratio_or_one(stats.slo_attained, concluded),
+            "ttft_seconds": runtime.map_or(0.0, |r| r.cfg.ttft_slo_seconds),
+            "per_token_seconds": runtime.map_or(0.0, |r| r.cfg.per_token_slo_seconds),
+        },
+        "goodput_requests_per_second": goodput(stats, now),
+        "per_tenant": per_tenant,
+    })
+}
+
+/// `part / whole`, or 1 when nothing concluded yet.
+fn ratio_or_one(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        1.0
+    } else {
+        part as f64 / whole as f64
     }
-    root.insert("requests".into(), Value::Object(requests));
-    let mut tokens = Map::new();
-    tokens.insert("prompt".into(), 0u64.into());
-    tokens.insert("decode".into(), 0u64.into());
-    root.insert("tokens".into(), Value::Object(tokens));
-    let mut slo = Map::new();
-    slo.insert("attained".into(), 0u64.into());
-    slo.insert("violated".into(), 0u64.into());
-    slo.insert("attainment".into(), 1.0.into());
-    slo.insert("ttft_seconds".into(), 0.0.into());
-    slo.insert("per_token_seconds".into(), 0.0.into());
-    root.insert("slo".into(), Value::Object(slo));
-    root.insert("goodput_requests_per_second".into(), 0.0.into());
-    root.insert("per_tenant".into(), Value::Array(Vec::new()));
-    Value::Object(root)
+}
+
+/// SLO-attaining completions per simulated second (0 before time moves).
+fn goodput(stats: &ServingStats, now: f64) -> f64 {
+    if now > 0.0 {
+        stats.slo_attained as f64 / now
+    } else {
+        0.0
+    }
+}
+
+/// A sketch's `q`-quantile, 0 while it is empty.
+fn quantile(sketch: &QuantileSketch, q: f64) -> f64 {
+    if sketch.is_empty() {
+        0.0
+    } else {
+        sketch.quantile(q)
+    }
 }
 
 #[cfg(test)]
@@ -865,6 +811,32 @@ mod tests {
         rt.set_preempted(true);
         assert!((rt.scale - 1.0).abs() < 1e-12);
         assert_eq!(rt.stats().preemptions, 1);
+    }
+
+    /// Every object key path in `v`.
+    fn key_paths(v: &Value, prefix: &str, out: &mut Vec<String>) {
+        if let Value::Object(map) = v {
+            for (k, child) in map {
+                let path = format!("{prefix}.{k}");
+                out.push(path.clone());
+                key_paths(child, &path, out);
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_section_has_the_enabled_sections_keys() {
+        let paths = |section: &Value| {
+            let mut out = Vec::new();
+            key_paths(section, "serving", &mut out);
+            out
+        };
+        let fresh = ServingRuntime::new(ServingConfig::new(ServingPolicy::Hybrid, phase()));
+        let disabled = report_json(None, 0.0);
+        assert_eq!(paths(&disabled), paths(&report_json(Some(&fresh), 0.0)));
+        assert_eq!(disabled["enabled"].as_bool(), Some(false));
+        assert_eq!(disabled["policy"].as_str(), Some("none"));
+        assert_eq!(disabled["slo"]["ttft_seconds"].as_f64(), Some(0.0));
     }
 
     #[test]

@@ -788,7 +788,7 @@ fn main() -> ExitCode {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     let mut out_path: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut format = String::from("md");
+    let mut prom = false;
     let mut baseline_check: Option<PathBuf> = None;
     let mut baseline_write: Option<PathBuf> = None;
     let mut journal_out: Option<PathBuf> = None;
@@ -833,7 +833,15 @@ fn main() -> ExitCode {
                 None => return ExitCode::from(2),
             },
             "--format" => match take("--format") {
-                Some(p) => format = p.to_string_lossy().into_owned(),
+                Some(p) if p.as_os_str() == "md" => prom = false,
+                Some(p) if p.as_os_str() == "prom" => prom = true,
+                Some(p) => {
+                    eprintln!(
+                        "error: unknown --format `{}` (expected md or prom)",
+                        p.display()
+                    );
+                    return ExitCode::from(2);
+                }
                 None => return ExitCode::from(2),
             },
             "--journal-out" => match take("--journal-out") {
@@ -1089,49 +1097,45 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    match format.as_str() {
-        "prom" => {
-            let text = render_prom();
-            match &out_path {
-                Some(path) => {
-                    if let Err(e) = write_file(path, &text) {
-                        return fail(&e);
-                    }
-                    println!("wrote {}", path.display());
+    if prom {
+        let text = render_prom();
+        match &out_path {
+            Some(path) => {
+                if let Err(e) = write_file(path, &text) {
+                    return fail(&e);
                 }
-                None => print!("{text}"),
+                println!("wrote {}", path.display());
+            }
+            None => print!("{text}"),
+        }
+    } else {
+        let out_path = out_path.unwrap_or_else(|| dir.join("REPORT.md"));
+        let mut report = String::from("# MuxTune reproduction — experiment artifacts\n\n");
+        report.push_str("Generated from `target/experiments/*.json` (run `cargo bench --workspace` to refresh).\n\n");
+        let mut found = 0;
+        for (id, title) in EXPERIMENTS {
+            let path = dir.join(format!("{id}.json"));
+            report.push_str(&format!("## {title}\n\n"));
+            match fs::read_to_string(&path)
+                .ok()
+                .and_then(|s| serde_json::from_str(&s).ok())
+            {
+                Some(v) => {
+                    found += 1;
+                    summarize(&v, 0, &mut report);
+                    report.push('\n');
+                }
+                None => report.push_str("*(artifact missing — bench not run yet)*\n\n"),
             }
         }
-        "md" => {
-            let out_path = out_path.unwrap_or_else(|| dir.join("REPORT.md"));
-            let mut report = String::from("# MuxTune reproduction — experiment artifacts\n\n");
-            report.push_str("Generated from `target/experiments/*.json` (run `cargo bench --workspace` to refresh).\n\n");
-            let mut found = 0;
-            for (id, title) in EXPERIMENTS {
-                let path = dir.join(format!("{id}.json"));
-                report.push_str(&format!("## {title}\n\n"));
-                match fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|s| serde_json::from_str(&s).ok())
-                {
-                    Some(v) => {
-                        found += 1;
-                        summarize(&v, 0, &mut report);
-                        report.push('\n');
-                    }
-                    None => report.push_str("*(artifact missing — bench not run yet)*\n\n"),
-                }
-            }
-            if let Err(e) = write_file(&out_path, &report) {
-                return fail(&e);
-            }
-            println!(
-                "wrote {} ({found}/{} experiments present)",
-                out_path.display(),
-                EXPERIMENTS.len()
-            );
+        if let Err(e) = write_file(&out_path, &report) {
+            return fail(&e);
         }
-        other => return fail(&format!("unknown --format `{other}` (expected md or prom)")),
+        println!(
+            "wrote {} ({found}/{} experiments present)",
+            out_path.display(),
+            EXPERIMENTS.len()
+        );
     }
     ExitCode::SUCCESS
 }

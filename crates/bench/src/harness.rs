@@ -195,7 +195,7 @@ pub fn write_trace_file(
 }
 
 /// Builds the stall-attribution + critical-path JSON for a finished run:
-/// per-device 4-class breakdown (with the conservation window) and the
+/// per-device 5-class breakdown (with the conservation window) and the
 /// critical-path summary.
 pub fn attribution_json(ops: &[OpRecord], num_devices: usize) -> serde_json::Value {
     let attribution = device_attribution(ops, num_devices);

@@ -41,3 +41,28 @@ fn second_positional_argument_exits_2_and_writes_nothing() {
     let dir = empty_dir("report_cli_second_positional");
     assert_refused(&dir, &["a.md", "b.md"], "b.md");
 }
+
+#[test]
+fn unknown_format_exits_2_before_any_side_mode_writes() {
+    let dir = empty_dir("report_cli_format_with_side_mode");
+    assert_refused(
+        &dir,
+        &[
+            "--format",
+            "bogus",
+            "--trace-gen",
+            "3",
+            "--trace-jobs",
+            "5",
+            "--trace-path",
+            "t.jsonl",
+        ],
+        "bogus",
+    );
+}
+
+#[test]
+fn unknown_format_alone_exits_2() {
+    let dir = empty_dir("report_cli_format_alone");
+    assert_refused(&dir, &["--format", "bogus"], "bogus");
+}

@@ -82,8 +82,9 @@ impl StallBreakdown {
 const EPS: f64 = 1e-12;
 
 /// The operator (expanding through zero-duration joins) whose completion
-/// gates `ops[idx]`'s start — the one with the latest end time.
-fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
+/// gates `ops[idx]`'s start — the one with the latest end time. Shared by
+/// the stall lane here and the stall attribution in `mux-obs-analysis`.
+pub fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
     let mut visited = vec![false; ops.len()];
     let mut stack: Vec<usize> = ops[idx].deps.clone();
     let mut best: Option<usize> = None;

@@ -3,7 +3,7 @@
 //! [`attribute_stalls`] assigns *every* idle instant on every device's
 //! compute lane — including the tail between a device's last kernel and the
 //! run's makespan, which the trace exporter's stall lane omits — to one of
-//! four causes and to the hTask(s) responsible. Because the attributed
+//! five causes and to the hTask(s) responsible. Because the attributed
 //! intervals exactly tile the idle time, each device satisfies
 //!
 //! ```text
@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 
+use mux_gpu_sim::chrome_trace::blocking_op;
 use mux_gpu_sim::timeline::{OpKind, OpRecord};
 
 use crate::labels::{htask_refs_in_label, HTaskRef};
@@ -165,26 +166,6 @@ pub struct FaultSpan {
     pub start: f64,
     /// Fault end, seconds.
     pub end: f64,
-}
-
-/// The non-join operator (chasing through zero-duration joins) whose
-/// completion gates `ops[idx]` — the latest-ending transitive dependency.
-fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
-    let mut visited = vec![false; ops.len()];
-    let mut stack: Vec<usize> = ops[idx].deps.clone();
-    let mut best: Option<usize> = None;
-    while let Some(i) = stack.pop() {
-        if visited[i] {
-            continue;
-        }
-        visited[i] = true;
-        if ops[i].kind == OpKind::Join {
-            stack.extend_from_slice(&ops[i].deps);
-        } else if best.map(|b| ops[i].end > ops[b].end).unwrap_or(true) {
-            best = Some(i);
-        }
-    }
-    best
 }
 
 /// Responsible hTasks for a blocking op: its own label's identity, or (for

@@ -30,7 +30,7 @@
 //!   end-to-end trace replay with fairness/SLO reporting;
 //! * [`obs`] — the observability registry (phases, counters, gauges,
 //!   histograms, Prometheus exposition);
-//! * [`obs_analysis`] — critical-path extraction, 4-class stall
+//! * [`obs_analysis`] — critical-path extraction, 5-class stall
 //!   attribution, and perf-regression baselines.
 //!
 //! ## Quickstart

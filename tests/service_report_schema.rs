@@ -1,23 +1,43 @@
-//! Golden-schema regression test for `FineTuneService::service_report()`:
-//! pins the *key set* of the report (every object key path, with array
-//! elements collapsed to `[]`), not the values — so metric drift doesn't
-//! fail the test, but silently dropping or renaming a field the dashboards
-//! depend on does.
+//! Golden regression tests for `FineTuneService::service_report()` and
+//! `snapshot_prom()`:
 //!
-//! Regenerate the golden after an *intentional* schema change with:
+//! - the *schema* golden pins the report's key set (every object key path,
+//!   with array elements collapsed to `[]`), so silently dropping or
+//!   renaming a field the dashboards depend on fails;
+//! - the *value* goldens pin the full report JSON and the full Prometheus
+//!   body byte for byte, with only wall-clock values masked (phase
+//!   `total_seconds`, the `planner.planning_seconds` gauge, and their prom
+//!   series), so a refactor of either renderer cannot move a number.
+//!
+//! Regenerate the goldens after an *intentional* change with:
 //! `MUX_BLESS=1 cargo test --test service_report_schema`
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use muxtune::data::corpus::DatasetKind;
 use muxtune::prelude::*;
 use serde_json::Value;
 
+/// The report re-plans with the process-global `mux-obs` registry on, so
+/// the tests in this file run one at a time: a concurrent scenario would
+/// leak its spans and counters into the other's snapshot.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/service_report.schema.json")
+    golden("service_report.schema.json")
 }
+
+fn golden(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// Placeholder for values measured in wall-clock time.
+const WALL: &str = "<wall-clock>";
 
 /// A small deterministic service: two same-backbone LoRA jobs (one with a
 /// hopeless SLO, so the alerts section is populated) sharing a 4-GPU
@@ -26,7 +46,7 @@ fn golden_path() -> PathBuf {
 /// handful of completed requests so the report's `serving` section is
 /// pinned in its populated (per-tenant quantile) shape, not just the
 /// disabled stub.
-fn report() -> Value {
+fn scenario() -> FineTuneService {
     let mut cfg = ServiceConfig::a40_pool(4);
     cfg.backbone_layers = Some(8);
     let mut svc = FineTuneService::new(cfg);
@@ -68,6 +88,10 @@ fn report() -> Value {
         !svc.alerts().is_empty(),
         "schema scenario must exercise the alerts section"
     );
+    svc
+}
+
+fn report(svc: &FineTuneService) -> Value {
     let rep = svc.service_report();
     assert!(
         rep.get("serving")
@@ -109,7 +133,8 @@ fn key_paths(v: &Value, prefix: &str, out: &mut BTreeSet<String>) {
 
 #[test]
 fn service_report_schema_matches_golden() {
-    let rep = report();
+    let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let rep = report(&scenario());
     let mut paths = BTreeSet::new();
     key_paths(&rep, "", &mut paths);
     let current: Vec<Value> = paths.iter().map(|p| Value::from(p.as_str())).collect();
@@ -143,5 +168,92 @@ fn service_report_schema_matches_golden() {
         missing.is_empty() && added.is_empty(),
         "service_report schema drifted (MUX_BLESS=1 to accept an intentional change)\n\
          missing keys: {missing:?}\nnew keys: {added:?}"
+    );
+}
+
+/// The report with its wall-clock values replaced by [`WALL`].
+fn mask_report(mut rep: Value) -> Value {
+    let Value::Object(root) = &mut rep else {
+        panic!("report is an object")
+    };
+    let Some(Value::Object(obs)) = root.get_mut("observability") else {
+        panic!("report has an observability section")
+    };
+    if let Some(Value::Object(phases)) = obs.get_mut("phases") {
+        for phase in phases.values_mut() {
+            if let Value::Object(p) = phase {
+                p.insert("total_seconds".into(), WALL.into());
+            }
+        }
+    }
+    if let Some(Value::Object(gauges)) = obs.get_mut("gauges") {
+        if let Some(v) = gauges.get_mut("planner.planning_seconds") {
+            *v = WALL.into();
+        }
+    }
+    rep
+}
+
+/// The exposition with the values of its wall-clock series replaced by
+/// [`WALL`].
+fn mask_prom(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        let wall = line.starts_with("muxtune_phase_seconds_total{")
+            || line.starts_with("muxtune_planner_planning_seconds ");
+        match line.rsplit_once(' ') {
+            Some((series, _)) if wall => {
+                out.push_str(series);
+                out.push(' ');
+                out.push_str(WALL);
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Compares `body` with golden `name` byte for byte (or rewrites it under
+/// `MUX_BLESS`), naming the first differing line.
+fn assert_golden(name: &str, body: &str) {
+    let path = golden(name);
+    if std::env::var_os("MUX_BLESS").is_some() {
+        fs::write(&path, body).expect("write golden");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with MUX_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    if want != body {
+        let same = want
+            .lines()
+            .zip(body.lines())
+            .take_while(|(w, g)| w == g)
+            .count();
+        panic!(
+            "{name} drifted at line {} (MUX_BLESS=1 to accept an intentional change)\n\
+             golden:  {:?}\ncurrent: {:?}",
+            same + 1,
+            want.lines().nth(same),
+            body.lines().nth(same)
+        );
+    }
+}
+
+#[test]
+fn service_report_and_prom_values_match_golden() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = scenario();
+    let rep = mask_report(report(&svc));
+    let json = serde_json::to_string_pretty(&rep).expect("serialize") + "\n";
+    assert_golden("service_report.values.json", &json);
+    assert_golden(
+        "service_report.values.prom",
+        &mask_prom(&svc.snapshot_prom()),
     );
 }
