@@ -17,15 +17,25 @@ use mux_peft::types::TaskId;
 
 use crate::htask::HTask;
 
-/// Precomputed per-stage backbone operator list (TP-sharded costs).
+/// One stage's operators as indices into the model's interned op lists.
 #[derive(Debug, Clone)]
 struct StageOps {
-    /// `(kind, cost)` of every non-comm backbone op in the stage.
-    compute: Vec<(OpKind, OpCostSpec)>,
-    /// `(kind, k, n)` of every BaseOp (adapter attach point) in the stage.
-    base_ops: Vec<(OpKind, usize, usize)>,
+    /// Every non-comm backbone op of the stage, in graph order, as an
+    /// index into [`CostModel::ops`].
+    compute: Vec<usize>,
+    /// Every BaseOp (adapter attach point) of the stage, in graph order, as
+    /// an index into [`CostModel::base_ops`].
+    base_ops: Vec<usize>,
     /// Layer range.
     layers: (usize, usize),
+}
+
+/// The index of `item` in `list`, appending it first if absent.
+fn intern<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
+    list.iter().position(|x| *x == item).unwrap_or_else(|| {
+        list.push(item);
+        list.len() - 1
+    })
 }
 
 /// The Eq. 3–5 cost model for one instance.
@@ -35,44 +45,48 @@ pub struct CostModel<'a> {
     /// Parallelism plan (dp is unused by the cost model; latency is per
     /// replica).
     pub plan: HybridParallelism,
+    /// Distinct `(kind, cost)` non-comm backbone ops over all stages (TP-
+    /// sharded costs). Stages repeat the same per-layer op list, so an
+    /// hTask prices each distinct op once, not once per layer and stage.
+    ops: Vec<(OpKind, OpCostSpec)>,
+    /// Distinct `(kind, k, n)` BaseOps over all stages.
+    base_ops: Vec<(OpKind, usize, usize)>,
     stages: Vec<StageOps>,
 }
 
 impl<'a> CostModel<'a> {
-    /// Builds the model, precomputing per-stage operator lists.
+    /// Builds the model, interning every stage's operators.
     pub fn new(registry: &'a TaskRegistry, gpu: GpuSpec, plan: HybridParallelism) -> Self {
         let cfg = registry.backbone();
-        let ranges = stage_layers(cfg.num_layers, plan.pp);
-        let stages = ranges
-            .iter()
-            .map(|&(a, b)| {
+        let (mut ops, mut base_ops) = (Vec::new(), Vec::new());
+        let stages = stage_layers(cfg.num_layers, plan.pp)
+            .into_iter()
+            .map(|(a, b)| {
                 let g = build_stage_graph(cfg, a, b, plan.tp);
-                let compute = g
-                    .nodes()
-                    .iter()
-                    .filter(|n| !n.template.kind.is_comm())
-                    .map(|n| (n.template.kind, n.template.cost.clone()))
-                    .collect();
-                let base_ops = g
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.template.kind.is_base_op())
-                    .filter_map(|n| match n.template.cost {
-                        OpCostSpec::Gemm { k, n: out, .. } => Some((n.template.kind, k, out)),
-                        _ => None,
-                    })
-                    .collect();
-                StageOps {
-                    compute,
-                    base_ops,
+                let mut stage = StageOps {
+                    compute: Vec::new(),
+                    base_ops: Vec::new(),
                     layers: (a, b),
+                };
+                for t in g.nodes().iter().map(|n| &n.template) {
+                    if !t.kind.is_comm() {
+                        stage
+                            .compute
+                            .push(intern(&mut ops, (t.kind, t.cost.clone())));
+                    }
+                    if let (true, OpCostSpec::Gemm { k, n, .. }) = (t.kind.is_base_op(), &t.cost) {
+                        stage.base_ops.push(intern(&mut base_ops, (t.kind, *k, *n)));
+                    }
                 }
+                stage
             })
             .collect();
         Self {
             registry,
             gpu,
             plan,
+            ops,
+            base_ops,
             stages,
         }
     }
@@ -87,38 +101,60 @@ impl<'a> CostModel<'a> {
         self.stages.len()
     }
 
-    /// Eq. 3: latency of one micro-batch of `h` through stage `s`.
+    /// Eq. 3: latency of one micro-batch of `h` through each stage.
     ///
     /// Backbone (`BaseOp`) latency uses the *combined* token count; fused
     /// adapter latency is `max(Σ u_a·t_a(n_k), max_k t_a(n_k))`.
     /// Communication is excluded (assumed overlapped, §3.4.2).
-    pub fn stage_latency(&self, s: usize, h: &HTask, pass: Pass) -> f64 {
-        let stage = &self.stages[s];
-        let mut lat: f64 = stage
-            .compute
+    ///
+    /// Each distinct backbone op and each distinct BaseOp's fused-adapter
+    /// term is priced once; a stage then sums its own ops' prices in graph
+    /// order, so every stage adds the same floats in the same order as a
+    /// per-stage walk over its operator graph.
+    pub fn stage_latencies(&self, h: &HTask, pass: Pass) -> Vec<f64> {
+        let op_time: Vec<f64> = self
+            .ops
             .iter()
             .map(|(kind, cost)| htask_op_time(&self.gpu, *kind, cost, h, None, pass).0)
-            .sum();
-        // Adapters, per attach point.
+            .collect();
         let cfg = self.registry.backbone();
-        for &(kind, k, n) in &stage.base_ops {
-            let mut weighted = 0.0;
-            let mut max_single: f64 = 0.0;
-            for (idx, &tid) in h.tasks.iter().enumerate() {
-                let task = self.registry.task(tid).expect("fused task registered");
-                let mut t_a = 0.0;
-                let mut util: f64 = 0.0;
-                for op in task.adapter_ops(cfg, kind, k, n) {
-                    let (t, u, _) = htask_op_time(&self.gpu, op.kind, &op.cost, h, Some(idx), pass);
-                    t_a += t;
-                    util = util.max(u);
+        let members = member_tasks(self.registry, h);
+        let adapter_time: Vec<f64> = self
+            .base_ops
+            .iter()
+            .map(|&(kind, k, n)| {
+                let mut weighted = 0.0;
+                let mut max_single: f64 = 0.0;
+                for (idx, task) in members.iter().enumerate() {
+                    let mut t_a = 0.0;
+                    let mut util: f64 = 0.0;
+                    for (op, _, cost) in task.adapter_costs(cfg, kind, k, n) {
+                        let (t, u, _) = htask_op_time(&self.gpu, op, &cost, h, Some(idx), pass);
+                        t_a += t;
+                        util = util.max(u);
+                    }
+                    weighted += util * t_a;
+                    max_single = max_single.max(t_a);
                 }
-                weighted += util * t_a;
-                max_single = max_single.max(t_a);
-            }
-            lat += weighted.max(max_single);
-        }
-        lat
+                weighted.max(max_single)
+            })
+            .collect();
+        self.stages
+            .iter()
+            .map(|stage| {
+                let mut lat: f64 = stage.compute.iter().map(|&i| op_time[i]).sum();
+                // Adapters, per attach point.
+                for &j in &stage.base_ops {
+                    lat += adapter_time[j];
+                }
+                lat
+            })
+            .collect()
+    }
+
+    /// Eq. 3 for stage `s` alone — see [`stage_latencies`](Self::stage_latencies).
+    pub fn stage_latency(&self, s: usize, h: &HTask, pass: Pass) -> f64 {
+        self.stage_latencies(h, pass)[s]
     }
 
     /// Eq. 4: end-to-end pipeline latency of running `h` alone: warm-up and
@@ -126,9 +162,7 @@ impl<'a> CostModel<'a> {
     /// with forward ≈ backward (hence the factors of 2).
     pub fn pipeline_latency(&self, h: &HTask) -> f64 {
         let s_count = self.num_stages();
-        let per_stage: Vec<f64> = (0..s_count)
-            .map(|s| self.stage_latency(s, h, Pass::Forward))
-            .collect();
+        let per_stage = self.stage_latencies(h, Pass::Forward);
         let warm_drain: f64 = per_stage[..s_count - 1].iter().sum();
         let bottleneck = per_stage.iter().cloned().fold(0.0, f64::max);
         2.0 * warm_drain + 2.0 * h.micro_batches as f64 * bottleneck

@@ -148,14 +148,9 @@ pub fn group_htasks(cm: &CostModel<'_>, htasks: &[HTask]) -> Grouping {
         mux_obs::profile::work("heap_ops", n * (n + 1) / 2 + 2 * n * n);
         mux_obs::profile::work("groupings_tried", n);
     }
-    let s = cm.num_stages();
     let stage_lat: Vec<Vec<f64>> = htasks
         .iter()
-        .map(|h| {
-            (0..s)
-                .map(|stage| cm.stage_latency(stage, h, Pass::Forward))
-                .collect()
-        })
+        .map(|h| cm.stage_latencies(h, Pass::Forward))
         .collect();
     let lat: Vec<f64> = stage_lat.iter().map(|row| row[0]).collect();
     let mut best: Option<Grouping> = None;

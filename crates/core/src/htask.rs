@@ -5,7 +5,7 @@
 //! hTasks are multiplexed *temporally* — interleaved so one hTask's stalls
 //! hide under another's compute.
 
-use mux_data::align::{align, AlignStrategy, AlignedBatch, TaskData};
+use mux_data::align::{align, AlignStrategy, AlignedBatch, TaskAlignment, TaskData};
 use mux_model::ops::TokenShape;
 use mux_peft::types::{PeftTask, TaskId};
 
@@ -61,41 +61,44 @@ impl HTask {
                 cap: t.seq_len,
             })
             .collect();
-        let aligned: AlignedBatch = align(&data, strategy)?;
-        let tokens_per_task = members
-            .iter()
-            .map(|t| {
-                // A micro-batch carries the task's configured micro-batch of
-                // sequences; after alignment each sequence-cap's worth of
-                // content occupies `cap/unit_len`-ish rows, but the token
-                // count per micro-batch stays `micro_batch * cap` scaled by
-                // the alignment's padding behaviour.
-                let ta = aligned
-                    .tasks
-                    .iter()
-                    .find(|a| a.task == t.id)
-                    .expect("aligned member");
-                let total = (ta.rows * aligned.unit_len) as f64;
-                (total / micro_batches as f64).ceil() as usize
-            })
-            .collect();
-        // Token-weighted attention statistics across members.
-        let total: f64 = aligned
+        Ok(Self::from_aligned(
+            members,
+            &align(&data, strategy)?,
+            micro_batches,
+        ))
+    }
+
+    /// Builds an hTask from its members' alignment, `aligned.tasks[i]`
+    /// belonging to `members[i]`.
+    pub(crate) fn from_aligned(
+        members: &[&PeftTask],
+        aligned: &AlignedBatch,
+        micro_batches: usize,
+    ) -> Self {
+        let tokens = |t: &TaskAlignment| (t.rows * aligned.unit_len) as f64;
+        // A micro-batch carries the task's configured micro-batch of
+        // sequences; after alignment each sequence-cap's worth of content
+        // occupies `cap/unit_len`-ish rows, but the token count per
+        // micro-batch stays `micro_batch * cap` scaled by the alignment's
+        // padding behaviour.
+        let tokens_per_task = aligned
             .tasks
             .iter()
-            .map(|t| (t.rows * aligned.unit_len) as f64)
-            .sum();
+            .map(|t| (tokens(t) / micro_batches as f64).ceil() as usize)
+            .collect();
+        // Token-weighted attention statistics across members.
+        let total: f64 = aligned.tasks.iter().map(tokens).sum();
         let wctx: f64 = aligned
             .tasks
             .iter()
-            .map(|t| t.avg_attn_context * (t.rows * aligned.unit_len) as f64)
+            .map(|t| t.avg_attn_context * tokens(t))
             .sum();
         let wsplit: f64 = aligned
             .tasks
             .iter()
-            .map(|t| t.attn_splits * (t.rows * aligned.unit_len) as f64)
+            .map(|t| t.attn_splits * tokens(t))
             .sum();
-        Ok(Self {
+        Self {
             tasks: members.iter().map(|t| t.id).collect(),
             tokens_per_task,
             unit_len: aligned.unit_len,
@@ -111,7 +114,7 @@ impl HTask {
             } else {
                 1.0
             },
-        })
+        }
     }
 
     /// Builds an hTask directly from per-task padded shapes (no corpus):

@@ -3,14 +3,18 @@
 //! "Execution Planner" box of the paper's Fig 6, with every component
 //! individually toggleable for the §5.3 ablations.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::RwLock;
 use std::time::Instant;
 
-use mux_data::align::AlignStrategy;
+use mux_data::align::{
+    align_task, unit_len, AlignError, AlignStrategy, AlignedBatch, TaskAlignment, TaskData,
+};
 use mux_gpu_sim::timeline::{Cluster, OomError, OpRecord};
+use mux_obs::fingerprint::Fnv1a;
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
-use mux_peft::types::{PeftTask, TaskId};
+use mux_peft::types::{PeftTask, PeftType, TaskId};
 
 use crate::cost::CostModel;
 use crate::engine::{EngineOptions, MuxEngine, RunMetrics};
@@ -120,10 +124,64 @@ pub fn plan_estimate(
     if tasks.is_empty() {
         return Err(PlanError::NoTasks);
     }
-    let fusion = with_range_build(corpora, cfg, |build| {
+    let packs = PackMemo::default();
+    let fusion = with_range_build(corpora, cfg, &packs, |build| {
         fuse_tasks(&cm, &tasks, cfg.fusion, build)
     })?;
     Ok(estimate_throughput(&cm, &fusion))
+}
+
+/// Each task's alignment at every row length a candidate range has asked
+/// for. Fusion builds O(M²) overlapping ranges but they align to few
+/// distinct units, and one task's alignment at a unit depends on no other
+/// member ([`align_task`]), so a range build packs only the `(task, unit)`
+/// pairs no earlier range has. Shared by the parallel row fan-out of
+/// [`IncrementalPlanner::plan`], hence the lock; a racing miss computes the
+/// same value twice.
+#[derive(Default)]
+struct PackMemo {
+    packs: RwLock<HashMap<(TaskId, usize), TaskAlignment>>,
+    /// The fingerprint each task's packings were computed under.
+    fps: HashMap<TaskId, u64>,
+}
+
+impl PackMemo {
+    /// `task`'s alignment of corpus `lens` at row length `unit`.
+    fn align(
+        &self,
+        task: &PeftTask,
+        lens: &[usize],
+        strategy: AlignStrategy,
+        unit: usize,
+    ) -> Result<TaskAlignment, AlignError> {
+        let key = (task.id, unit);
+        if let Some(a) = self.packs.read().expect("pack memo lock").get(&key) {
+            return Ok(a.clone());
+        }
+        let data = TaskData {
+            task: task.id,
+            seq_lens: lens.to_vec(),
+            cap: task.seq_len,
+        };
+        let a = align_task(&data, strategy, unit)?;
+        self.packs
+            .write()
+            .expect("pack memo lock")
+            .insert(key, a.clone());
+        Ok(a)
+    }
+
+    /// Keeps only the packings of tasks still in `items` under the same
+    /// fingerprint ([`task_fingerprint`]).
+    fn sync(&mut self, items: &[(PeftTask, u64)]) {
+        let want: HashMap<TaskId, u64> = items.iter().map(|(t, fp)| (t.id, *fp)).collect();
+        let fps = &self.fps;
+        self.packs
+            .get_mut()
+            .expect("pack memo lock")
+            .retain(|(id, _), _| want.get(id).is_some_and(|fp| fps.get(id) == Some(fp)));
+        self.fps = want;
+    }
 }
 
 /// Runs `f` with the range builder every planning path fuses with: each
@@ -131,22 +189,36 @@ pub fn plan_estimate(
 /// alignment when all of them have one, and padded otherwise. Without
 /// corpora every range is the canonical padded build, which lets the
 /// fusion DP prove memory feasibility in O(1) per range.
+///
+/// Corpus-backed ranges equal [`HTask::fuse`] field for field: both take
+/// the range's unit length from the member caps and align each member at
+/// it; here each member's alignment comes from `packs`.
 fn with_range_build<R>(
     corpora: &BTreeMap<TaskId, Vec<usize>>,
     cfg: &PlannerConfig,
+    packs: &PackMemo,
     f: impl FnOnce(&RangeBuild<'_>) -> R,
 ) -> R {
-    let (mbs, align) = (cfg.micro_batches, cfg.align);
+    let (mbs, strategy) = (cfg.micro_batches, cfg.align);
     if corpora.is_empty() {
         return f(&RangeBuild::Padded { micro_batches: mbs });
     }
     let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
-        if members.iter().all(|t| corpora.contains_key(&t.id)) {
-            let lens: Vec<Vec<usize>> = members.iter().map(|t| corpora[&t.id].clone()).collect();
-            HTask::fuse(members, &lens, mbs, align)
-        } else {
-            Ok(HTask::from_padded(members, mbs))
+        if !members.iter().all(|t| corpora.contains_key(&t.id)) {
+            return Ok(HTask::from_padded(members, mbs));
         }
+        let caps: Vec<usize> = members.iter().map(|t| t.seq_len).collect();
+        let unit_len = unit_len(strategy, &caps)?;
+        let tasks = members
+            .iter()
+            .map(|t| packs.align(t, &corpora[&t.id], strategy, unit_len))
+            .collect::<Result<_, _>>()?;
+        let aligned = AlignedBatch {
+            strategy,
+            unit_len,
+            tasks,
+        };
+        Ok(HTask::from_aligned(members, &aligned, mbs))
     };
     f(&RangeBuild::Custom(&custom))
 }
@@ -168,22 +240,30 @@ fn estimate_throughput(cm: &CostModel<'_>, fusion: &FusionPlan) -> f64 {
     effective_per_round / grouping.estimated.max(1e-9)
 }
 
-/// Content fingerprint of one task's corpus for the incremental planner's
-/// membership diff: a changed corpus re-inserts the task, invalidating
-/// exactly the ranges that contain it. Absent corpora hash to a sentinel
-/// distinct from any empty-corpus hash, so attaching or dropping a corpus
-/// is also a content change.
-fn corpus_fingerprint(lens: Option<&Vec<usize>>) -> u64 {
-    match lens {
-        None => u64::MAX,
-        Some(lens) => {
-            let mut bytes = Vec::with_capacity(lens.len() * 8);
-            for &l in lens {
-                bytes.extend_from_slice(&(l as u64).to_le_bytes());
-            }
-            mux_obs::fingerprint::fnv1a_64(&bytes)
-        }
+/// Content fingerprint of one task for the incremental planner's
+/// membership diff: every `PeftTask` field the estimate reads (PEFT type
+/// and its parameter, micro-batch, sequence cap) plus the task's corpus. A
+/// changed fingerprint re-inserts the task, invalidating exactly the ranges
+/// that contain it, and drops its memoized packings. An absent corpus
+/// hashes apart from an empty one, so attaching or dropping a corpus is
+/// also a content change.
+fn task_fingerprint(task: &PeftTask, lens: Option<&Vec<usize>>) -> u64 {
+    let (tag, param) = match task.peft {
+        PeftType::LoRA { rank } => (0u8, rank as u64),
+        PeftType::AdapterTuning { bottleneck } => (1, bottleneck as u64),
+        PeftType::DiffPruning { sparsity } => (2, sparsity.to_bits()),
+        PeftType::PrefixTuning { prefix_len } => (3, prefix_len as u64),
+    };
+    let mut h = Fnv1a::new();
+    h.update(&[tag]);
+    for v in [param, task.micro_batch as u64, task.seq_len as u64] {
+        h.update(&v.to_le_bytes());
     }
+    h.update(&[u8::from(lens.is_some())]);
+    for &l in lens.into_iter().flatten() {
+        h.update(&(l as u64).to_le_bytes());
+    }
+    h.finish()
 }
 
 /// Fingerprint of everything the estimate depends on *besides* membership
@@ -216,9 +296,13 @@ fn context_fingerprint(registry: &TaskRegistry, cluster: &Cluster, cfg: &Planner
 /// — degraded parallelism plan, shrunk cluster, new alignment — is
 /// detected by fingerprint and starts a fresh planner; a fusion policy
 /// other than [`FusionPolicy::Dp`] falls back to [`plan_estimate`].
+///
+/// Each task's alignments persist across replans too, dropped when the
+/// task leaves or its fingerprint (shape or corpus) changes.
 #[derive(Default)]
 pub struct IncrementalEstimator {
     planner: IncrementalPlanner,
+    packs: PackMemo,
     ctx: Option<u64>,
     cached_throughput: Option<f64>,
 }
@@ -256,16 +340,18 @@ impl IncrementalEstimator {
         let ctx = context_fingerprint(registry, cluster, cfg);
         if self.ctx != Some(ctx) {
             self.planner = IncrementalPlanner::new();
+            self.packs = PackMemo::default();
             self.ctx = Some(ctx);
             self.cached_throughput = None;
         }
         let items: Vec<(PeftTask, u64)> = registry
             .tasks()
-            .map(|t| (t.clone(), corpus_fingerprint(corpora.get(&t.id))))
+            .map(|t| (t.clone(), task_fingerprint(t, corpora.get(&t.id))))
             .collect();
         if items.is_empty() {
             return Err(PlanError::NoTasks);
         }
+        self.packs.sync(&items);
         if self.planner.sync(&items) == 0 {
             // No-op replan: unchanged membership, unchanged context. Serve
             // the cached throughput without touching the tables at all.
@@ -277,7 +363,9 @@ impl IncrementalEstimator {
             self.cached_throughput = None;
         }
         let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
-        let fusion = with_range_build(corpora, cfg, |build| self.planner.plan(&cm, build))?;
+        let fusion = with_range_build(corpora, cfg, &self.packs, |build| {
+            self.planner.plan(&cm, build)
+        })?;
         let tp = estimate_throughput(&cm, &fusion);
         self.cached_throughput = Some(tp);
         Ok(tp)
@@ -317,6 +405,40 @@ fn append_shifted(out: &mut Vec<OpRecord>, records: Vec<OpRecord>, t_off: f64) {
     }));
 }
 
+/// Merges the metrics of buckets run back to back (orchestration off):
+/// makespans, tokens and energy add, peak memory is the per-device max,
+/// and the time averages — utilization and MFU — weight each bucket by its
+/// makespan, `Σ xᵢ·Tᵢ / Σ Tᵢ`. A single bucket's metrics pass through.
+fn merge_bucket_runs(parts: &[RunMetrics]) -> RunMetrics {
+    let (first, rest) = parts.split_first().expect("at least one bucket exists");
+    let mut acc = first.clone();
+    if rest.is_empty() {
+        return acc;
+    }
+    for m in rest {
+        acc.makespan += m.makespan;
+        acc.total_tokens += m.total_tokens;
+        acc.effective_tokens += m.effective_tokens;
+        for (p, q) in acc.peak_mem.iter_mut().zip(&m.peak_mem) {
+            *p = (*p).max(*q);
+        }
+        acc.energy_joules += m.energy_joules;
+    }
+    acc.throughput = acc.total_tokens as f64 / acc.makespan;
+    acc.effective_throughput = acc.effective_tokens as f64 / acc.makespan;
+    let time_avg = |x: fn(&RunMetrics) -> f64| {
+        parts.iter().map(|m| x(m) * m.makespan).sum::<f64>() / acc.makespan
+    };
+    acc.mean_utilization = time_avg(|m| m.mean_utilization);
+    acc.mfu = time_avg(|m| m.mfu);
+    acc.tokens_per_joule = if acc.energy_joules > 0.0 {
+        acc.effective_tokens as f64 / acc.energy_joules
+    } else {
+        0.0
+    };
+    acc
+}
+
 fn plan_and_run_inner(
     registry: &TaskRegistry,
     cluster: &Cluster,
@@ -350,10 +472,14 @@ fn plan_and_run_inner(
     // policy that fused still failed to run.
     let mut plan_err: Option<PlanError> = None;
     let mut run_err: Option<OomError> = None;
+    let packs = PackMemo::default();
     for policy in policies {
         let fusion = {
             let _s = mux_obs::span("planner.fusion");
-            match with_range_build(corpora, cfg, |build| fuse_tasks(&cm, &tasks, policy, build)) {
+            let fused = with_range_build(corpora, cfg, &packs, |build| {
+                fuse_tasks(&cm, &tasks, policy, build)
+            });
+            match fused {
                 Ok(f) => f,
                 Err(e) => {
                     plan_err.get_or_insert(e);
@@ -405,7 +531,7 @@ fn plan_and_run_inner(
                     eng.run().map(|m| (m, None))
                 }
             } else {
-                let mut combined: Option<RunMetrics> = None;
+                let mut parts: Vec<RunMetrics> = Vec::new();
                 let mut records: Vec<OpRecord> = Vec::new();
                 let mut failed = None;
                 for bucket in &buckets {
@@ -419,33 +545,10 @@ fn plan_and_run_inner(
                     match bucket_result {
                         Ok((m, t)) => {
                             if let Some(t) = t {
-                                let t_off = combined.as_ref().map(|c| c.makespan).unwrap_or(0.0);
+                                let t_off = parts.iter().map(|p| p.makespan).sum();
                                 append_shifted(&mut records, t, t_off);
                             }
-                            combined = Some(match combined {
-                                None => m,
-                                Some(mut acc) => {
-                                    acc.makespan += m.makespan;
-                                    acc.total_tokens += m.total_tokens;
-                                    acc.effective_tokens += m.effective_tokens;
-                                    acc.throughput = acc.total_tokens as f64 / acc.makespan;
-                                    acc.effective_throughput =
-                                        acc.effective_tokens as f64 / acc.makespan;
-                                    acc.mean_utilization =
-                                        (acc.mean_utilization + m.mean_utilization) / 2.0;
-                                    for (p, q) in acc.peak_mem.iter_mut().zip(&m.peak_mem) {
-                                        *p = (*p).max(*q);
-                                    }
-                                    acc.mfu = (acc.mfu + m.mfu) / 2.0;
-                                    acc.energy_joules += m.energy_joules;
-                                    acc.tokens_per_joule = if acc.energy_joules > 0.0 {
-                                        acc.effective_tokens as f64 / acc.energy_joules
-                                    } else {
-                                        0.0
-                                    };
-                                    acc
-                                }
-                            });
+                            parts.push(m);
                         }
                         Err(e) => {
                             failed = Some(e);
@@ -453,10 +556,9 @@ fn plan_and_run_inner(
                         }
                     }
                 }
-                match (combined, failed) {
-                    (Some(m), None) => Ok((m, trace.then_some(records))),
-                    (_, Some(e)) => Err(e),
-                    (None, None) => unreachable!("at least one bucket exists"),
+                match failed {
+                    None => Ok((merge_bucket_runs(&parts), trace.then_some(records))),
+                    Some(e) => Err(e),
                 }
             };
             match run_result {
@@ -652,6 +754,191 @@ mod tests {
         cfg.options.max_in_flight = 8;
         let res = plan_and_run(&r, &c, &BTreeMap::new(), &cfg);
         assert!(res.is_err(), "expected OOM");
+    }
+
+    #[test]
+    fn reshaped_task_with_the_same_corpus_is_not_served_a_stale_plan() {
+        let mut r = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
+        for id in 1..=3 {
+            r.register_task(PeftTask::lora(id, 16, 4, 128))
+                .expect("register");
+        }
+        let corp = corpora(&r, DatasetKind::OpenBookQa);
+        let (c, cfg) = (
+            cluster(4),
+            PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4),
+        );
+        let mut inc = IncrementalEstimator::new();
+        let before = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
+        assert_eq!(
+            before.to_bits(),
+            plan_estimate(&r, &c, &corp, &cfg)
+                .expect("scratch")
+                .to_bits()
+        );
+        // Same id, same corpus, new shape: a content change, not a no-op.
+        r.deregister_task(2).expect("registered");
+        r.register_task(PeftTask::lora(2, 64, 8, 128))
+            .expect("register");
+        let after = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
+        let scratch = plan_estimate(&r, &c, &corp, &cfg).expect("scratch");
+        assert_eq!(after.to_bits(), scratch.to_bits(), "{after} vs {scratch}");
+        assert_ne!(after.to_bits(), before.to_bits());
+    }
+
+    #[test]
+    fn estimator_drops_the_packings_of_departed_and_reshaped_tasks() {
+        // Ten tasks, so the cold fill fans its rows out across threads.
+        let mut r = registry(10, 128);
+        let corp = corpora(&r, DatasetKind::OpenBookQa);
+        let (c, cfg) = (
+            cluster(4),
+            PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4),
+        );
+        let mut inc = IncrementalEstimator::new();
+        let mut check = |r: &TaskRegistry| {
+            let got = inc.estimate(r, &c, &corp, &cfg).expect("estimate");
+            let scratch = plan_estimate(r, &c, &corp, &cfg).expect("scratch");
+            assert_eq!(got.to_bits(), scratch.to_bits(), "{got} vs {scratch}");
+            let packs = inc.packs.packs.read().expect("pack memo lock");
+            let packed = |id| packs.keys().filter(|(t, _)| *t == id).count();
+            (packed(1), packed(3))
+        };
+        let (one, three) = check(&r);
+        assert!(one > 0 && three > 0);
+        r.deregister_task(3).expect("registered");
+        let (one, three) = check(&r);
+        assert!(one > 0, "unchanged tasks keep their packings");
+        assert_eq!(three, 0, "a departed task's packings are dropped");
+        // Same id and corpus, larger cap: its packing at a shared unit
+        // changes, so a kept entry would skew the estimate.
+        r.deregister_task(5).expect("registered");
+        r.register_task(PeftTask::lora(5, 16, 4, 256))
+            .expect("register");
+        check(&r);
+    }
+
+    fn run_metrics(makespan: f64, util: f64, mfu: f64, tokens: u64) -> RunMetrics {
+        RunMetrics {
+            makespan,
+            total_tokens: tokens,
+            effective_tokens: tokens / 2,
+            throughput: tokens as f64 / makespan,
+            effective_throughput: (tokens / 2) as f64 / makespan,
+            mean_utilization: util,
+            peak_mem: vec![tokens, 3 * tokens],
+            mfu,
+            energy_joules: 10.0 * makespan,
+            tokens_per_joule: (tokens / 2) as f64 / (10.0 * makespan),
+        }
+    }
+
+    #[test]
+    fn bucket_merge_weights_time_averages_by_makespan() {
+        let parts = [
+            run_metrics(1.0, 0.9, 0.5, 1000),
+            run_metrics(2.0, 0.3, 0.2, 4000),
+            run_metrics(5.0, 0.6, 0.4, 2000),
+        ];
+        let m = merge_bucket_runs(&parts);
+        // Σ xᵢ·Tᵢ / Σ Tᵢ; a pairwise (acc + x) / 2 fold gives 0.6 and 0.325.
+        assert!((m.mean_utilization - (0.9 + 0.6 + 3.0) / 8.0).abs() < 1e-12);
+        assert!((m.mfu - (0.5 + 0.4 + 2.0) / 8.0).abs() < 1e-12);
+        assert_eq!(m.makespan, 8.0);
+        assert_eq!((m.total_tokens, m.effective_tokens), (7000, 3500));
+        assert_eq!(m.throughput, 7000.0 / 8.0);
+        assert_eq!(m.effective_throughput, 3500.0 / 8.0);
+        assert_eq!(m.peak_mem, vec![4000, 12000]);
+        assert_eq!(m.energy_joules, 80.0);
+        assert_eq!(m.tokens_per_joule, 3500.0 / 80.0);
+        // A single bucket passes through untouched.
+        let one = merge_bucket_runs(&parts[1..2]);
+        assert_eq!(one.mean_utilization, 0.3);
+        assert_eq!(one.tokens_per_joule, parts[1].tokens_per_joule);
+    }
+
+    /// Field-for-field equality, floats by bit pattern.
+    fn assert_same_htask(a: &HTask, b: &HTask) {
+        assert_eq!(a.tasks, b.tasks);
+        assert_eq!(a.tokens_per_task, b.tokens_per_task, "{:?}", a.tasks);
+        assert_eq!(a.unit_len, b.unit_len);
+        assert_eq!(a.micro_batches, b.micro_batches);
+        assert_eq!(
+            a.effective_fraction.to_bits(),
+            b.effective_fraction.to_bits()
+        );
+        assert_eq!(a.attn_context, b.attn_context);
+        assert_eq!(a.attn_splits.to_bits(), b.attn_splits.to_bits());
+    }
+
+    #[test]
+    fn memoized_range_builds_equal_htask_fuse() {
+        // One membership with caps 64, 96, 128 and 256 (96 is not a power
+        // of two, so the chunk rule's floor matters); corpora hold lengths
+        // up to each cap.
+        let caps = [64, 96, 128, 256, 128, 64, 256, 96];
+        let mut r = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
+        let mut corp = BTreeMap::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (i, &cap) in caps.iter().enumerate() {
+            let id = i as TaskId + 1;
+            r.register_task(PeftTask::lora(id, 16, 1 + i % 4, cap))
+                .expect("register");
+            let lens: Vec<usize> = (0..24).map(|_| 1 + (next() as usize) % cap).collect();
+            corp.insert(id, lens);
+        }
+        let all: Vec<&PeftTask> = r.tasks().collect();
+        for align in [
+            AlignStrategy::ZeroPadGlobalMax,
+            AlignStrategy::PackOnly,
+            AlignStrategy::ChunkBased { min_chunk: 64 },
+            AlignStrategy::ChunkBased { min_chunk: 16 },
+            AlignStrategy::ChunkExact { chunk: 48 },
+        ] {
+            let mut cfg = PlannerConfig::muxtune(HybridParallelism::pipeline(2), 4);
+            cfg.align = align;
+            let packs = PackMemo::default();
+            let mut units = std::collections::BTreeSet::new();
+            for _ in 0..60 {
+                let mask = next() as usize % (1 << all.len());
+                let members: Vec<&PeftTask> = (0..all.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| all[i])
+                    .collect();
+                if members.is_empty() {
+                    continue;
+                }
+                let lens: Vec<Vec<usize>> = members.iter().map(|t| corp[&t.id].clone()).collect();
+                let want = HTask::fuse(&members, &lens, cfg.micro_batches, align).expect("fuse");
+                let got = with_range_build(&corp, &cfg, &packs, |build| match build {
+                    RangeBuild::Custom(f) => f(&members),
+                    RangeBuild::Padded { .. } => unreachable!("corpus-backed"),
+                })
+                .expect("memoized build");
+                assert_same_htask(&got, &want);
+                units.insert(want.unit_len);
+            }
+            // Each (task, unit) was packed at most once across all builds.
+            let packed = packs.packs.read().expect("lock").len();
+            assert!(packed <= all.len() * units.len(), "{align:?}: {packed}");
+        }
+        // A zero chunk fails the same way on both paths.
+        let mut cfg = PlannerConfig::muxtune(HybridParallelism::pipeline(2), 4);
+        cfg.align = AlignStrategy::ChunkExact { chunk: 0 };
+        let lens: Vec<Vec<usize>> = all.iter().map(|t| corp[&t.id].clone()).collect();
+        let want = HTask::fuse(&all, &lens, 4, cfg.align).expect_err("zero chunk");
+        let got = with_range_build(&corp, &cfg, &PackMemo::default(), |build| match build {
+            RangeBuild::Custom(f) => f(&all),
+            RangeBuild::Padded { .. } => unreachable!("corpus-backed"),
+        })
+        .expect_err("zero chunk");
+        assert_eq!(got, want);
     }
 
     #[test]

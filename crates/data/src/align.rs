@@ -12,8 +12,8 @@
 //! * **ChunkBased** — MuxTune: per-task packing, then uniform chunk
 //!   partitioning with KV-reuse dependencies.
 
-use crate::chunk::{chunk_packs, chunk_size_rule, Chunk};
-use crate::packing::{pack_ffd, Pack, PackError};
+use crate::chunk::{chunk_packs, chunk_size_rule};
+use crate::packing::{pack_ffd, PackError};
 
 /// Why a set of task batches could not be aligned.
 ///
@@ -172,37 +172,28 @@ fn truncated_lens(td: &TaskData) -> Vec<usize> {
     td.seq_lens.iter().map(|&l| l.min(td.cap)).collect()
 }
 
-fn align_task_pack_only(
-    td: &TaskData,
-    unit: usize,
-) -> Result<(TaskAlignment, Vec<Pack>), AlignError> {
+fn align_task_pack_only(td: &TaskData, unit: usize) -> Result<TaskAlignment, AlignError> {
     let raw = truncated_lens(td);
     let effective: u64 = raw.iter().map(|&l| l as u64).sum();
     let packs = pack_ffd(&raw, unit)?;
     let slack: u64 = packs.iter().map(|p| p.slack() as u64).sum();
     let waste: u64 = packs.iter().map(|p| p.cross_attention_waste()).sum();
-    Ok((
-        TaskAlignment {
-            task: td.task,
-            rows: packs.len(),
-            effective_tokens: effective,
-            intra_task_padding: 0,
-            inter_task_padding: slack,
-            attention_waste: waste,
-            kv_context_tokens: 0,
-            // Each packed row attends over its full length (the cross-
-            // sequence waste [31, 52] observe).
-            avg_attn_context: unit as f64,
-            attn_splits: 1.0,
-        },
-        packs,
-    ))
+    Ok(TaskAlignment {
+        task: td.task,
+        rows: packs.len(),
+        effective_tokens: effective,
+        intra_task_padding: 0,
+        inter_task_padding: slack,
+        attention_waste: waste,
+        kv_context_tokens: 0,
+        // Each packed row attends over its full length (the cross-sequence
+        // waste [31, 52] observe).
+        avg_attn_context: unit as f64,
+        attn_splits: 1.0,
+    })
 }
 
-fn align_task_chunked(
-    td: &TaskData,
-    chunk: usize,
-) -> Result<(TaskAlignment, Vec<Chunk>), AlignError> {
+fn align_task_chunked(td: &TaskData, chunk: usize) -> Result<TaskAlignment, AlignError> {
     if chunk == 0 {
         return Err(AlignError::ZeroChunk);
     }
@@ -227,78 +218,79 @@ fn align_task_chunked(
         .sum();
     let n_packs = packs.len().max(1) as f64;
     let splits = chunks.len() as f64 / n_packs;
-    Ok((
-        TaskAlignment {
-            task: td.task,
-            rows: chunks.len(),
-            effective_tokens: effective,
-            intra_task_padding: 0,
-            inter_task_padding: inter,
-            // Chunking confines attention to chunk-local scores plus cached
-            // KV of the same pack, mitigating the cross-sequence waste of
-            // plain packing (Fig 12c).
-            attention_waste: 0,
-            kv_context_tokens: kv,
-            avg_attn_context: if total_tokens > 0.0 {
-                weighted_ctx / total_tokens
-            } else {
-                chunk as f64
-            },
-            attn_splits: splits.max(1.0),
+    Ok(TaskAlignment {
+        task: td.task,
+        rows: chunks.len(),
+        effective_tokens: effective,
+        intra_task_padding: 0,
+        inter_task_padding: inter,
+        // Chunking confines attention to chunk-local scores plus cached KV
+        // of the same pack, mitigating the cross-sequence waste of plain
+        // packing (Fig 12c).
+        attention_waste: 0,
+        kv_context_tokens: kv,
+        avg_attn_context: if total_tokens > 0.0 {
+            weighted_ctx / total_tokens
+        } else {
+            chunk as f64
         },
-        chunks,
-    ))
+        attn_splits: splits.max(1.0),
+    })
 }
 
-/// Aligns the global batches of spatially fused tasks.
+/// The per-row length a set of tasks with dataset caps `caps` aligns to
+/// under `strategy` — the first of alignment's two steps.
+///
+/// # Errors
+/// [`AlignError::NoTasks`] when `caps` is empty.
+pub fn unit_len(strategy: AlignStrategy, caps: &[usize]) -> Result<usize, AlignError> {
+    let global_max = caps.iter().copied().max().ok_or(AlignError::NoTasks)?;
+    Ok(match strategy {
+        AlignStrategy::ZeroPadGlobalMax | AlignStrategy::PackOnly => global_max,
+        AlignStrategy::ChunkBased { min_chunk } => chunk_size_rule(caps, min_chunk),
+        AlignStrategy::ChunkExact { chunk } => chunk,
+    })
+}
+
+/// One task's alignment at row length `unit`, the [`unit_len`] of a task
+/// set containing it — the second step, which depends on no other task, so
+/// a caller aligning many overlapping task sets at few distinct units can
+/// pack each `(task, unit)` once.
+///
+/// # Errors
+/// [`AlignError::ZeroChunk`] for a chunked strategy at `unit == 0`, and
+/// packing failures.
+pub fn align_task(
+    td: &TaskData,
+    strategy: AlignStrategy,
+    unit: usize,
+) -> Result<TaskAlignment, AlignError> {
+    match strategy {
+        AlignStrategy::ZeroPadGlobalMax => Ok(align_task_zero_pad(td, unit)),
+        AlignStrategy::PackOnly => align_task_pack_only(td, unit),
+        AlignStrategy::ChunkBased { .. } | AlignStrategy::ChunkExact { .. } => {
+            align_task_chunked(td, unit)
+        }
+    }
+}
+
+/// Aligns the global batches of spatially fused tasks: [`unit_len`] over
+/// their caps, then [`align_task`] for each task at that unit.
 ///
 /// # Errors
 /// Returns [`AlignError`] on bad tenant input — an empty task set, a zero
 /// chunk size, or packing failures — instead of panicking, so callers on
 /// the job-admission path can reject only the offending job.
 pub fn align(tasks: &[TaskData], strategy: AlignStrategy) -> Result<AlignedBatch, AlignError> {
-    let global_max = tasks
-        .iter()
-        .map(|t| t.cap)
-        .max()
-        .ok_or(AlignError::NoTasks)?;
-    Ok(match strategy {
-        AlignStrategy::ZeroPadGlobalMax => AlignedBatch {
-            strategy,
-            unit_len: global_max,
-            tasks: tasks
-                .iter()
-                .map(|t| align_task_zero_pad(t, global_max))
-                .collect(),
-        },
-        AlignStrategy::PackOnly => AlignedBatch {
-            strategy,
-            unit_len: global_max,
-            tasks: tasks
-                .iter()
-                .map(|t| align_task_pack_only(t, global_max).map(|r| r.0))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        AlignStrategy::ChunkBased { min_chunk } => {
-            let caps: Vec<usize> = tasks.iter().map(|t| t.cap).collect();
-            let chunk = chunk_size_rule(&caps, min_chunk);
-            AlignedBatch {
-                strategy,
-                unit_len: chunk,
-                tasks: tasks
-                    .iter()
-                    .map(|t| align_task_chunked(t, chunk).map(|r| r.0))
-                    .collect::<Result<Vec<_>, _>>()?,
-            }
-        }
-        AlignStrategy::ChunkExact { chunk } => AlignedBatch {
-            strategy,
-            unit_len: chunk,
-            tasks: tasks
-                .iter()
-                .map(|t| align_task_chunked(t, chunk).map(|r| r.0))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
+    let caps: Vec<usize> = tasks.iter().map(|t| t.cap).collect();
+    let unit_len = unit_len(strategy, &caps)?;
+    Ok(AlignedBatch {
+        strategy,
+        unit_len,
+        tasks: tasks
+            .iter()
+            .map(|t| align_task(t, strategy, unit_len))
+            .collect::<Result<_, _>>()?,
     })
 }
 

@@ -108,78 +108,48 @@ impl PeftTask {
         }
     }
 
-    /// Adapter operator templates attached to one `BaseOp` of kind `kind`
-    /// with per-GPU output width `base_out` (already TP-sharded) and input
-    /// width `base_in`.
+    /// The adapter operators attached to one `BaseOp` of kind `kind` with
+    /// per-GPU output width `base_out` (already TP-sharded) and input width
+    /// `base_in`, as `(op kind, label, cost)` — the one definition of each
+    /// PEFT type's adapter shapes. Name-free and allocation-free, so the
+    /// cost model can price adapters without formatting op names.
     ///
-    /// Returned ops form a chain (each depends on the previous); the caller
+    /// The ops form a chain (each depends on the previous); the caller
     /// grafts them as a parallel branch beside the `BaseOp` and joins with
     /// an aggregate node (§3.2's Dispatch/Aggregate).
-    pub fn adapter_ops(
+    pub fn adapter_costs(
         &self,
         cfg: &ModelConfig,
         kind: OpKind,
         base_in: usize,
         base_out: usize,
-    ) -> Vec<OpTemplate> {
+    ) -> impl Iterator<Item = (OpKind, &'static str, OpCostSpec)> {
         let d = cfg.dtype_bytes;
-        let name = |s: &str| format!("task{}.{s}", self.id);
-        match self.peft {
-            PeftType::LoRA { rank } => vec![
-                OpTemplate::new(
-                    OpKind::AdapterGemm,
-                    name(&format!("lora_down.{kind:?}")),
-                    OpCostSpec::Gemm {
-                        k: base_in,
-                        n: rank,
-                        dtype: d,
-                    },
-                ),
-                OpTemplate::new(
-                    OpKind::AdapterGemm,
-                    name(&format!("lora_up.{kind:?}")),
-                    OpCostSpec::Gemm {
-                        k: rank,
-                        n: base_out,
-                        dtype: d,
-                    },
-                ),
+        let gemm = |k, n| OpCostSpec::Gemm { k, n, dtype: d };
+        let ops = match self.peft {
+            PeftType::LoRA { rank } => [
+                Some((OpKind::AdapterGemm, "lora_down", gemm(base_in, rank))),
+                Some((OpKind::AdapterGemm, "lora_up", gemm(rank, base_out))),
+                None,
             ],
-            PeftType::AdapterTuning { bottleneck } => {
-                // Houlsby adapters only follow the block outputs; we attach
-                // them to the projection BaseOps closing each block.
-                if !matches!(kind, OpKind::OutProj | OpKind::MlpDown) {
-                    return vec![];
-                }
-                vec![
-                    OpTemplate::new(
-                        OpKind::AdapterGemm,
-                        name(&format!("adpt_down.{kind:?}")),
-                        OpCostSpec::Gemm {
-                            k: base_out,
-                            n: bottleneck,
-                            dtype: d,
-                        },
-                    ),
-                    OpTemplate::new(
+            // Houlsby adapters only follow the block outputs; we attach
+            // them to the projection BaseOps closing each block.
+            PeftType::AdapterTuning { bottleneck }
+                if matches!(kind, OpKind::OutProj | OpKind::MlpDown) =>
+            {
+                [
+                    Some((OpKind::AdapterGemm, "adpt_down", gemm(base_out, bottleneck))),
+                    Some((
                         OpKind::AdapterElementwise,
-                        name(&format!("adpt_relu.{kind:?}")),
+                        "adpt_relu",
                         OpCostSpec::Elementwise {
                             width: bottleneck,
                             accesses: 2,
                             flops_per_elem: 1.0,
                             dtype: d,
                         },
-                    ),
-                    OpTemplate::new(
-                        OpKind::AdapterGemm,
-                        name(&format!("adpt_up.{kind:?}")),
-                        OpCostSpec::Gemm {
-                            k: bottleneck,
-                            n: base_out,
-                            dtype: d,
-                        },
-                    ),
+                    )),
+                    Some((OpKind::AdapterGemm, "adpt_up", gemm(bottleneck, base_out))),
                 ]
             }
             PeftType::DiffPruning { sparsity } => {
@@ -187,35 +157,52 @@ impl PeftTask {
                 // of the token count: gather + scatter over the selected
                 // entries of this BaseOp's weight.
                 let selected = (base_in as f64 * base_out as f64 * sparsity).max(1.0);
-                vec![OpTemplate::new(
-                    OpKind::AdapterElementwise,
-                    name(&format!("diff_apply.{kind:?}")),
-                    OpCostSpec::Fixed {
-                        flops: 2.0 * selected,
-                        bytes: 3.0 * selected * d as f64,
-                    },
-                )]
+                [
+                    Some((
+                        OpKind::AdapterElementwise,
+                        "diff_apply",
+                        OpCostSpec::Fixed {
+                            flops: 2.0 * selected,
+                            bytes: 3.0 * selected * d as f64,
+                        },
+                    )),
+                    None,
+                    None,
+                ]
             }
-            PeftType::PrefixTuning { prefix_len } => {
-                // Prefix K/V attach at the attention input: extra
-                // cross-attention of every query token over `prefix_len`
-                // virtual tokens, charged at the QKV attach point.
-                if kind != OpKind::QkvProj {
-                    return vec![];
-                }
-                vec![OpTemplate::new(
+            // Prefix K/V attach at the attention input: extra
+            // cross-attention of every query token over `prefix_len`
+            // virtual tokens, charged at the QKV attach point. FLOPs scale
+            // with tokens x prefix_len x width; modelled as a GEMM with
+            // inner dim = prefix width, out = prefix_len.
+            PeftType::PrefixTuning { prefix_len } if kind == OpKind::QkvProj => [
+                Some((
                     OpKind::AdapterGemm,
-                    name("prefix_attn.QkvProj"),
-                    // FLOPs scale with tokens x prefix_len x width; model as
-                    // a GEMM with inner dim = prefix width, out = prefix_len.
-                    OpCostSpec::Gemm {
-                        k: base_in,
-                        n: prefix_len,
-                        dtype: d,
-                    },
-                )]
-            }
-        }
+                    "prefix_attn",
+                    gemm(base_in, prefix_len),
+                )),
+                None,
+                None,
+            ],
+            PeftType::AdapterTuning { .. } | PeftType::PrefixTuning { .. } => [None, None, None],
+        };
+        ops.into_iter().flatten()
+    }
+
+    /// [`adapter_costs`](Self::adapter_costs) as named operator templates
+    /// for the engine's operator graph: `task{id}.{label}.{kind:?}`.
+    pub fn adapter_ops(
+        &self,
+        cfg: &ModelConfig,
+        kind: OpKind,
+        base_in: usize,
+        base_out: usize,
+    ) -> Vec<OpTemplate> {
+        self.adapter_costs(cfg, kind, base_in, base_out)
+            .map(|(op, label, cost)| {
+                OpTemplate::new(op, format!("task{}.{label}.{kind:?}", self.id), cost)
+            })
+            .collect()
     }
 }
 
@@ -253,6 +240,65 @@ mod tests {
             assert_eq!(ops.len(), 2);
             assert!(ops.iter().all(|o| o.kind == OpKind::AdapterGemm));
             assert!(ops[0].name.contains("task3"));
+        }
+    }
+
+    #[test]
+    fn adapter_op_names_are_pinned_per_peft_type() {
+        // Chrome-trace labels are built from these names; they must not
+        // drift when adapter shapes are refactored.
+        let cfg = ModelConfig::llama2_7b();
+        let task = |peft| PeftTask {
+            id: 7,
+            peft,
+            micro_batch: 4,
+            seq_len: 128,
+            lr: 1e-3,
+        };
+        let names = |t: &PeftTask, kind| -> Vec<String> {
+            t.adapter_ops(&cfg, kind, 4096, 4096)
+                .into_iter()
+                .map(|o| o.name)
+                .collect()
+        };
+        let lora = task(PeftType::LoRA { rank: 8 });
+        assert_eq!(
+            names(&lora, OpKind::MlpUp),
+            ["task7.lora_down.MlpUp", "task7.lora_up.MlpUp"]
+        );
+        let adpt = task(PeftType::AdapterTuning { bottleneck: 64 });
+        assert_eq!(
+            names(&adpt, OpKind::OutProj),
+            [
+                "task7.adpt_down.OutProj",
+                "task7.adpt_relu.OutProj",
+                "task7.adpt_up.OutProj"
+            ]
+        );
+        assert!(names(&adpt, OpKind::QkvProj).is_empty());
+        let diff = task(PeftType::DiffPruning { sparsity: 0.01 });
+        assert_eq!(names(&diff, OpKind::MlpDown), ["task7.diff_apply.MlpDown"]);
+        let prefix = task(PeftType::PrefixTuning { prefix_len: 16 });
+        assert_eq!(
+            names(&prefix, OpKind::QkvProj),
+            ["task7.prefix_attn.QkvProj"]
+        );
+        assert!(names(&prefix, OpKind::OutProj).is_empty());
+        // Names sit on top of the name-free costs, op for op.
+        for t in [&lora, &adpt, &diff, &prefix] {
+            for kind in [
+                OpKind::QkvProj,
+                OpKind::OutProj,
+                OpKind::MlpUp,
+                OpKind::MlpDown,
+            ] {
+                let ops = t.adapter_ops(&cfg, kind, 4096, 11008);
+                let costs: Vec<_> = t.adapter_costs(&cfg, kind, 4096, 11008).collect();
+                assert_eq!(ops.len(), costs.len());
+                for (o, (k, _, c)) in ops.iter().zip(&costs) {
+                    assert_eq!((o.kind, &o.cost), (*k, c));
+                }
+            }
         }
     }
 
