@@ -2,10 +2,11 @@
 //! of every service state transition.
 //!
 //! The line format — [`JournalEvent`], [`EventKind`], and the JSONL
-//! reader — lives in `mux_obs_analysis::journal` and is re-exported
-//! here, so the service's replay and the offline lifecycle analysis read
-//! one schema with one codec. This module owns the log itself: appending
-//! (with profiler work counters), serialization, and the replay fold.
+//! writer and reader — lives in `mux_obs_analysis::journal` and is
+//! re-exported here, so the service's replay and the offline lifecycle
+//! analysis read one schema with one codec. This module owns the log
+//! itself: appending (with profiler work counters), serialization, and
+//! the replay fold.
 //! [`Journal::replay`] reconstructs the per-job lifecycle state and the
 //! active alert set from the events alone, and the service
 //! property-tests that any *prefix* of the journal replays to exactly the
@@ -18,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mux_obs::fingerprint::Fnv1a;
 pub use mux_obs_analysis::journal::{
     DecisionCandidate, EventKind, JournalEvent, DECISION_CANDIDATE_CAP,
 };
@@ -73,14 +75,27 @@ impl Journal {
 
     /// Serializes the journal as JSONL (one event per line).
     pub fn to_jsonl(&self) -> String {
-        let _span = mux_obs::span("journal.to_jsonl");
         let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&serde_json::to_string(&ev.to_json()).expect("serialize"));
-            out.push('\n');
-        }
-        mux_obs::profile::work("journal_bytes", out.len() as u64);
+        self.encode(|line| out.push_str(line));
         out
+    }
+
+    /// Encodes every event's line, newline included, through one reused
+    /// buffer into `sink`: the one encode behind [`Journal::to_jsonl`] and
+    /// [`Journal::fingerprint`], profiled as the `journal.to_jsonl` span
+    /// with its `journal_bytes` counter.
+    fn encode(&self, mut sink: impl FnMut(&str)) {
+        let _span = mux_obs::span("journal.to_jsonl");
+        let mut line = String::new();
+        let mut bytes = 0;
+        for ev in &self.events {
+            line.clear();
+            ev.write_jsonl(&mut line);
+            line.push('\n');
+            bytes += line.len();
+            sink(&line);
+        }
+        mux_obs::profile::work("journal_bytes", bytes as u64);
     }
 
     /// Parses a JSONL journal with the shared line reader
@@ -91,13 +106,25 @@ impl Journal {
         mux_obs_analysis::journal::parse_jsonl(text).map(|events| Self { events })
     }
 
-    /// A 64-bit FNV-1a fingerprint of the serialized journal.
+    /// A 64-bit FNV-1a fingerprint of the serialized journal. It equals
+    /// `Journal::fingerprint_of(&self.to_jsonl())`, but streams the lines
+    /// through one reused buffer instead of building the whole text.
     ///
     /// Two runs are behaviourally identical iff every journal line matches,
     /// so fingerprint equality is the determinism oracle the chaos harness
     /// pins: same seed ⇒ same fingerprint, bit for bit.
     pub fn fingerprint(&self) -> u64 {
-        mux_obs::fingerprint::fnv1a_64(self.to_jsonl().as_bytes())
+        let mut hash = Fnv1a::new();
+        self.encode(|line| hash.update(line.as_bytes()));
+        hash.finish()
+    }
+
+    /// The fingerprint of serialized journal text (64-bit FNV-1a over its
+    /// bytes). A caller that needs both a journal's text and its
+    /// fingerprint encodes once with [`Journal::to_jsonl`] and hashes the
+    /// text with this.
+    pub fn fingerprint_of(jsonl: &str) -> u64 {
+        mux_obs::fingerprint::fnv1a_64(jsonl.as_bytes())
     }
 
     /// Replays the whole journal into a [`ReplayState`].

@@ -717,6 +717,12 @@ impl FineTuneService {
         if !spec.lr.is_finite() {
             return Err("learning rate must be finite".into());
         }
+        if spec
+            .slo_seconds
+            .is_some_and(|slo| !(slo.is_finite() && slo > 0.0))
+        {
+            return Err("SLO must be a finite number of seconds above 0".into());
+        }
         Ok(())
     }
 
@@ -2927,6 +2933,39 @@ mod tests {
         }
         assert_eq!(svc.instance_count(), 0, "nothing was dispatched");
         svc.advance(1.0); // no panic on an empty service
+    }
+
+    /// Regression: a NaN, infinite, zero or negative SLO used to be
+    /// admitted; its `submit` line read `"slo_seconds":null` (a NaN or
+    /// infinity has no JSON form), the look of a best-effort job, while
+    /// `slo_burn` fired for it within a few ticks.
+    #[test]
+    fn non_finite_and_non_positive_slos_are_rejected_at_submit() {
+        for slo in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0] {
+            let mut svc = service(4);
+            svc.enable_monitoring(MonitorConfig::default());
+            let id = svc.submit(spec(1_000_000).with_slo(slo));
+            let j = svc.job(id).unwrap();
+            assert_eq!(j.state, JobState::Rejected, "slo {slo}");
+            assert_eq!(
+                j.reject_reason.as_deref(),
+                Some("SLO must be a finite number of seconds above 0"),
+                "slo {slo}"
+            );
+            let kinds: Vec<&str> = svc
+                .journal()
+                .events()
+                .iter()
+                .map(|e| e.kind.name())
+                .collect();
+            assert_eq!(kinds, ["submit", "reject"], "slo {slo}");
+            svc.advance(1.0);
+            assert!(
+                svc.alerts().is_empty(),
+                "slo {slo}: no alert for a rejected job"
+            );
+            assert_eq!(svc.instance_count(), 0, "slo {slo}: nothing was dispatched");
+        }
     }
 
     #[test]

@@ -137,10 +137,11 @@ pub fn run_chaos(cfg: &DstConfig) -> DstRun {
         };
         *outcome_counts.entry(state.to_string()).or_insert(0) += 1;
     }
+    let journal_jsonl = svc.journal().to_jsonl();
     DstRun {
         seed: cfg.seed,
-        fingerprint: svc.journal().fingerprint(),
-        journal_jsonl: svc.journal().to_jsonl(),
+        fingerprint: Journal::fingerprint_of(&journal_jsonl),
+        journal_jsonl,
         final_state,
         applied_faults: applied,
         submitted_jobs: submitted.len(),

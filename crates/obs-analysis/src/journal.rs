@@ -1,5 +1,6 @@
 //! The event journal's line format: one typed [`JournalEvent`] per JSONL
-//! line, its codec, and the one reader every consumer parses it with.
+//! line, the one writer that encodes it ([`JournalEvent::write_jsonl`]),
+//! and the one reader every consumer parses it with ([`parse_jsonl`]).
 //!
 //! Each [`JournalEvent`] carries a monotonically increasing sequence
 //! number, the service tick and simulated time it happened at, and a
@@ -10,9 +11,11 @@
 //! [`parse_jsonl`]. The key set per event kind is pinned by the
 //! `journal_line.schema.json` golden.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
-use serde_json::{Map, Value};
+use serde_json::{escape_into, Map, Number, Value};
 
 /// What happened. One variant per service state transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,16 +275,6 @@ pub struct DecisionCandidate {
 }
 
 impl DecisionCandidate {
-    fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("id".into(), self.id.into());
-        m.insert("tenant".into(), self.tenant.as_str().into());
-        m.insert("score".into(), self.score.into());
-        m.insert("priority".into(), u64::from(self.priority).into());
-        m.insert("arrival".into(), self.arrival.into());
-        Value::Object(m)
-    }
-
     fn from_json(v: &Value) -> Result<Self, String> {
         let get = |k: &str| v.get(k).ok_or_else(|| format!("candidate missing {k:?}"));
         Ok(Self {
@@ -348,13 +341,23 @@ pub struct JournalEvent {
 }
 
 impl JournalEvent {
-    /// Serializes the event as one JSON object (one JSONL line).
-    pub fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("seq".into(), self.seq.into());
-        m.insert("tick".into(), self.tick.into());
-        m.insert("now".into(), self.now.into());
-        m.insert("event".into(), self.kind.name().into());
+    /// Appends the event's JSONL line to `out`: one JSON object, without
+    /// the trailing newline, written straight from the typed event.
+    ///
+    /// This is the line format's one encoder:
+    /// - keys come out in byte order, the `event`/`now`/`seq`/`tick`
+    ///   envelope merged in among the payload's keys;
+    /// - integers print as `{v}`, and floats as `serde_json`'s
+    ///   [`Number`] prints them (`{v:.1}` when integral below 1e15, `{v}`
+    ///   otherwise, `null` when not finite);
+    /// - strings are escaped by `serde_json`'s [`escape_into`];
+    /// - [`EventKind::Final`]'s job ids sort as decimal strings (`"10"` <
+    ///   `"2"`);
+    /// - [`EventKind::Opaque`] payload values go through `serde_json`'s
+    ///   writer, and a payload key equal to an envelope key replaces that
+    ///   envelope member.
+    pub fn write_jsonl(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out, Some(self));
         match &self.kind {
             EventKind::Submit {
                 job,
@@ -363,44 +366,44 @@ impl JournalEvent {
                 total_tokens,
                 slo_seconds,
             } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("tenant".into(), tenant.as_str().into());
-                m.insert("backbone".into(), backbone.as_str().into());
-                m.insert("total_tokens".into(), (*total_tokens).into());
-                m.insert(
-                    "slo_seconds".into(),
-                    slo_seconds.map(Value::from).unwrap_or(Value::Null),
-                );
+                w.str("backbone", backbone);
+                w.u64("job", *job);
+                w.opt_f64("slo_seconds", *slo_seconds);
+                w.str("tenant", tenant);
+                w.u64("total_tokens", *total_tokens);
             }
             EventKind::Reject { job, reason } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("reason".into(), reason.as_str().into());
+                w.u64("job", *job);
+                w.str("reason", reason);
             }
             EventKind::Dispatch { job, instance } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("instance".into(), (*instance).into());
+                w.u64("instance", *instance as u64);
+                w.u64("job", *job);
             }
             EventKind::Replan {
                 instance,
                 epoch,
                 tasks,
             } => {
-                m.insert("instance".into(), (*instance).into());
-                m.insert("epoch".into(), (*epoch).into());
-                m.insert("tasks".into(), (*tasks).into());
+                w.u64("epoch", *epoch);
+                w.u64("instance", *instance as u64);
+                w.u64("tasks", *tasks as u64);
             }
             EventKind::Shed {
                 job,
                 instance,
                 reason,
+            }
+            | EventKind::RecoverShed {
+                job,
+                instance,
+                reason,
             } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("instance".into(), (*instance).into());
-                m.insert("reason".into(), reason.as_str().into());
+                w.u64("instance", *instance as u64);
+                w.u64("job", *job);
+                w.str("reason", reason);
             }
-            EventKind::Complete { job } => {
-                m.insert("job".into(), (*job).into());
-            }
+            EventKind::Complete { job } => w.u64("job", *job),
             EventKind::AlertFired {
                 rule,
                 severity,
@@ -409,16 +412,16 @@ impl JournalEvent {
                 value,
                 threshold,
             } => {
-                m.insert("rule".into(), rule.as_str().into());
-                m.insert("severity".into(), severity.as_str().into());
-                m.insert("job".into(), (*job).into());
-                m.insert("window".into(), (*window).into());
-                m.insert("value".into(), (*value).into());
-                m.insert("threshold".into(), (*threshold).into());
+                w.u64("job", *job);
+                w.str("rule", rule);
+                w.str("severity", severity);
+                w.f64("threshold", *threshold);
+                w.f64("value", *value);
+                w.u64("window", *window as u64);
             }
             EventKind::AlertCleared { rule, job } => {
-                m.insert("rule".into(), rule.as_str().into());
-                m.insert("job".into(), (*job).into());
+                w.u64("job", *job);
+                w.str("rule", rule);
             }
             EventKind::FaultInjected {
                 kind,
@@ -426,53 +429,41 @@ impl JournalEvent {
                 device,
                 magnitude,
             } => {
-                m.insert("kind".into(), kind.as_str().into());
-                m.insert("instance".into(), (*instance).into());
-                m.insert(
-                    "device".into(),
-                    device.map(|d| Value::from(d as u64)).unwrap_or(Value::Null),
-                );
-                m.insert("magnitude".into(), (*magnitude).into());
+                w.opt_u64("device", device.map(|d| d as u64));
+                w.u64("instance", *instance as u64);
+                w.str("kind", kind);
+                w.f64("magnitude", *magnitude);
             }
             EventKind::FaultCleared { kind, instance } => {
-                m.insert("kind".into(), kind.as_str().into());
-                m.insert("instance".into(), (*instance).into());
+                w.u64("instance", *instance as u64);
+                w.str("kind", kind);
             }
             EventKind::RecoverRetry {
                 instance,
                 attempt,
                 backoff_seconds,
             } => {
-                m.insert("instance".into(), (*instance).into());
-                m.insert("attempt".into(), (*attempt).into());
-                m.insert("backoff_seconds".into(), (*backoff_seconds).into());
+                w.u64("attempt", *attempt);
+                w.f64("backoff_seconds", *backoff_seconds);
+                w.u64("instance", *instance as u64);
             }
             EventKind::RecoverRestart {
                 job,
                 instance,
                 checkpoint_tokens,
             } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("instance".into(), (*instance).into());
-                m.insert("checkpoint_tokens".into(), (*checkpoint_tokens).into());
+                w.f64("checkpoint_tokens", *checkpoint_tokens);
+                w.u64("instance", *instance as u64);
+                w.u64("job", *job);
             }
             EventKind::RecoverReplan {
                 instance,
                 devices_left,
                 epoch,
             } => {
-                m.insert("instance".into(), (*instance).into());
-                m.insert("devices_left".into(), (*devices_left).into());
-                m.insert("epoch".into(), (*epoch).into());
-            }
-            EventKind::RecoverShed {
-                job,
-                instance,
-                reason,
-            } => {
-                m.insert("job".into(), (*job).into());
-                m.insert("instance".into(), (*instance).into());
-                m.insert("reason".into(), reason.as_str().into());
+                w.u64("devices_left", *devices_left as u64);
+                w.u64("epoch", *epoch);
+                w.u64("instance", *instance as u64);
             }
             EventKind::Decision {
                 policy,
@@ -484,22 +475,22 @@ impl JournalEvent {
                 considered,
                 candidates,
             } => {
-                m.insert("policy".into(), policy.as_str().into());
-                m.insert("action".into(), action.as_str().into());
-                m.insert("score_kind".into(), score_kind.as_str().into());
-                m.insert("chosen".into(), (*chosen).into());
-                m.insert("job".into(), job.map(Value::from).unwrap_or(Value::Null));
-                m.insert(
-                    "instance".into(),
-                    instance
-                        .map(|i| Value::from(i as u64))
-                        .unwrap_or(Value::Null),
-                );
-                m.insert("considered".into(), (*considered).into());
-                m.insert(
-                    "candidates".into(),
-                    Value::Array(candidates.iter().map(DecisionCandidate::to_json).collect()),
-                );
+                w.str("action", action);
+                write_array(w.key("candidates"), candidates, |out, c| {
+                    let mut o = ObjectWriter::new(out, None);
+                    o.f64("arrival", c.arrival);
+                    o.u64("id", c.id);
+                    o.u64("priority", u64::from(c.priority));
+                    o.f64("score", c.score);
+                    o.str("tenant", &c.tenant);
+                    o.finish();
+                });
+                w.u64("chosen", *chosen);
+                w.u64("considered", *considered as u64);
+                w.opt_u64("instance", instance.map(|i| i as u64));
+                w.opt_u64("job", *job);
+                w.str("policy", policy);
+                w.str("score_kind", score_kind);
             }
             EventKind::RequestArrive {
                 request,
@@ -507,68 +498,71 @@ impl JournalEvent {
                 prompt_tokens,
                 output_tokens,
             } => {
-                m.insert("request".into(), (*request).into());
-                m.insert("tenant".into(), tenant.as_str().into());
-                m.insert("prompt_tokens".into(), (*prompt_tokens).into());
-                m.insert("output_tokens".into(), (*output_tokens).into());
+                w.u64("output_tokens", *output_tokens);
+                w.u64("prompt_tokens", *prompt_tokens);
+                w.u64("request", *request);
+                w.str("tenant", tenant);
             }
             EventKind::RequestPrefill {
                 request,
                 ttft_seconds,
             } => {
-                m.insert("request".into(), (*request).into());
-                m.insert("ttft_seconds".into(), (*ttft_seconds).into());
+                w.u64("request", *request);
+                w.f64("ttft_seconds", *ttft_seconds);
             }
             EventKind::RequestComplete {
                 request,
                 decode_tokens,
                 latency_seconds,
             } => {
-                m.insert("request".into(), (*request).into());
-                m.insert("decode_tokens".into(), (*decode_tokens).into());
-                m.insert("latency_seconds".into(), (*latency_seconds).into());
+                w.u64("decode_tokens", *decode_tokens);
+                w.f64("latency_seconds", *latency_seconds);
+                w.u64("request", *request);
             }
             EventKind::RequestReject { request, reason } => {
-                m.insert("request".into(), (*request).into());
-                m.insert("reason".into(), reason.as_str().into());
+                w.str("reason", reason);
+                w.u64("request", *request);
             }
             EventKind::RequestTimeout {
                 request,
                 waited_seconds,
             } => {
-                m.insert("request".into(), (*request).into());
-                m.insert("waited_seconds".into(), (*waited_seconds).into());
+                w.u64("request", *request);
+                w.f64("waited_seconds", *waited_seconds);
             }
-            EventKind::ServingPreempt { instance } => {
-                m.insert("instance".into(), (*instance).into());
-            }
-            EventKind::ServingResume { instance } => {
-                m.insert("instance".into(), (*instance).into());
+            EventKind::ServingPreempt { instance } | EventKind::ServingResume { instance } => {
+                w.u64("instance", *instance as u64);
             }
             EventKind::Opaque { payload, .. } => {
                 for (k, v) in payload {
-                    m.insert(k.clone(), v.clone());
+                    let out = w.key(k);
+                    write!(out, "{v}").expect("writing to a String cannot fail");
                 }
             }
             EventKind::Final { jobs, alerts } => {
-                let mut jm = Map::new();
-                for (job, state) in jobs {
-                    jm.insert(job.to_string(), state.as_str().into());
+                write_array(w.key("alerts"), alerts, |out, (rule, job)| {
+                    let mut o = ObjectWriter::new(out, None);
+                    o.u64("job", *job);
+                    o.str("rule", rule);
+                    o.finish();
+                });
+                let mut by_name: Vec<(&u64, &String)> = jobs.iter().collect();
+                by_name.sort_by(|a, b| decimal_order(*a.0, *b.0));
+                let out = w.key("jobs");
+                out.push('{');
+                for (i, (job, state)) in by_name.into_iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push('"');
+                    write_u64(out, *job);
+                    out.push_str("\":");
+                    escape_into(state, out);
                 }
-                m.insert("jobs".into(), Value::Object(jm));
-                let am: Vec<Value> = alerts
-                    .iter()
-                    .map(|(rule, job)| {
-                        let mut e = Map::new();
-                        e.insert("rule".into(), rule.as_str().into());
-                        e.insert("job".into(), (*job).into());
-                        Value::Object(e)
-                    })
-                    .collect();
-                m.insert("alerts".into(), Value::Array(am));
+                out.push('}');
             }
         }
-        Value::Object(m)
+        w.finish();
     }
 
     /// Parses one JSONL line back into an event.
@@ -795,6 +789,159 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
         events.push(ev);
     }
     Ok(events)
+}
+
+/// The members every line carries besides its payload, in key order.
+const ENVELOPE: [&str; 4] = ["event", "now", "seq", "tick"];
+
+/// Writes one JSON object's members in key order. The caller hands over
+/// the members in key order; a line's writer also holds its event and
+/// writes each envelope member as soon as its key comes due.
+struct ObjectWriter<'a> {
+    out: &'a mut String,
+    /// The event whose envelope this object carries (a line), if any.
+    envelope: Option<&'a JournalEvent>,
+    /// Envelope members written or replaced by a payload member so far.
+    envelope_done: usize,
+    /// Whether the next member needs a leading comma.
+    comma: bool,
+    /// The last key written (keys must strictly increase).
+    last: &'a str,
+}
+
+impl<'a> ObjectWriter<'a> {
+    fn new(out: &'a mut String, envelope: Option<&'a JournalEvent>) -> Self {
+        out.push('{');
+        Self {
+            out,
+            envelope,
+            envelope_done: 0,
+            comma: false,
+            last: "",
+        }
+    }
+
+    /// Starts the member `key` and returns the buffer its value goes to,
+    /// after writing every envelope member whose key sorts before `key`.
+    /// A `key` equal to an envelope key replaces that envelope member.
+    fn key(&mut self, key: &'a str) -> &mut String {
+        if let Some(ev) = self.envelope {
+            while let Some(&env) = ENVELOPE.get(self.envelope_done) {
+                match env.cmp(key) {
+                    Ordering::Less => self.envelope_member(ev),
+                    Ordering::Equal => {
+                        self.envelope_done += 1;
+                        break;
+                    }
+                    Ordering::Greater => break,
+                }
+            }
+        }
+        self.begin(key);
+        self.out
+    }
+
+    fn begin(&mut self, key: &'a str) {
+        debug_assert!(
+            !self.comma || self.last < key,
+            "key {key:?} written after {:?}",
+            self.last
+        );
+        self.last = key;
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        escape_into(key, self.out);
+        self.out.push(':');
+    }
+
+    fn envelope_member(&mut self, ev: &JournalEvent) {
+        let key = ENVELOPE[self.envelope_done];
+        self.envelope_done += 1;
+        self.begin(key);
+        match key {
+            "event" => escape_into(ev.kind.name(), self.out),
+            "now" => write_f64(self.out, ev.now),
+            "seq" => write_u64(self.out, ev.seq),
+            _ => write_u64(self.out, ev.tick),
+        }
+    }
+
+    fn u64(&mut self, key: &'a str, v: u64) {
+        write_u64(self.key(key), v);
+    }
+
+    fn f64(&mut self, key: &'a str, v: f64) {
+        write_f64(self.key(key), v);
+    }
+
+    fn str(&mut self, key: &'a str, v: &str) {
+        escape_into(v, self.key(key));
+    }
+
+    fn opt_u64(&mut self, key: &'a str, v: Option<u64>) {
+        match v {
+            Some(v) => self.u64(key, v),
+            None => self.key(key).push_str("null"),
+        }
+    }
+
+    fn opt_f64(&mut self, key: &'a str, v: Option<f64>) {
+        match v {
+            Some(v) => self.f64(key, v),
+            None => self.key(key).push_str("null"),
+        }
+    }
+
+    /// Writes the envelope members still due and closes the object.
+    fn finish(mut self) {
+        if let Some(ev) = self.envelope {
+            while self.envelope_done < ENVELOPE.len() {
+                self.envelope_member(ev);
+            }
+        }
+        self.out.push('}');
+    }
+}
+
+/// Writes `items` as a JSON array, each element with `write`.
+fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
+fn write_u64(out: &mut String, v: u64) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Writes `v` exactly as `serde_json` prints a float.
+fn write_f64(out: &mut String, v: f64) {
+    write!(out, "{}", Number::Float(v)).expect("writing to a String cannot fail");
+}
+
+/// Orders `a` and `b` as their decimal strings compare (`"10"` < `"2"`):
+/// the order of [`EventKind::Final`]'s string-keyed `jobs` object.
+fn decimal_order(a: u64, b: u64) -> Ordering {
+    let digits = |v: u64| v.checked_ilog10().map_or(1, |d| d + 1);
+    let (da, db) = (digits(a), digits(b));
+    // Compare the longer number's leading digits with the shorter number;
+    // on a tie the shorter string (a prefix of the other) sorts first.
+    match da.cmp(&db) {
+        Ordering::Equal => a.cmp(&b),
+        Ordering::Less => a.cmp(&(b / 10u64.pow(db - da))).then(Ordering::Less),
+        Ordering::Greater => (a / 10u64.pow(da - db)).cmp(&b).then(Ordering::Greater),
+    }
 }
 
 #[cfg(test)]

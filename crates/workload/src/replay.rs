@@ -17,7 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mux_api::{
     DecisionCandidate, DispatchPolicy, EventKind, FineTuneService, JobId, JobSpec, JobState,
-    PendingJob, ReplanMode, SchedulingPolicy, ServiceConfig, TenantUsage, DECISION_CANDIDATE_CAP,
+    Journal, PendingJob, ReplanMode, SchedulingPolicy, ServiceConfig, TenantUsage,
+    DECISION_CANDIDATE_CAP,
 };
 use mux_chaos::{apply_action, ChaosAction, FaultPlan};
 use mux_obs::QuantileSketch;
@@ -734,6 +735,7 @@ impl<'a> Replayer<'a> {
                 .merge(&t.queue_wait)
                 .expect("tenant sketches share one alpha");
         }
+        let journal_jsonl = self.svc.journal().to_jsonl();
         Ok(ReplayReport {
             policy: self.policy.name().to_string(),
             trace_seed: self.trace.seed,
@@ -752,8 +754,8 @@ impl<'a> Replayer<'a> {
             queue_wait,
             per_tenant,
             makespan_seconds: self.svc.now(),
-            journal_fingerprint: self.svc.journal().fingerprint(),
-            journal_jsonl: self.svc.journal().to_jsonl(),
+            journal_fingerprint: Journal::fingerprint_of(&journal_jsonl),
+            journal_jsonl,
         })
     }
 }

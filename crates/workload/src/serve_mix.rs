@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 
 use mux_api::{
-    FineTuneService, JobId, JobSpec, JobState, ServiceConfig, ServingConfig, ServingPolicy,
-    ServingStats,
+    FineTuneService, JobId, JobSpec, JobState, Journal, ServiceConfig, ServingConfig,
+    ServingPolicy, ServingStats,
 };
 use mux_gpu_sim::{GpuSpec, PhaseModel};
 use mux_model::config::ModelConfig;
@@ -195,6 +195,7 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
     let _span = mux_obs::span("serve_mix.run");
     let mut svc = build_service(cfg);
     let requests = generate_requests(cfg.seed, &RequestConfig::standard(cfg.requests));
+    let last_request = requests.last().map_or(0.0, |r| r.arrival);
     svc.submit_requests(requests);
 
     let mut trace_cfg = TraceConfig::standard(cfg.training_jobs);
@@ -220,16 +221,11 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
     // Compress training arrivals to the serving timescale: job traces
     // span minutes, request streams seconds; the mix is interesting when
     // both are live at once.
-    if let Some(last_req) = (!specs.is_empty())
-        .then(|| requests_horizon(cfg))
-        .filter(|h| *h > 0.0)
-    {
-        let job_horizon = specs.last().map(|(t, _)| *t).unwrap_or(0.0);
-        if job_horizon > 0.0 {
-            let scale = last_req / job_horizon;
-            for (t, _) in specs.iter_mut() {
-                *t *= scale;
-            }
+    let job_horizon = specs.last().map_or(0.0, |(t, _)| *t);
+    if last_request > 0.0 && job_horizon > 0.0 {
+        let scale = last_request / job_horizon;
+        for (t, _) in specs.iter_mut() {
+            *t *= scale;
         }
     }
 
@@ -279,9 +275,10 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
         }
     }
     let serving = svc.serving().map(|s| s.stats().clone()).unwrap_or_default();
+    let journal = svc.journal().to_jsonl();
     Ok(ServeMixReport {
-        fingerprint: svc.journal().fingerprint(),
-        journal: svc.journal().to_jsonl(),
+        fingerprint: Journal::fingerprint_of(&journal),
+        journal,
         now: svc.now(),
         ticks,
         jobs_completed,
@@ -289,16 +286,6 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
         serving,
         report: svc.service_report(),
     })
-}
-
-/// The arrival time of the last generated request (for arrival-scale
-/// compression). Regenerating is cheap relative to the run itself and
-/// keeps `run_serve_mix` free of incidental state.
-fn requests_horizon(cfg: &ServeMixConfig) -> f64 {
-    generate_requests(cfg.seed, &RequestConfig::standard(cfg.requests))
-        .last()
-        .map(|r| r.arrival)
-        .unwrap_or(0.0)
 }
 
 /// Per-request terminal-state census from a journal: every

@@ -4,8 +4,10 @@
 //! small, std-only JSON implementation that is API-compatible with the
 //! subset of `serde_json` the repo uses: the dynamic [`Value`] tree, the
 //! [`json!`] literal macro, [`to_string`] / [`to_string_pretty`], and
-//! [`from_str`]. There is no `Serialize`/`Deserialize` trait machinery —
-//! structured output goes through `Value` explicitly.
+//! [`from_str`] — plus [`escape_into`], the writer's string escaper, for
+//! code that writes JSON text without building a `Value`. There is no
+//! `Serialize`/`Deserialize` trait machinery — structured output goes
+//! through `Value` explicitly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -241,17 +243,26 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`, `\`
+/// and control characters escaped. The writer escapes every string and
+/// key with it; callers that write JSON text directly use it to escape
+/// exactly as the writer does. A string with nothing to escape is copied
+/// in one push.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
         }
     }
     out.push('"');
@@ -428,12 +439,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("eof"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one go.
+                    // Both are ASCII, so the run holds whole scalars and
+                    // only it needs validating.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(&self.bytes[self.pos..], |n| {
+                            &self.bytes[self.pos..self.pos + n]
+                        });
+                    s.push_str(std::str::from_utf8(run).map_err(|_| self.err("invalid utf-8"))?);
+                    self.pos += run.len();
                 }
             }
         }
@@ -644,6 +660,27 @@ mod tests {
     fn string_escapes_roundtrip() {
         let v = json!({ "s": "a\"b\\c\nd\te" });
         assert_eq!(from_str(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_byte_scalars_next_to_escapes_roundtrip() {
+        let mut cases = vec!["éé𝄞𝄞é".to_string()];
+        for esc in ['"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}'] {
+            for m in ['é', '𝄞'] {
+                cases.push(format!("{m}{esc}{m}"));
+                cases.push(format!("{esc}{m}{esc}"));
+            }
+        }
+        cases.push(cases.concat());
+        for s in cases {
+            let v = Value::from(s.as_str());
+            assert_eq!(from_str(&v.to_string()).unwrap(), v, "{s:?}");
+        }
+        // Escapes the writer never emits decode too.
+        assert_eq!(
+            from_str("\"é\\/𝄞\\u00e9\\b𝄞\"").unwrap(),
+            Value::from("é/𝄞é\u{8}𝄞")
+        );
     }
 
     #[test]
