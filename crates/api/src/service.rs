@@ -110,17 +110,19 @@ pub enum ReplanMode {
     /// Cost-model fast path: throughput comes from the fusion DP plus the
     /// Appendix-A grouped-latency estimate ([`plan_estimate`]), no engine
     /// runs. ~100× cheaper per replan with the same feasibility/error
-    /// surface; rates are estimates, not simulator measurements. The
-    /// 10⁴–10⁵-job trace replayer runs in this mode.
+    /// surface; rates are estimates, not simulator measurements. Each
+    /// replan runs the planner cold, so this is the reference that
+    /// [`ReplanMode::Incremental`] is diffed against.
     Estimate,
     /// Incremental fast path: each instance keeps a warm
     /// [`IncrementalEstimator`] that persists the fusion DP's per-range
-    /// latency/feasibility tables across replans. A membership delta
+    /// latency/feasibility rows across replans. A membership delta
     /// rebuilds only the ranges whose underlying sorted-task slice
     /// changed and recomputes the invalidated DP suffix; a replan with
     /// unchanged membership (e.g. a fault clearing) is a pure cache hit
     /// that builds zero ranges. Produces bitwise-identical rates to
-    /// [`ReplanMode::Estimate`] (pinned by differential tests).
+    /// [`ReplanMode::Estimate`] (pinned by differential tests). The
+    /// 10⁴–10⁵-job trace replayer runs in this mode.
     Incremental,
 }
 

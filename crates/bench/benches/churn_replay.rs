@@ -6,7 +6,7 @@
 //! [`CHURN_M`] tasks, replanning after every delta, and compares the
 //! per-delta cost against what each delta costs from scratch:
 //!
-//! * the value-table DP fusion behind `ReplanMode::Estimate`
+//! * a cold-planner DP fusion, as `ReplanMode::Estimate` runs it
 //!   (best-of-3 sample, extrapolated to the delta count), and
 //! * the full `ReplanMode::Simulate` path (`plan_and_run`: fusion +
 //!   grouping + engine simulation), sampled once — set

@@ -1,6 +1,6 @@
 //! `planner-scale`: planner hot-path wall time vs task count M.
 //!
-//! Sweeps M ∈ {16, 64, 256, 1024} through the value-table DP fusion
+//! Sweeps M ∈ {16, 64, 256, 1024} through the cold-planner DP fusion
 //! (padded prober path) plus Eq. 7 grouping, and compares against the
 //! retained seed O(M³) DP. The seed leg runs at M ≤ 256 by default —
 //! set `MUX_PLANNER_SCALE_FULL=1` to also time it at M = 1024 (minutes).
@@ -43,7 +43,7 @@ fn main() {
         "planner_scale",
         &serde_json::json!({
             "series": records,
-            "note": "dp = value-table O(M^2) fusion + grouping; seed = retained O(M^3) reference",
+            "note": "dp = cold-planner O(M^2) fusion + grouping; seed = retained O(M^3) reference",
         }),
     );
 }

@@ -52,10 +52,10 @@
 //!   per policy. Exits non-zero if any trace job is lost or the replayed
 //!   journal fails verification.
 //! - `--replan-mode <simulate|estimate|incremental>`: how the replayed
-//!   service re-prices membership changes (default `estimate`).
-//!   `incremental` keeps a warm per-instance planner whose journals must
-//!   be bitwise identical to `estimate`'s — the CI churn leg diffs the
-//!   two replays.
+//!   service re-prices membership changes (default `incremental`, a warm
+//!   per-instance planner). `estimate` runs the same planner cold on
+//!   every replan: it is the reference whose journals the default's must
+//!   equal bit for bit — the CI workload job diffs the two replays.
 //! - `--explain-job <id>`: after a `--replay-trace` run, reconstruct the
 //!   job's causal lifecycle from the sealed journal (span tree, JCT
 //!   decomposition, scheduler decision provenance) and print it. The id

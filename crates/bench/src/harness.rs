@@ -342,7 +342,7 @@ fn planner_scale_cost_model(reg: &TaskRegistry) -> CostModel<'_> {
     CostModel::new(reg, GpuSpec::a40(), HybridParallelism::pipeline(4))
 }
 
-/// One timed planner hot-path pass at `m` tasks: value-table DP fusion
+/// One timed planner hot-path pass at `m` tasks: cold-planner DP fusion
 /// (Eq. 6) over the padded prober, then Eq. 7 grouping of the fused hTasks.
 /// Returns wall-clock seconds.
 pub fn planner_scale_seconds(m: usize) -> f64 {
@@ -465,7 +465,7 @@ pub fn churn_replay_seconds(m: usize, deltas: usize) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// One from-scratch value-table DP fusion over the live churn membership
+/// One from-scratch (cold-planner) DP fusion over the live churn membership
 /// at `m` tasks — what every delta would cost without the warm planner
 /// (the [`fuse_tasks`] call behind `ReplanMode::Estimate`). Multiply by
 /// the delta count for the from-scratch churn total.

@@ -17,11 +17,18 @@
 //!
 //! with `G(M) = min_N F(M, N)` — every partition contributes the exact same
 //! floating-point sum in both formulations (left-to-right association), so
-//! the minimum is bit-for-bit identical. That is O(M²) transitions over
-//! plain `(latency, fits)` value tables; hTasks are materialized only at
-//! reconstruction. Each contiguous range is costed exactly once, and with a
-//! [`PaddedRangeProber`] feasibility is decided in O(1) *before* paying the
-//! per-member latency cost, so infeasible ranges are never built at all.
+//! the minimum is bit-for-bit identical. [`fuse_dp_seed`] keeps the
+//! `F(m, n)` table as the test oracle.
+//!
+//! [`IncrementalPlanner`] is the one implementation of `G`: O(M²)
+//! transitions over per-row `(latency, fits)` range values, with hTasks
+//! materialized only at reconstruction. [`fuse_tasks`] plans once on a
+//! cold planner (one with no values yet); a warm planner keeps its values
+//! across membership changes and rebuilds only the ranges a delta
+//! invalidated. Each contiguous range is priced at most once per
+//! membership, and with a [`PaddedRangeProber`] feasibility is decided in
+//! O(1) *before* paying the per-member latency cost, so infeasible ranges
+//! are never built at all.
 
 use mux_model::ops::Pass;
 use mux_peft::types::{PeftTask, TaskId};
@@ -78,10 +85,15 @@ impl RangeBuild<'_> {
     }
 }
 
+/// The Eq. 6 task order: ascending token count (`n_i`), ties by id.
+fn sort_key(task: &PeftTask) -> (usize, TaskId) {
+    (task.tokens_per_micro_batch(), task.id)
+}
+
 /// Sorts tasks ascending by token count (`n_i`), the Eq. 6 precondition.
 pub fn sort_by_tokens<'t>(tasks: &[&'t PeftTask]) -> Vec<&'t PeftTask> {
     let mut v = tasks.to_vec();
-    v.sort_by_key(|t| (t.tokens_per_micro_batch(), t.id));
+    v.sort_by_key(|t| sort_key(t));
     v
 }
 
@@ -123,7 +135,7 @@ pub fn fuse_tasks(
             Ok(FusionPlan { htasks, predicted })
         }
         FusionPolicy::Greedy => fuse_greedy(cm, &sorted, build),
-        FusionPolicy::Dp => fuse_dp(cm, &sorted, build),
+        FusionPolicy::Dp => IncrementalPlanner::cold(&sorted).plan(cm, build),
     }
 }
 
@@ -158,146 +170,6 @@ fn fuse_greedy(
     }
     let predicted = htasks.iter().map(|h| cm.pipeline_latency(h)).sum();
     Ok(FusionPlan { htasks, predicted })
-}
-
-/// Per-range `(latency, fits)` value tables over `sorted[a..b)`.
-///
-/// Latency is paid only for feasible ranges; with a padded prober the
-/// infeasible ones never even construct their hTask.
-struct RangeValues {
-    m: usize,
-    lat: Vec<f64>,
-    fits: Vec<bool>,
-    /// Count of feasible ranges whose latency came out non-finite.
-    degenerate: usize,
-}
-
-impl RangeValues {
-    fn idx(&self, a: usize, b: usize) -> usize {
-        a * (self.m + 1) + b
-    }
-
-    fn fill(
-        cm: &CostModel<'_>,
-        sorted: &[&PeftTask],
-        build: &RangeBuild<'_>,
-    ) -> Result<Self, PlanError> {
-        let _span = mux_obs::span("fusion.range_values");
-        let m = sorted.len();
-        mux_obs::profile::work("ranges_built", (m * (m + 1) / 2) as u64);
-        let prober: Option<PaddedRangeProber<'_>> = match build {
-            RangeBuild::Padded { .. } => Some(cm.padded_prober(sorted)),
-            RangeBuild::Custom(_) => None,
-        };
-        let mut v = Self {
-            m,
-            lat: vec![f64::INFINITY; m * (m + 1) + 1],
-            fits: vec![false; m * (m + 1) + 1],
-            degenerate: 0,
-        };
-        let s = cm.num_stages();
-        for a in 0..m {
-            for b in a + 1..=m {
-                let i = v.idx(a, b);
-                match &prober {
-                    Some(p) => {
-                        v.fits[i] = p.fits(a, b);
-                        if v.fits[i] {
-                            v.lat[i] = cm.pipeline_latency(&build.build(&sorted[a..b])?);
-                        }
-                    }
-                    None => {
-                        let h = build.build(&sorted[a..b])?;
-                        v.fits[i] = cm.fits_memory(std::slice::from_ref(&h), s);
-                        if v.fits[i] {
-                            v.lat[i] = cm.pipeline_latency(&h);
-                        }
-                    }
-                }
-                if v.fits[i] && !v.lat[i].is_finite() {
-                    v.degenerate += 1;
-                }
-            }
-        }
-        Ok(v)
-    }
-}
-
-/// Eq. 6: `F(m, n) = min_i { F(i, n-1) + L(H_{i+1..m}) / S }`, with
-/// `F(m', 1) = L(H_{1..m'})`; the answer is `min_N F(M, N)`, computed here
-/// as the equivalent unbounded recurrence `G` (see the module docs).
-fn fuse_dp(
-    cm: &CostModel<'_>,
-    sorted: &[&PeftTask],
-    build: &RangeBuild<'_>,
-) -> Result<FusionPlan, PlanError> {
-    let m = sorted.len();
-    let s = cm.num_stages() as f64;
-    let values = RangeValues::fill(cm, sorted, build)?;
-
-    let _dp_span = mux_obs::span("fusion.dp");
-    // One whole-range check plus the j-loop per prefix: m + m(m-1)/2.
-    mux_obs::profile::work("dp_cells", (m + m * m.saturating_sub(1) / 2) as u64);
-    const INF: f64 = f64::INFINITY;
-    // g[mm] = best objective over partitions of the first mm tasks.
-    // choice[mm] = start of the last hTask (0 ⇒ a single hTask [0, mm)).
-    let mut g = vec![INF; m + 1];
-    let mut choice = vec![usize::MAX; m + 1];
-    for mm in 1..=m {
-        let whole = values.idx(0, mm);
-        if values.fits[whole] && values.lat[whole] < g[mm] {
-            g[mm] = values.lat[whole];
-            choice[mm] = 0;
-        }
-        for j in 1..mm {
-            if g[j] == INF {
-                continue;
-            }
-            let i = values.idx(j, mm);
-            if !values.fits[i] {
-                continue;
-            }
-            let cand = g[j] + values.lat[i] / s;
-            if cand < g[mm] {
-                g[mm] = cand;
-                choice[mm] = j;
-            }
-        }
-    }
-
-    let best_val = g[m];
-    if !best_val.is_finite() {
-        // No memory-feasible partition — or every feasible one cost NaN.
-        return Err(if values.degenerate > 0 {
-            PlanError::DegenerateCost {
-                detail: format!(
-                    "{} feasible range(s) had non-finite latency",
-                    values.degenerate
-                ),
-            }
-        } else {
-            PlanError::Infeasible { tasks: m }
-        });
-    }
-
-    // Reconstruct cuts, then materialize hTasks — the only point where
-    // range hTasks are built for the DP (the tables hold plain values).
-    let mut cuts = vec![m];
-    let mut mm = m;
-    while choice[mm] != 0 {
-        mm = choice[mm];
-        cuts.push(mm);
-    }
-    cuts.push(0);
-    cuts.reverse();
-    let mut htasks = Vec::with_capacity(cuts.len() - 1);
-    for w in cuts.windows(2) {
-        htasks.push(build.build(&sorted[w[0]..w[1]])?);
-    }
-    Ok(FusionPlan {
-        htasks,
-        predicted: best_val,
-    })
 }
 
 /// Lifetime counters of an [`IncrementalPlanner`]. Monotone — callers diff
@@ -352,38 +224,43 @@ impl RangeRow {
     }
 }
 
-/// Rows below this many pending extensions run serially — scoped-thread
-/// fan-out costs more than a handful of O(width) row builds.
-const PAR_ROWS_MIN: usize = 8;
+/// Rows below this many pending extensions run serially. A thread scope
+/// costs more than the rows of a small plan: on a 2-vCPU host an 8-task
+/// corpus-backed `plan_estimate` took ~185 µs serial and ~250–290 µs
+/// fanned out, while a planner-scale fill (thousands of rows) still gains
+/// from the threads.
+pub(crate) const PAR_ROWS_MIN: usize = 64;
 
-/// Persistent Eq. 6 fusion-DP state that survives membership changes.
+/// The Eq. 6 fusion DP: the sorted task list, per-row range values
+/// (`RangeRow`) and the `G` arrays, kept alive across membership changes.
 ///
-/// [`fuse_tasks`] rebuilds the full `(lat, fits)` value tables and DP on
-/// every call — O(M²) work per membership delta. This planner keeps the
-/// sorted task list, the per-range value tables (`RangeRow`), and the
-/// DP arrays alive across replans:
+/// [`fuse_tasks`] plans once on a cold planner (no rows filled, the whole
+/// DP stale). A warm planner — grown with [`insert`](Self::insert),
+/// [`remove`](Self::remove) or [`sync`](Self::sync) — replans only what
+/// its deltas invalidated:
 ///
-/// * Tasks stay sorted by `(tokens_per_micro_batch, id)` — the same total
-///   order [`sort_by_tokens`] uses — so an insert or remove lands at one
-///   sorted position `k` and invalidates **only the ranges crossing `k`**
-///   and the DP suffix `g[k+1..]`. Every other stored value is reused
-///   verbatim, which is what makes the result bit-for-bit identical to a
-///   from-scratch [`fuse_tasks`] run: reused entries are the same floats,
-///   and the recomputed suffix runs the same recurrence in the same order.
-/// * Freshly-needed range builds are evaluated in parallel across rows via
-///   the rayon shim (deterministically: results are applied in ascending
-///   row order, and each row's candidates are evaluated in ascending `b`,
-///   matching the from-scratch fill's error ordering).
+/// * Tasks stay in [`sort_by_tokens`] order, so an insert or remove lands
+///   at one sorted position `k` and invalidates **only the ranges
+///   crossing `k`** and the DP suffix `g[k+1..]`. Every other stored value
+///   is reused verbatim, which is what makes a warm plan bit-for-bit
+///   identical to a cold one on the same membership: reused entries are
+///   the same floats, and the recomputed suffix runs the same recurrence
+///   in the same order.
+/// * Once `PAR_ROWS_MIN` rows need range builds, they are evaluated in
+///   parallel across rows via the rayon shim (deterministically: results
+///   are applied in ascending row order, and each row's candidates are
+///   evaluated in ascending `b`, so the first error is the one a serial
+///   fill meets).
 /// * A `plan()` with no pending deltas returns the cached [`FusionPlan`]
 ///   without building a single range (the no-op replan path — e.g. a
 ///   fault clear with unchanged membership).
 ///
-/// The tables themselves are trimmed: padded rows store only the feasible
+/// The rows themselves are trimmed: padded rows store only the feasible
 /// prefix of widths (memory is monotone in range width), so a warm planner
 /// at M=16384 holds O(M·W) entries, not the O(M²) a dense table would need.
 #[derive(Default)]
 pub struct IncrementalPlanner {
-    /// Owned tasks, sorted ascending by `(tokens_per_micro_batch, id)`.
+    /// Owned tasks, in [`sort_by_tokens`] order.
     tasks: Vec<PeftTask>,
     /// Per-slot content fingerprint (task shape + corpus), caller-defined:
     /// a changed fingerprint re-inserts the task, invalidating its ranges.
@@ -408,6 +285,21 @@ impl IncrementalPlanner {
     /// [`insert`](Self::insert).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A planner over `sorted` (already in [`sort_by_tokens`] order) with
+    /// no values yet: one empty row per task and the DP stale from prefix
+    /// 1, so the next [`plan`](Self::plan) fills everything. Unlike
+    /// [`insert`](Self::insert) it applies no deltas, so a cold plan
+    /// records no invalidation work.
+    fn cold(sorted: &[&PeftTask]) -> Self {
+        Self {
+            tasks: sorted.iter().map(|&t| t.clone()).collect(),
+            fps: vec![0; sorted.len()],
+            rows: vec![RangeRow::default(); sorted.len()],
+            dp_from: Some(1),
+            ..Self::default()
+        }
     }
 
     /// Current membership size.
@@ -441,10 +333,6 @@ impl IncrementalPlanner {
         self.cached.as_ref()
     }
 
-    fn sort_key(task: &PeftTask) -> (usize, TaskId) {
-        (task.tokens_per_micro_batch(), task.id)
-    }
-
     /// Inserts `task` at its sorted position, invalidating only the ranges
     /// that cross it. `fingerprint` is an opaque content hash (e.g. over
     /// the task's corpus); [`sync`](Self::sync) re-inserts a task whose
@@ -455,8 +343,8 @@ impl IncrementalPlanner {
             "duplicate task id {}",
             task.id
         );
-        let key = Self::sort_key(&task);
-        let k = self.tasks.partition_point(|t| Self::sort_key(t) < key);
+        let key = sort_key(&task);
+        let k = self.tasks.partition_point(|t| sort_key(t) < key);
         self.tasks.insert(k, task);
         self.fps.insert(k, fingerprint);
         self.rows.insert(k, RangeRow::default());
@@ -527,10 +415,11 @@ impl IncrementalPlanner {
         deltas
     }
 
-    /// Runs the Eq. 6 DP over the persisted tables, rebuilding only what
-    /// pending deltas invalidated, and returns a plan bit-for-bit equal to
-    /// `fuse_tasks(cm, tasks, FusionPolicy::Dp, build)` on the same
-    /// membership.
+    /// Runs the Eq. 6 DP over the persisted rows, building only what is
+    /// missing (everything on a cold planner, what pending deltas
+    /// invalidated on a warm one). A warm plan is bit-for-bit equal to a
+    /// cold one — `fuse_tasks(cm, tasks, FusionPolicy::Dp, build)` — on
+    /// the same membership.
     ///
     /// With no pending deltas the cached plan is returned without any
     /// range builds. `cm` and `build` must describe the same planning
@@ -624,7 +513,7 @@ impl IncrementalPlanner {
         let mut first_err = None;
         for (&a, res) in todo.iter().zip(results) {
             // Apply in ascending row order; surface the first error in the
-            // same (a asc, b asc) order the from-scratch fill would.
+            // same (a asc, b asc) order a serial fill would.
             match res {
                 Ok((lat, fits)) => {
                     built += lat.len() as u64;
@@ -645,17 +534,14 @@ impl IncrementalPlanner {
             }
         }
         self.stats.ranges_built += built;
-        if built > 0 {
-            mux_obs::incr_counter("planner.candidates", built);
-        }
         if let Some(e) = first_err {
             return Err(e);
         }
 
-        // Recompute the invalidated DP suffix only — the same recurrence,
-        // iteration order, and strict-< tie-break as `fuse_dp`, with the
-        // transition window bounded by the widest stored row (anything
-        // wider is provably infeasible and would be skipped anyway).
+        // Recompute the invalidated DP suffix only (all of it on a cold
+        // planner), in ascending prefix order with a strict-< tie-break.
+        // The transition window is bounded by the widest stored row:
+        // anything wider is provably infeasible and would be skipped.
         const INF: f64 = f64::INFINITY;
         self.g.resize(m + 1, INF);
         self.choice.resize(m + 1, usize::MAX);
@@ -751,7 +637,7 @@ pub fn fuse_dp_seed(
     let m = sorted.len();
     let s = cm.num_stages() as f64;
     // Memoized hTask + latency per contiguous range, cloned on every probe
-    // (the seed behaviour the value tables replace).
+    // (the seed behaviour the planner's range rows replace).
     let mut range_cache: Vec<Vec<Option<(HTask, f64, bool)>>> = vec![vec![None; m + 1]; m];
     let mut range = |a: usize, b: usize| -> Result<(HTask, f64, bool), PlanError> {
         if range_cache[a][b].is_none() {

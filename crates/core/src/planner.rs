@@ -283,14 +283,17 @@ fn context_fingerprint(registry: &TaskRegistry, cluster: &Cluster, cfg: &Planner
     mux_obs::fingerprint::fnv1a_64(ctx.as_bytes())
 }
 
-/// [`plan_estimate`] with persisted planner state: the Eq. 6 value tables
-/// and DP arrays survive membership changes inside an
-/// [`IncrementalPlanner`], so a replan costs only the work the delta
-/// invalidated (and a replan with *no* delta — e.g. a fault clear with
-/// unchanged membership — costs zero range builds). Throughput results are
-/// bitwise-identical to calling [`plan_estimate`] from scratch on the same
-/// membership: reused range values are the same floats, and the recomputed
-/// DP suffix runs the same recurrence in the same order.
+/// [`plan_estimate`] with persisted planner state: where [`plan_estimate`]
+/// runs a cold [`IncrementalPlanner`] per call, this keeps one warm, so a
+/// replan costs only the work the delta invalidated (and a replan with
+/// *no* delta — e.g. a fault clear with unchanged membership — costs zero
+/// range builds). Throughput results are bitwise-identical to
+/// [`plan_estimate`] on the same membership: reused range values are the
+/// same floats, and the recomputed DP suffix runs the same recurrence in
+/// the same order.
+///
+/// Each estimate adds the ranges it built to the `planner.candidates`
+/// counter, so a no-op replan leaves it flat.
 ///
 /// One estimator serves one planning context (instance). A context change
 /// — degraded parallelism plan, shrunk cluster, new alignment — is
@@ -363,9 +366,15 @@ impl IncrementalEstimator {
             self.cached_throughput = None;
         }
         let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
+        let before = self.planner.stats().ranges_built;
         let fusion = with_range_build(corpora, cfg, &self.packs, |build| {
             self.planner.plan(&cm, build)
-        })?;
+        });
+        let built = self.planner.stats().ranges_built - before;
+        if built > 0 {
+            mux_obs::incr_counter("planner.candidates", built);
+        }
+        let fusion = fusion?;
         let tp = estimate_throughput(&cm, &fusion);
         self.cached_throughput = Some(tp);
         Ok(tp)
@@ -603,6 +612,7 @@ fn plan_and_run_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::fuse_dp_seed;
     use mux_data::corpus::{Corpus, DatasetKind};
     use mux_gpu_sim::spec::{GpuSpec, LinkSpec};
     use mux_model::config::ModelConfig;
@@ -788,8 +798,9 @@ mod tests {
 
     #[test]
     fn estimator_drops_the_packings_of_departed_and_reshaped_tasks() {
-        // Ten tasks, so the cold fill fans its rows out across threads.
-        let mut r = registry(10, 128);
+        // Enough tasks that cold fills fan their rows out across threads,
+        // all of them packing through one shared memo.
+        let mut r = registry(crate::fusion::PAR_ROWS_MIN + 1, 128);
         let corp = corpora(&r, DatasetKind::OpenBookQa);
         let (c, cfg) = (
             cluster(4),
@@ -800,6 +811,15 @@ mod tests {
             let got = inc.estimate(r, &c, &corp, &cfg).expect("estimate");
             let scratch = plan_estimate(r, &c, &corp, &cfg).expect("scratch");
             assert_eq!(got.to_bits(), scratch.to_bits(), "{got} vs {scratch}");
+            // The seed DP shares no code with the planner.
+            let cm = CostModel::new(r, c.gpus[0].clone(), cfg.plan);
+            let tasks: Vec<&PeftTask> = r.tasks().collect();
+            let seed = with_range_build(&corp, &cfg, &PackMemo::default(), |build| {
+                fuse_dp_seed(&cm, &tasks, build)
+            })
+            .expect("seed");
+            let fused = inc.fusion_plan().expect("planned").predicted;
+            assert_eq!(fused.to_bits(), seed.predicted.to_bits());
             let packs = inc.packs.packs.read().expect("pack memo lock");
             let packed = |id| packs.keys().filter(|(t, _)| *t == id).count();
             (packed(1), packed(3))

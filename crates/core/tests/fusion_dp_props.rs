@@ -1,11 +1,12 @@
-//! Property tests: the Eq. 6 fusion DP is exact and the value-table
-//! refactor is a pure optimization. For M ≤ 8 tasks the contiguous
+//! Property tests: the Eq. 6 fusion DP is exact and the planner's
+//! recurrence is a pure optimization. For M ≤ 8 tasks the contiguous
 //! partitions of the sorted task list can be enumerated outright
 //! (2^(M-1) of them); the DP's chosen objective must equal the
 //! brute-force optimum under the same cost model and memory filter, the
 //! returned plan must itself be feasible and correctly priced, and the
-//! O(M²) value-table DP must reproduce the seed O(M³) implementation's
-//! optimum bit for bit.
+//! O(M²) planner — cold or warm — must reproduce the seed O(M³)
+//! implementation's optimum bit for bit. The seed shares no code with
+//! `IncrementalPlanner`, so it is the independent reference.
 
 use std::collections::BTreeMap;
 
@@ -35,13 +36,26 @@ fn registry(shapes: &[(usize, usize)]) -> TaskRegistry {
     r
 }
 
-/// Objective of one contiguous partition (Eq. 6 unrolled):
+/// The hTask `build` makes for `members`.
+fn build_range(build: &RangeBuild<'_>, members: &[&PeftTask]) -> HTask {
+    match build {
+        RangeBuild::Custom(f) => f(members).expect("range builds"),
+        RangeBuild::Padded { micro_batches } => HTask::from_padded(members, *micro_batches),
+    }
+}
+
+/// Objective of one contiguous partition (Eq. 6 unrolled) under `build`:
 /// `L(part_1) + Σ_{j≥2} L(part_j)/S`, or `None` if any part violates the
 /// memory filter.
-fn partition_objective(cm: &CostModel<'_>, sorted: &[&PeftTask], cuts: &[usize]) -> Option<f64> {
+fn partition_objective(
+    cm: &CostModel<'_>,
+    sorted: &[&PeftTask],
+    cuts: &[usize],
+    build: &RangeBuild<'_>,
+) -> Option<f64> {
     let mut total = 0.0;
     for (j, w) in cuts.windows(2).enumerate() {
-        let h = HTask::from_padded(&sorted[w[0]..w[1]], MBS);
+        let h = build_range(build, &sorted[w[0]..w[1]]);
         if !cm.fits_memory(std::slice::from_ref(&h), cm.num_stages()) {
             return None;
         }
@@ -58,6 +72,7 @@ fn partition_objective(cm: &CostModel<'_>, sorted: &[&PeftTask], cuts: &[usize])
 /// Exhaustively scores every contiguous partition of `sorted` (bitmask
 /// over the M-1 possible cut points) and returns the feasible minimum.
 fn brute_force_optimum(cm: &CostModel<'_>, sorted: &[&PeftTask]) -> Option<f64> {
+    let padded = RangeBuild::Padded { micro_batches: MBS };
     let m = sorted.len();
     let mut best: Option<f64> = None;
     for mask in 0u32..(1 << (m - 1)) {
@@ -68,7 +83,7 @@ fn brute_force_optimum(cm: &CostModel<'_>, sorted: &[&PeftTask]) -> Option<f64> 
             }
         }
         cuts.push(m);
-        if let Some(obj) = partition_objective(cm, sorted, &cuts) {
+        if let Some(obj) = partition_objective(cm, sorted, &cuts, &padded) {
             best = Some(best.map_or(obj, |b: f64| b.min(obj)));
         }
     }
@@ -91,16 +106,12 @@ fn churn_strategy() -> impl Strategy<Value = Vec<ChurnOp>> {
     )
 }
 
-/// Asserts the warm [`IncrementalPlanner`] and a from-scratch
-/// [`fuse_tasks`] run agree bitwise on the current membership — same
-/// predicted objective, same hTask cuts, or the same typed error.
-fn assert_matches_scratch(
-    r: &TaskRegistry,
+/// Corpus-backed range builder (chunk-based alignment); ranges with a
+/// member lacking a corpus fall back to the padded build.
+fn corpus_build(
     corpora: &BTreeMap<TaskId, Vec<usize>>,
-    inc: &mut IncrementalPlanner,
-) -> Result<(), TestCaseError> {
-    let cm = CostModel::new(r, GpuSpec::a40(), HybridParallelism::pipeline(4));
-    let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
+) -> impl Fn(&[&PeftTask]) -> Result<HTask, PlanError> + Sync + '_ {
+    move |members: &[&PeftTask]| {
         let have_all = members.iter().all(|t| corpora.contains_key(&t.id));
         if have_all {
             let lens: Vec<Vec<usize>> = members.iter().map(|t| corpora[&t.id].clone()).collect();
@@ -113,7 +124,27 @@ fn assert_matches_scratch(
         } else {
             Ok(HTask::from_padded(members, MBS))
         }
-    };
+    }
+}
+
+/// A corpus for task `id` of micro-batch `mb`, cycling through three
+/// datasets.
+fn corpus(id: TaskId, mb: usize) -> Vec<usize> {
+    let kind = [DatasetKind::Sst2, DatasetKind::OpenBookQa, DatasetKind::Rte][(id as usize) % 3];
+    Corpus::generate(kind, MBS * mb, id as u64).lengths
+}
+
+/// Asserts the warm [`IncrementalPlanner`] and a from-scratch
+/// [`fuse_tasks`] run agree bitwise on the current membership — same
+/// predicted objective, same hTask cuts, or the same typed error — and
+/// that the warm objective equals the seed DP's bit for bit.
+fn assert_matches_scratch(
+    r: &TaskRegistry,
+    corpora: &BTreeMap<TaskId, Vec<usize>>,
+    inc: &mut IncrementalPlanner,
+) -> Result<(), TestCaseError> {
+    let cm = CostModel::new(r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+    let custom = corpus_build(corpora);
     let build = if corpora.is_empty() {
         RangeBuild::Padded { micro_batches: MBS }
     } else {
@@ -128,6 +159,17 @@ fn assert_matches_scratch(
     } else {
         inc.plan(&cm, &build)
     };
+    match (&warm, fuse_dp_seed(&cm, &tasks, &build)) {
+        (Ok(a), Ok(s)) => prop_assert_eq!(
+            a.predicted.to_bits(),
+            s.predicted.to_bits(),
+            "incremental {} vs seed {}",
+            a.predicted,
+            s.predicted
+        ),
+        (Err(a), Err(s)) => prop_assert_eq!(a, &s),
+        (a, s) => prop_assert!(false, "divergence: incremental {:?} vs seed {:?}", a, s),
+    }
     match (warm, scratch) {
         (Ok(a), Ok(b)) => {
             prop_assert_eq!(
@@ -157,12 +199,7 @@ fn run_churn(ops: &[ChurnOp], with_corpora: bool) -> Result<(), TestCaseError> {
             r.register_task(PeftTask::lora(next_id, 16, mb, seq))
                 .expect("fresh id");
             if with_corpora {
-                let kind = [DatasetKind::Sst2, DatasetKind::OpenBookQa, DatasetKind::Rte]
-                    [(next_id as usize) % 3];
-                corpora.insert(
-                    next_id,
-                    Corpus::generate(kind, MBS * mb, next_id as u64).lengths,
-                );
+                corpora.insert(next_id, corpus(next_id, mb));
             }
             next_id += 1;
         } else if !r.is_empty() {
@@ -227,7 +264,7 @@ proptest! {
                 Some(*acc)
             }))
             .collect();
-        let repriced = partition_objective(&cm, &sorted, &cuts)
+        let repriced = partition_objective(&cm, &sorted, &cuts, &build)
             .expect("chosen plan must satisfy the memory filter");
         prop_assert!(
             (repriced - plan.predicted).abs() / plan.predicted.max(1e-12) < 1e-9,
@@ -243,45 +280,56 @@ proptest! {
         prop_assert_eq!(flat, expect);
     }
 
-    /// The cache refactor is value-preserving: the O(M²) value-table DP
-    /// and the seed O(M³) clone-cache DP see the exact same candidate
-    /// sums (left-to-right association in both), so their optima must be
-    /// bitwise identical — as must each returned plan's re-priced
-    /// objective.
+    /// The planner's recurrence is value-preserving: a cold
+    /// `IncrementalPlanner` (via `fuse_tasks`) and the seed O(M³)
+    /// clone-cache DP see the exact same candidate sums (left-to-right
+    /// association in both), so their optima must be bitwise identical —
+    /// as must each returned plan's re-priced objective. Checked on the
+    /// padded build and on the corpus-backed build that `Simulate` and
+    /// `Estimate` replans fuse with.
     #[test]
     fn value_table_dp_is_bitwise_identical_to_seed(shapes in shape_strategy()) {
         let r = registry(&shapes);
         let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
-        let build = RangeBuild::Padded { micro_batches: MBS };
-        let new = fuse_tasks(&cm, &tasks, FusionPolicy::Dp, &build);
-        let seed = fuse_dp_seed(&cm, &tasks, &build);
-        match (new, seed) {
-            (Ok(n), Ok(s)) => {
-                prop_assert_eq!(
-                    n.predicted.to_bits(),
-                    s.predicted.to_bits(),
-                    "value-table {} vs seed {}",
-                    n.predicted,
-                    s.predicted
-                );
-                // Tie-broken *partitions* may differ; both must price to
-                // the shared optimum.
-                let sorted = sort_by_tokens(&tasks);
-                for plan in [&n, &s] {
-                    let cuts: Vec<usize> = std::iter::once(0)
-                        .chain(plan.htasks.iter().scan(0, |acc, h| {
-                            *acc += h.tasks.len();
-                            Some(*acc)
-                        }))
-                        .collect();
-                    let repriced = partition_objective(&cm, &sorted, &cuts)
-                        .expect("chosen plan must be feasible");
-                    prop_assert_eq!(repriced.to_bits(), n.predicted.to_bits());
+        let corpora: BTreeMap<TaskId, Vec<usize>> = r
+            .tasks()
+            .map(|t| (t.id, corpus(t.id, t.micro_batch)))
+            .collect();
+        let custom = corpus_build(&corpora);
+        let sorted = sort_by_tokens(&tasks);
+        for build in [
+            RangeBuild::Padded { micro_batches: MBS },
+            RangeBuild::Custom(&custom),
+        ] {
+            let new = fuse_tasks(&cm, &tasks, FusionPolicy::Dp, &build);
+            let seed = fuse_dp_seed(&cm, &tasks, &build);
+            match (new, seed) {
+                (Ok(n), Ok(s)) => {
+                    prop_assert_eq!(
+                        n.predicted.to_bits(),
+                        s.predicted.to_bits(),
+                        "planner {} vs seed {}",
+                        n.predicted,
+                        s.predicted
+                    );
+                    // Tie-broken *partitions* may differ; both must price
+                    // to the shared optimum.
+                    for plan in [&n, &s] {
+                        let cuts: Vec<usize> = std::iter::once(0)
+                            .chain(plan.htasks.iter().scan(0, |acc, h| {
+                                *acc += h.tasks.len();
+                                Some(*acc)
+                            }))
+                            .collect();
+                        let repriced = partition_objective(&cm, &sorted, &cuts, &build)
+                            .expect("chosen plan must be feasible");
+                        prop_assert_eq!(repriced.to_bits(), n.predicted.to_bits());
+                    }
                 }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (n, s) => prop_assert!(false, "divergence: new {:?} vs seed {:?}", n, s),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (n, s) => prop_assert!(false, "divergence: new {:?} vs seed {:?}", n, s),
         }
     }
 

@@ -53,11 +53,13 @@ pub struct ReplayOptions {
     /// hopeless even under this optimism are refused.
     pub peak_tokens_per_second: f64,
     /// Re-pricing mode for the service. Defaults to the cost-model fast
-    /// path ([`ReplanMode::Estimate`]) — the simulator-validated mode is
-    /// ~100× slower per membership change, prohibitive at 10⁴–10⁵ jobs.
-    /// [`ReplanMode::Incremental`] prices identically to `Estimate` but
-    /// reuses each instance's warm fusion tables across replans — the
-    /// right choice under heavy same-instance churn.
+    /// path on a warm per-instance planner ([`ReplanMode::Incremental`]),
+    /// which rebuilds only the fusion ranges a membership change
+    /// invalidated — the simulator-validated mode is ~100× slower per
+    /// change, prohibitive at 10⁴–10⁵ jobs. [`ReplanMode::Estimate`] runs
+    /// the same planner cold on every replan; it prices bit for bit the
+    /// same and is kept as the reference the incremental replay is
+    /// diffed against.
     pub replan_mode: ReplanMode,
     /// Per-tenant fair-share weights (absent tenants weigh 1.0).
     pub tenant_weights: BTreeMap<String, f64>,
@@ -74,7 +76,7 @@ impl Default for ReplayOptions {
             backbone_layers: Some(8),
             admission: Admission::BestEffort,
             peak_tokens_per_second: 500_000.0,
-            replan_mode: ReplanMode::Estimate,
+            replan_mode: ReplanMode::Incremental,
             tenant_weights: BTreeMap::new(),
             fault_plan: None,
             fault_dt: 0.25,
