@@ -91,7 +91,9 @@ impl TenantUsage {
     }
 }
 
-/// How a policy orders the pending queue.
+/// How a policy orders the pending queue: *which* pending job goes next.
+/// Where it then runs is the service's
+/// [`DispatchPolicy`](crate::service::DispatchPolicy).
 ///
 /// A policy is a **scoring function**: [`SchedulingPolicy::score`] maps
 /// each pending job to an f64 where **lower wins**, and the provided

@@ -33,8 +33,9 @@ use crate::job::{Job, JobId, JobSpec, JobState};
 use crate::journal::{DecisionCandidate, EventKind, Journal, ReplayState};
 use crate::serving::{self, RequestSpec, ServingConfig, ServingRuntime};
 
-/// Dispatch policies (§3.1 mentions budget-based Kubernetes scheduling;
-/// §6 sketches multiplexing-aware variants).
+/// Dispatch policies: *where* a job runs (§3.1 mentions budget-based
+/// Kubernetes scheduling; §6 sketches multiplexing-aware variants). Which
+/// pending job goes next is a [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Prefer the least-loaded in-flight instance with the same backbone;
@@ -400,8 +401,8 @@ impl StallTotals {
 impl TracedInstance {
     /// Inserts the report's plan outcome for this instance into `m`:
     /// makespan and utilization, per-device compute-lane occupancy, the
-    /// legacy 3-way stall breakdown, the 5-class attribution with its
-    /// conservation-checked window, the stall share, and the critical path.
+    /// 5-class attribution rows with their conservation-checked window,
+    /// the stall share, and the critical path.
     fn insert_json(&self, m: &mut Map) {
         let metrics = &self.report.metrics;
         let mut busy = vec![0.0f64; self.devices];
@@ -423,40 +424,16 @@ impl TracedInstance {
                 })
             })
             .collect();
-        let breakdown: Vec<Value> = mux_gpu_sim::stall_breakdown(&self.ops, self.devices)
-            .iter()
-            .map(|b| {
-                json!({
-                    "device": b.device,
-                    "bubble_seconds": b.bubble_seconds,
-                    "comm_seconds": b.comm_seconds,
-                    "dependency_seconds": b.dependency_seconds,
-                })
-            })
-            .collect();
-        let attribution: Vec<Value> = self
+        let attribution = self
             .attribution
             .iter()
-            .map(|d| {
-                let mut am = Map::new();
-                am.insert("device".into(), d.device.into());
-                am.insert("window_seconds".into(), d.window.into());
-                am.insert("busy_seconds".into(), d.busy_seconds.into());
-                for class in StallClass::ALL {
-                    am.insert(
-                        format!("{}_seconds", class.name()),
-                        d.class_seconds(class).into(),
-                    );
-                }
-                Value::Object(am)
-            })
+            .map(DeviceAttribution::to_json)
             .collect();
         for (key, value) in [
             ("makespan_seconds", metrics.makespan.into()),
             ("effective_throughput", metrics.effective_throughput.into()),
             ("mean_utilization", metrics.mean_utilization.into()),
             ("devices", Value::Array(devices)),
-            ("stall_breakdown", Value::Array(breakdown)),
             ("attribution", Value::Array(attribution)),
             ("stall_share", self.stalls.share().into()),
             ("critical_path", critical_path(&self.ops).to_json(16)),
@@ -648,11 +625,6 @@ impl FineTuneService {
         self.instances[i].registry.len()
     }
 
-    /// Backbone hosted by instance `i`.
-    pub fn instance_backbone(&self, i: usize) -> &str {
-        &self.instances[i].backbone_name
-    }
-
     /// Whether a `backbone` job submitted now could be placed (or at
     /// least queued with a live host to wait for) instead of being
     /// permanently starved: either a same-backbone instance exists, or
@@ -665,11 +637,6 @@ impl FineTuneService {
             .map(|v| !v.is_empty())
             .unwrap_or(false)
             || self.capacity_left() > 0
-    }
-
-    /// Instances the pool can still spin up.
-    pub fn instance_headroom(&self) -> usize {
-        self.capacity_left()
     }
 
     /// Cluster-wide co-location slot capacity: every possible instance
@@ -797,31 +764,37 @@ impl FineTuneService {
         }
     }
 
+    /// The live instance a `backbone` job joins under the configured
+    /// [`DispatchPolicy`], if any: the least-loaded same-backbone instance
+    /// with a free slot, or (dedicated) an empty one, since a completed job
+    /// releases its slot and instances are never shared.
+    fn dispatch_target(&self, backbone: &str) -> Option<usize> {
+        let same_backbone = self.by_backbone.get(backbone).map(Vec::as_slice);
+        let mut candidates = same_backbone.unwrap_or(&[]).iter().copied();
+        let load = |i: usize| self.instances[i].registry.len();
+        match self.cfg.dispatch {
+            DispatchPolicy::SameBackboneFirst => candidates
+                .filter(|&i| load(i) < self.cfg.max_tasks_per_instance)
+                .min_by_key(|&i| load(i)),
+            DispatchPolicy::DedicatedInstances => candidates.find(|&i| load(i) == 0),
+        }
+    }
+
+    /// Whether a `backbone` job submitted now dispatches at once, joining
+    /// a live instance or spinning up a new one, instead of queueing inside
+    /// the service. Admission layers that keep their own pending queue
+    /// (the workload replayer) consult this to submit only what places.
+    pub fn dispatches_now(&self, backbone: &str) -> bool {
+        self.dispatch_target(backbone).is_some() || self.capacity_left() > 0
+    }
+
     fn dispatch_queued(&mut self) {
         for _ in 0..self.queue.len() {
             let Some(id) = self.queue.pop_front() else {
                 break;
             };
             let spec = self.jobs[&id].spec.clone();
-            let same_backbone = self
-                .by_backbone
-                .get(&spec.backbone)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let target = match self.cfg.dispatch {
-                DispatchPolicy::SameBackboneFirst => same_backbone
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.instances[i].registry.len() < self.cfg.max_tasks_per_instance)
-                    .min_by_key(|&i| self.instances[i].registry.len()),
-                // Dedicated instances: reuse an *empty* same-backbone
-                // instance (a completed job releases its slot), never share.
-                DispatchPolicy::DedicatedInstances => same_backbone
-                    .iter()
-                    .copied()
-                    .find(|&i| self.instances[i].registry.is_empty()),
-            };
-            let target = match target {
+            let target = match self.dispatch_target(&spec.backbone) {
                 Some(i) => Some(i),
                 None if self.capacity_left() > 0 => {
                     match self.backbone_config(&spec.backbone) {
@@ -864,7 +837,7 @@ impl FineTuneService {
                         }
                     }
                 }
-                None if same_backbone.is_empty() => {
+                None if !self.can_host(&spec.backbone) => {
                     // No same-backbone instance exists and the pool is
                     // full. Instances are never torn down, so capacity
                     // can only shrink: the job is permanently starved.
@@ -1941,11 +1914,11 @@ impl FineTuneService {
 
     /// Builds the service's observability report as JSON: the job table
     /// with **per-job throughput, stall share, ETA, and SLO verdicts**;
-    /// per-instance plan outcomes with per-device utilization, a 5-class
+    /// per-instance plan outcomes with per-device utilization, the 5-class
     /// **stall attribution** (pipeline bubble / comm wait / dependency
     /// wait / alignment imbalance / fault recovery, from a traced re-plan
-    /// of the current membership) alongside the legacy 3-way breakdown,
-    /// and the **critical path** through the instance's timeline; the
+    /// of the current membership; the one stall model every breakdown
+    /// reads), and the **critical path** through the instance's timeline; the
     /// tenant, capacity, alert, fault and serving sections; and the
     /// `mux-obs` registry — planner phase wall times, counters, gauges,
     /// and histograms — collected while those re-plans ran.
@@ -2743,7 +2716,7 @@ mod tests {
             let busy = d["busy_fraction"].as_f64().expect("busy fraction");
             assert!(busy > 0.0 && busy <= 1.0, "busy {busy}");
         }
-        let stalls = inst["stall_breakdown"].as_array().expect("stall breakdown");
+        let stalls = inst["attribution"].as_array().expect("stall attribution");
         assert_eq!(stalls.len(), 4);
         let obs = &rep["observability"];
         let phases = obs["phases"].as_object().expect("phases");
@@ -3576,7 +3549,7 @@ mod tests {
         // The instance re-planned onto its 3 surviving devices: every
         // per-device array has 3 rows, with no phantom for the lost one.
         let row = &rep["instances"][0];
-        for key in ["devices", "stall_breakdown", "attribution"] {
+        for key in ["devices", "attribution"] {
             assert_eq!(row[key].as_array().map(Vec::len), Some(3), "{key}");
         }
     }

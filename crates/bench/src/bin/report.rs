@@ -98,11 +98,10 @@ use mux_bench::harness::{
     service_telemetry_step, sketch_overhead_measurement, telemetry_overhead_measurement,
     trace_replay_measurement, write_profile_artifacts, PLANNER_SCALE_M, SERVICE_TELEMETRY_TICKS,
 };
-use mux_gpu_sim::{chrome_trace, stall_breakdown};
 use mux_obs_analysis::{
     analyze_journal, check_baseline_with_work, device_attribution, explain_job,
-    lifecycle_chrome_trace, parse_profile, profile_diff, render_profile_diff, PerfBaseline,
-    PerfMeasurement, StallClass, WorkCounts,
+    lifecycle_chrome_trace, parse_profile, profile_diff, render_profile_diff,
+    timeline_chrome_trace, PerfBaseline, PerfMeasurement, StallClass, WorkCounts,
 };
 
 /// The experiment ids the bench suite produces, with one-line descriptions,
@@ -213,7 +212,7 @@ fn emit_trace(path: &Path) -> Result<(), String> {
     let _on = mux_obs::enabled_scope();
     mux_obs::reset();
     let (report, ops, num_devices) = fig14_trace_scenario();
-    let trace = chrome_trace(&ops, num_devices);
+    let trace = timeline_chrome_trace(&ops, num_devices);
     let body = serde_json::to_string_pretty(&trace).map_err(|e| format!("serialize trace: {e}"))?;
     write_file(path, &body)?;
     println!(
@@ -230,11 +229,12 @@ fn emit_trace(path: &Path) -> Result<(), String> {
         &serde_json::to_string_pretty(&attr).map_err(|e| format!("serialize attribution: {e}"))?,
     )?;
     println!("wrote {}", attr_path.display());
-    for b in stall_breakdown(&ops, num_devices) {
-        println!(
-            "  GPU {}: stalls bubble={:.4}s comm={:.4}s dependency={:.4}s",
-            b.device, b.bubble_seconds, b.comm_seconds, b.dependency_seconds
-        );
+    for d in device_attribution(&ops, num_devices) {
+        let classes: Vec<String> = StallClass::ALL
+            .iter()
+            .map(|&c| format!("{}={:.4}s", c.name(), d.class_seconds(c)))
+            .collect();
+        println!("  GPU {}: stalls {}", d.device, classes.join(" "));
     }
     let snap = mux_obs::snapshot();
     for (name, stat) in &snap.phases {

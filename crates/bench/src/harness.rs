@@ -10,11 +10,12 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mux_data::corpus::{Corpus, DatasetKind};
-use mux_gpu_sim::chrome_trace::chrome_trace;
 use mux_gpu_sim::spec::{GpuSpec, LinkSpec};
 use mux_gpu_sim::timeline::{Cluster, OpRecord};
 use mux_model::config::ModelConfig;
-use mux_obs_analysis::{critical_path, device_attribution, PerfMeasurement, StallClass};
+use mux_obs_analysis::{
+    critical_path, device_attribution, timeline_chrome_trace, DeviceAttribution, PerfMeasurement,
+};
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
 use mux_peft::types::{PeftTask, TaskId};
@@ -189,7 +190,7 @@ pub fn write_trace_file(
 ) -> Option<PathBuf> {
     fs::create_dir_all(dir).ok()?;
     let path = dir.join(format!("{id}.trace.json"));
-    let body = serde_json::to_string_pretty(&chrome_trace(ops, num_devices)).ok()?;
+    let body = serde_json::to_string_pretty(&timeline_chrome_trace(ops, num_devices)).ok()?;
     fs::write(&path, body).ok()?;
     Some(path)
 }
@@ -198,22 +199,9 @@ pub fn write_trace_file(
 /// per-device 5-class breakdown (with the conservation window) and the
 /// critical-path summary.
 pub fn attribution_json(ops: &[OpRecord], num_devices: usize) -> serde_json::Value {
-    let attribution = device_attribution(ops, num_devices);
-    let devices: Vec<serde_json::Value> = attribution
+    let devices = device_attribution(ops, num_devices)
         .iter()
-        .map(|d| {
-            let mut m = serde_json::Map::new();
-            m.insert("device".into(), d.device.into());
-            m.insert("window_seconds".into(), d.window.into());
-            m.insert("busy_seconds".into(), d.busy_seconds.into());
-            for class in StallClass::ALL {
-                m.insert(
-                    format!("{}_seconds", class.name()),
-                    d.class_seconds(class).into(),
-                );
-            }
-            serde_json::Value::Object(m)
-        })
+        .map(DeviceAttribution::to_json)
         .collect();
     let mut root = serde_json::Map::new();
     root.insert("devices".into(), serde_json::Value::Array(devices));

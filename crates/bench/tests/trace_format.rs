@@ -1,14 +1,16 @@
 //! Validates the Chrome-trace JSON emitted for the Fig-14 scenario —
 //! the same artifact `report --trace-out` writes. The contract: the JSON
 //! round-trips through the parser, every device exposes at least three
-//! streams (compute / communication / stall lanes), and compute,
-//! collective, and stall categories are all present and distinct.
+//! streams (compute / communication / stall lanes), compute, collective,
+//! and stall categories are all present and distinct, and each device's
+//! stall lane tiles its idle window to the seconds `otherData.attribution`
+//! reports.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use mux_bench::harness::fig14_trace_scenario;
-use mux_gpu_sim::chrome_trace;
+use mux_obs_analysis::{timeline_chrome_trace, StallClass};
 use serde_json::Value;
 
 /// The scenario is a full planner run; compute it once for all tests.
@@ -17,7 +19,7 @@ fn trace() -> &'static (Value, usize, f64) {
     TRACE.get_or_init(|| {
         let (report, ops, num_devices) = fig14_trace_scenario();
         (
-            chrome_trace(&ops, num_devices),
+            timeline_chrome_trace(&ops, num_devices),
             num_devices,
             report.metrics.makespan,
         )
@@ -139,6 +141,48 @@ fn fig14_trace_names_every_device_and_stream() {
         assert!(
             named.contains(&key),
             "stream {key:?} carries events but has no thread_name"
+        );
+    }
+}
+
+#[test]
+fn fig14_stall_lane_tiles_each_device_window() {
+    let (value, num_devices, _) = &trace();
+    let events = value["traceEvents"].as_array().expect("traceEvents array");
+    let rows = value["otherData"]["attribution"]
+        .as_array()
+        .expect("otherData.attribution");
+    assert_eq!(rows.len(), *num_devices, "one attribution row per device");
+    for (d, row) in rows.iter().enumerate() {
+        assert_eq!(row["device"].as_u64(), Some(d as u64));
+        // Per-lane sums in seconds, and how many ns-rounded events each has.
+        let lane = |tid: u64| {
+            let durs: Vec<f64> = events
+                .iter()
+                .filter(|e| e["ph"].as_str() == Some("X"))
+                .filter(|e| e["pid"].as_u64() == Some(d as u64) && e["tid"].as_u64() == Some(tid))
+                .map(|e| e["dur"].as_f64().expect("dur") / 1e6)
+                .collect();
+            (durs.iter().sum::<f64>(), durs.len())
+        };
+        let (busy, busy_count) = lane(0);
+        let (stall, stall_count) = lane(2);
+        let row_stall: f64 = StallClass::ALL
+            .iter()
+            .map(|c| {
+                row[format!("{}_seconds", c.name()).as_str()]
+                    .as_f64()
+                    .expect("class seconds")
+            })
+            .sum();
+        assert!(
+            (stall - row_stall).abs() <= 1e-9 * stall_count.max(1) as f64,
+            "GPU {d}: stall lane sums to {stall}s but the attribution row says {row_stall}s"
+        );
+        let window = row["window_seconds"].as_f64().expect("window");
+        assert!(
+            (busy + stall - window).abs() <= 1e-9 * (busy_count + stall_count) as f64,
+            "GPU {d}: busy {busy}s + stalls {stall}s != window {window}s"
         );
     }
 }

@@ -86,7 +86,7 @@ pub fn plan_and_run(
 }
 
 /// [`plan_and_run`], additionally returning the winning configuration's
-/// full operator trace (export it with `mux_gpu_sim::chrome_trace`).
+/// full operator trace (export it with `mux_obs_analysis::timeline_chrome_trace`).
 ///
 /// When the winner disabled orchestration (per-bucket back-to-back runs),
 /// the per-bucket traces are concatenated on a shifted time axis so the

@@ -11,16 +11,12 @@
 //! stalls, bubbles, saturation, diminishing batching returns, memory
 //! ceilings — is a function of exactly the quantities modeled here.
 
-pub mod chrome_trace;
 pub mod metrics;
 pub mod render;
 pub mod serving;
 pub mod spec;
 pub mod timeline;
 
-pub use chrome_trace::{
-    chrome_trace, stall_breakdown, stall_events, StallBreakdown, StallCause, StallEvent,
-};
 pub use metrics::{
     device_metrics, fault_impact, mean_utilization, utilization_trace, DeviceMetrics, FaultImpact,
     UtilizationTrace,

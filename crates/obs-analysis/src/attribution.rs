@@ -1,10 +1,13 @@
 //! Stall attribution with a conservation guarantee.
 //!
 //! [`attribute_stalls`] assigns *every* idle instant on every device's
-//! compute lane — including the tail between a device's last kernel and the
-//! run's makespan, which the trace exporter's stall lane omits — to one of
-//! five causes and to the hTask(s) responsible. Because the attributed
-//! intervals exactly tile the idle time, each device satisfies
+//! compute lane — including the drain tail between a device's last kernel
+//! and the run's makespan — to one of five causes and to the hTask(s)
+//! responsible. It is the one stall classifier: the timeline trace's stall
+//! lane ([`timeline_chrome_trace`](crate::timeline_chrome_trace)), the
+//! service report's `attribution` rows, prom and the online monitor all
+//! read it. Because the attributed intervals exactly tile the idle time,
+//! each device satisfies
 //!
 //! ```text
 //! busy_seconds + Σ attributed stall seconds == window
@@ -35,14 +38,14 @@
 
 use std::collections::BTreeMap;
 
-use mux_gpu_sim::chrome_trace::blocking_op;
 use mux_gpu_sim::timeline::{OpKind, OpRecord};
+use serde_json::{Map, Value};
 
 use crate::labels::{htask_refs_in_label, HTaskRef};
 
 const EPS: f64 = 1e-9;
 
-/// Why a compute lane sat idle (refines the trace exporter's 3-way split).
+/// Why a compute lane sat idle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StallClass {
     /// Warm-up/drain bubble or P2P-fed stage wait.
@@ -155,6 +158,25 @@ impl DeviceAttribution {
             StallClass::FaultRecovery => self.fault_seconds,
         }
     }
+
+    /// The one JSON row for this device: `{device, window_seconds,
+    /// busy_seconds, <class>_seconds…}` with one key per [`StallClass`].
+    /// The service report's `instances[].attribution`, the
+    /// `<id>.attribution.json` artifacts and a timeline trace's
+    /// `otherData.attribution` all render these rows.
+    pub fn to_json(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("device".into(), self.device.into());
+        m.insert("window_seconds".into(), self.window.into());
+        m.insert("busy_seconds".into(), self.busy_seconds.into());
+        for class in StallClass::ALL {
+            m.insert(
+                format!("{}_seconds", class.name()),
+                self.class_seconds(class).into(),
+            );
+        }
+        Value::Object(m)
+    }
 }
 
 /// One injected-fault interval on one device, in timeline seconds.
@@ -166,6 +188,31 @@ pub struct FaultSpan {
     pub start: f64,
     /// Fault end, seconds.
     pub end: f64,
+}
+
+/// The operator (expanding through zero-duration joins) whose completion
+/// gates `ops[idx]`'s start — the one with the latest end time.
+fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
+    let mut visited = vec![false; ops.len()];
+    let mut stack: Vec<usize> = ops[idx].deps.clone();
+    let mut best: Option<usize> = None;
+    while let Some(i) = stack.pop() {
+        if visited[i] {
+            continue;
+        }
+        visited[i] = true;
+        if ops[i].kind == OpKind::Join {
+            stack.extend_from_slice(&ops[i].deps);
+        } else if best.map(|b| ops[i].end > ops[b].end).unwrap_or(true) {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+/// The whole-run attribution window: the latest op end (the makespan).
+pub(crate) fn run_window(ops: &[OpRecord]) -> f64 {
+    ops.iter().map(|o| o.end).fold(0.0, f64::max)
 }
 
 /// Responsible hTasks for a blocking op: its own label's identity, or (for
@@ -468,7 +515,7 @@ pub fn device_attribution_with_faults(
     num_devices: usize,
     faults: &[FaultSpan],
 ) -> Vec<DeviceAttribution> {
-    let window = ops.iter().map(|o| o.end).fold(0.0, f64::max);
+    let window = run_window(ops);
     let mut out: Vec<DeviceAttribution> = (0..num_devices)
         .map(|device| DeviceAttribution {
             device,
@@ -516,7 +563,7 @@ mod tests {
     }
 
     fn conservation_holds(ops: &[OpRecord], n: usize) {
-        let window = ops.iter().map(|o| o.end).fold(0.0, f64::max);
+        let window = run_window(ops);
         for d in device_attribution(ops, n) {
             assert!(
                 (d.accounted_seconds() - window).abs() <= 1e-9 * window.max(1.0),

@@ -6,11 +6,16 @@
 //! - [`critical_path()`]: the chain of operators (and the idle gaps
 //!   between them) that determines the makespan, with per-category
 //!   (compute / collective / p2p / stall) and per-hTask time breakdowns.
-//! - [`attribute_stalls`] / [`device_attribution`]: every idle interval on
-//!   every device's compute lane assigned to a cause (pipeline bubble,
-//!   communication wait, dependency wait, alignment imbalance) and to the
-//!   hTask(s) responsible, under the conservation invariant
-//!   `busy + attributed stalls == window` per device.
+//! - [`attribute_stalls`] / [`device_attribution`]: the one stall model.
+//!   Every idle interval on every device's compute lane is assigned to one
+//!   of five causes (pipeline bubble, communication wait, dependency wait,
+//!   alignment imbalance, fault recovery) and to the hTask(s) responsible,
+//!   under the conservation invariant `busy + attributed stalls == window`
+//!   per device.
+//! - [`timeline_chrome_trace`]: a run's Chrome/Perfetto trace, one process
+//!   per device with compute, comm and stall lanes; the stall lane draws the
+//!   attributed intervals. It shares one private trace-event writer with
+//!   [`lifecycle_chrome_trace`] and [`profile_chrome_trace`].
 //! - [`PerfBaseline`]: a checked-in makespan/utilization/stall-share
 //!   baseline with tolerances, for a CI perf-regression gate.
 //! - [`journal`]: the service event journal's line format — the typed
@@ -39,6 +44,7 @@ mod labels;
 pub mod lifecycle;
 pub mod online;
 pub mod profile;
+mod trace;
 
 pub use attribution::{
     attribute_stalls, attribute_stalls_with_faults, device_attribution,
@@ -63,3 +69,4 @@ pub use profile::{
     parse_profile, profile_chrome_trace, profile_diff, render_profile_diff, ProfileDiffRow,
     ProfileRow, WorkDelta,
 };
+pub use trace::timeline_chrome_trace;

@@ -29,7 +29,7 @@
 //! [`lifecycle_chrome_trace`] exports the span trees as a Chrome/Perfetto
 //! trace with one **process lane per tenant** and one thread per job,
 //! loadable in `chrome://tracing` or <https://ui.perfetto.dev> next to
-//! the device traces the simulator already emits.
+//! the device timelines of [`timeline_chrome_trace`](crate::timeline_chrome_trace).
 //!
 //! The journal's line format lives in [`crate::journal`], below the
 //! service crate that writes it, so this analysis and the service's
@@ -38,9 +38,10 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::{Map, Value};
+use serde_json::Map;
 
 use crate::journal::{parse_jsonl, DecisionCandidate, EventKind};
+use crate::trace::TraceWriter;
 
 /// How a job's journal lifetime ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -603,71 +604,36 @@ pub fn lifecycle_chrome_trace(analysis: &LifecycleAnalysis) -> String {
         let next = tenants.len() as u64 + 1;
         tenants.entry(j.tenant.as_str()).or_insert(next);
     }
-    let mut events: Vec<Value> = Vec::new();
-    let meta = |name: &str, pid: u64, tid: Option<u64>, value: &str| {
-        let mut m = Map::new();
-        m.insert("ph".into(), "M".into());
-        m.insert("name".into(), name.into());
-        m.insert("pid".into(), pid.into());
-        if let Some(t) = tid {
-            m.insert("tid".into(), t.into());
-        }
-        let mut args = Map::new();
-        args.insert("name".into(), value.into());
-        m.insert("args".into(), Value::Object(args));
-        Value::Object(m)
-    };
+    let mut w = TraceWriter::new();
     for (tenant, pid) in &tenants {
-        events.push(meta(
-            "process_name",
-            *pid,
-            None,
-            &format!("tenant {tenant}"),
-        ));
+        w.process_name(*pid, &format!("tenant {tenant}"));
     }
     for j in analysis.jobs.values() {
-        let pid = tenants[j.tenant.as_str()];
-        let tid = j.job + 1;
-        events.push(meta(
-            "thread_name",
-            pid,
-            Some(tid),
-            &format!("job {}", j.job),
-        ));
-        let mut emit = |span: &Span| {
-            let mut m = Map::new();
-            let instant = span.end <= span.start;
-            m.insert("ph".into(), if instant { "i" } else { "X" }.into());
-            m.insert("name".into(), span.kind.as_str().into());
-            m.insert("cat".into(), "lifecycle".into());
-            m.insert("pid".into(), pid.into());
-            m.insert("tid".into(), tid.into());
-            m.insert("ts".into(), (span.start * MICROS).into());
-            if instant {
-                m.insert("s".into(), "t".into());
-            } else {
-                m.insert("dur".into(), ((span.end - span.start) * MICROS).into());
-            }
+        // Lane `job + 1`, wrapping: a bijection on u64, so even job
+        // u64::MAX gets a lane of its own.
+        let lane = (tenants[j.tenant.as_str()], j.job.wrapping_add(1));
+        w.thread_name(lane, &format!("job {}", j.job));
+        let spans = j
+            .spans
+            .iter()
+            .flat_map(|s| std::iter::once(s).chain(&s.children));
+        for span in spans {
             let mut args = Map::new();
             if !span.detail.is_empty() {
                 args.insert("detail".into(), span.detail.as_str().into());
             }
             args.insert("job".into(), j.job.into());
             args.insert("tenant".into(), j.tenant.as_str().into());
-            m.insert("args".into(), Value::Object(args));
-            events.push(Value::Object(m));
-        };
-        for span in &j.spans {
-            emit(span);
-            for child in &span.children {
-                emit(child);
+            let (name, ts) = (span.kind.as_str(), span.start * MICROS);
+            if span.end <= span.start {
+                w.instant(lane, name, "lifecycle", ts, args);
+            } else {
+                let dur = (span.end - span.start) * MICROS;
+                w.complete(lane, name, "lifecycle", ts, dur, args);
             }
         }
     }
-    let mut root = Map::new();
-    root.insert("traceEvents".into(), Value::Array(events));
-    root.insert("displayTimeUnit".into(), "ms".into());
-    serde_json::to_string_pretty(&Value::Object(root)).expect("serialize")
+    serde_json::to_string_pretty(&w.finish(None)).expect("serialize")
 }
 
 // ------------------------------------------------------------------

@@ -14,6 +14,8 @@
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 
+use crate::trace::{Lane, TraceWriter};
+
 /// One call-tree path from a parsed profile artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileRow {
@@ -273,20 +275,10 @@ const MICROS: f64 = 1e6;
 /// their parent's interval at their inclusive durations, producing the
 /// usual flamegraph layout when opened in `chrome://tracing` / Perfetto.
 pub fn profile_chrome_trace(rows: &[ProfileRow]) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    let meta = |name: &str, value: &str| {
-        let mut m = Map::new();
-        m.insert("ph".into(), "M".into());
-        m.insert("name".into(), name.into());
-        m.insert("pid".into(), 1u64.into());
-        m.insert("tid".into(), 1u64.into());
-        let mut args = Map::new();
-        args.insert("name".into(), value.into());
-        m.insert("args".into(), Value::Object(args));
-        Value::Object(m)
-    };
-    events.push(meta("process_name", "muxtune self-profile"));
-    events.push(meta("thread_name", "call tree (aggregated)"));
+    const LANE: Lane = (1, 1);
+    let mut w = TraceWriter::new();
+    w.process_name(LANE.0, "muxtune self-profile");
+    w.thread_name(LANE, "call tree (aggregated)");
     // Rows arrive pre-order; a cursor stack assigns each node the next free
     // offset inside its parent's interval.
     let mut stack: Vec<(Vec<String>, f64)> = vec![(Vec::new(), 0.0)];
@@ -304,17 +296,6 @@ pub fn profile_chrome_trace(rows: &[ProfileRow]) -> String {
         let ts = stack.last().expect("root cursor").1;
         let dur = row.inclusive_seconds * MICROS;
         stack.last_mut().expect("root cursor").1 += dur;
-        let mut m = Map::new();
-        m.insert("ph".into(), "X".into());
-        m.insert(
-            "name".into(),
-            row.path.last().cloned().unwrap_or_default().into(),
-        );
-        m.insert("cat".into(), "profile".into());
-        m.insert("pid".into(), 1u64.into());
-        m.insert("tid".into(), 1u64.into());
-        m.insert("ts".into(), ts.into());
-        m.insert("dur".into(), dur.into());
         let mut args = Map::new();
         args.insert("path".into(), row.key().into());
         args.insert("count".into(), row.count.into());
@@ -322,14 +303,11 @@ pub fn profile_chrome_trace(rows: &[ProfileRow]) -> String {
         for (k, n) in &row.work {
             args.insert(format!("work.{k}"), (*n).into());
         }
-        m.insert("args".into(), Value::Object(args));
-        events.push(Value::Object(m));
+        let name = row.path.last().map(String::as_str).unwrap_or_default();
+        w.complete(LANE, name, "profile", ts, dur, args);
         stack.push((row.path.clone(), ts));
     }
-    let mut top = Map::new();
-    top.insert("traceEvents".into(), Value::Array(events));
-    top.insert("displayTimeUnit".into(), "ms".into());
-    serde_json::to_string_pretty(&Value::Object(top)).expect("serializable trace")
+    serde_json::to_string_pretty(&w.finish(None)).expect("serializable trace")
 }
 
 #[cfg(test)]

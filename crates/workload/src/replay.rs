@@ -16,9 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mux_api::{
-    DecisionCandidate, DispatchPolicy, EventKind, FineTuneService, JobId, JobSpec, JobState,
-    Journal, PendingJob, ReplanMode, SchedulingPolicy, ServiceConfig, TenantUsage,
-    DECISION_CANDIDATE_CAP,
+    DecisionCandidate, EventKind, FineTuneService, JobId, JobSpec, JobState, Journal, PendingJob,
+    ReplanMode, SchedulingPolicy, ServiceConfig, TenantUsage, DECISION_CANDIDATE_CAP,
 };
 use mux_chaos::{apply_action, ChaosAction, FaultPlan};
 use mux_obs::QuantileSketch;
@@ -527,7 +526,7 @@ impl<'a> Replayer<'a> {
                     }
                 }
             }
-            if self.has_immediate_slot(&pj.backbone) || !self.svc.can_host(&pj.backbone) {
+            if self.svc.dispatches_now(&pj.backbone) || !self.svc.can_host(&pj.backbone) {
                 let prov = self.dispatch_provenance();
                 let pj = self.pending.remove(i);
                 self.submit(&pj, prov)?;
@@ -535,22 +534,6 @@ impl<'a> Replayer<'a> {
                 return Ok(());
             }
         }
-    }
-
-    /// Whether a `backbone` job submitted right now would dispatch
-    /// immediately instead of queueing inside the service.
-    fn has_immediate_slot(&self, backbone: &str) -> bool {
-        let cfg = self.svc.config();
-        let joinable = (0..self.svc.instance_count()).any(|i| {
-            self.svc.instance_backbone(i) == backbone && {
-                let load = self.svc.instance_load(i);
-                match cfg.dispatch {
-                    DispatchPolicy::SameBackboneFirst => load < cfg.max_tasks_per_instance,
-                    DispatchPolicy::DedicatedInstances => load == 0,
-                }
-            }
-        });
-        joinable || self.svc.instance_headroom() > 0
     }
 
     /// Snapshot of the scoring the policy just performed over `pending`:

@@ -31,7 +31,8 @@
 //! * [`obs`] — the observability registry (phases, counters, gauges,
 //!   histograms, Prometheus exposition);
 //! * [`obs_analysis`] — critical-path extraction, 5-class stall
-//!   attribution, and perf-regression baselines.
+//!   attribution, the Chrome-trace exporters, and perf-regression
+//!   baselines.
 //!
 //! ## Quickstart
 //!

@@ -4,7 +4,8 @@
 //! - **Conservation**: per device, busy compute time plus every attributed
 //!   stall interval tiles the whole window exactly —
 //!   `busy + Σ stalls == finish_time` (no unexplained idle time, no
-//!   double counting).
+//!   double counting) — and the exported trace's stall lane sums to the
+//!   same stall seconds.
 //! - **Critical-path identity**: the reconstructed critical path tiles
 //!   `[0, finish_time]`, so its length equals the makespan exactly.
 
@@ -12,7 +13,7 @@ use proptest::prelude::*;
 
 use muxtune::gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
 use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, OpHandle, OpRecord, Timeline};
-use muxtune::obs_analysis::{critical_path, device_attribution};
+use muxtune::obs_analysis::{critical_path, device_attribution, timeline_chrome_trace, StallClass};
 
 /// A randomized operation script covering every op kind the engine emits:
 /// compute, (blocking or overlapped) collectives, p2p copies, and joins.
@@ -123,6 +124,29 @@ proptest! {
             prop_assert!(d.comm_seconds >= 0.0);
             prop_assert!(d.dependency_seconds >= 0.0);
             prop_assert!(d.alignment_seconds >= 0.0);
+        }
+        // The exported trace's stall lane draws the same intervals: per
+        // device, its events sum to the `otherData.attribution` row's stall
+        // seconds, within 1 ns per (ns-rounded) event.
+        let trace = timeline_chrome_trace(&ops, DEVICES);
+        let events = trace["traceEvents"].as_array().expect("traceEvents");
+        let rows = trace["otherData"]["attribution"].as_array().expect("rows");
+        for (dev, row) in rows.iter().enumerate() {
+            let lane: Vec<f64> = events
+                .iter()
+                .filter(|e| e["cat"].as_str() == Some("stall"))
+                .filter(|e| e["pid"].as_u64() == Some(dev as u64))
+                .map(|e| e["dur"].as_f64().expect("dur") / 1e6)
+                .collect();
+            let row_stall: f64 = StallClass::ALL
+                .iter()
+                .map(|c| row[format!("{}_seconds", c.name()).as_str()].as_f64().expect("class"))
+                .sum();
+            let lane_stall: f64 = lane.iter().sum();
+            prop_assert!(
+                (lane_stall - row_stall).abs() <= 1e-9 * lane.len().max(1) as f64,
+                "device {}: stall lane {} vs attribution row {}", dev, lane_stall, row_stall
+            );
         }
     }
 

@@ -11,10 +11,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
-use mux_gpu_sim::chrome_trace;
 use mux_gpu_sim::spec::{GpuSpec, LinkSpec};
 use mux_gpu_sim::timeline::Cluster;
 use mux_model::config::ModelConfig;
+use mux_obs_analysis::timeline_chrome_trace;
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
 use mux_peft::types::PeftTask;
@@ -45,7 +45,7 @@ fn scenario() -> (Value, f64) {
     );
     let (report, ops) =
         plan_and_run_traced(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
-    (chrome_trace(&ops, 2), report.metrics.makespan)
+    (timeline_chrome_trace(&ops, 2), report.metrics.makespan)
 }
 
 /// Projects the trace to the regression surface: the ordered list of
@@ -120,9 +120,9 @@ fn small_plan_trace_matches_golden() {
         );
     }
 
-    // The stall breakdown travels with the trace; pin it too.
+    // The per-device stall attribution travels with the trace; pin it too.
     assert_eq!(
-        trace["otherData"]["stall_breakdown"], golden["trace"]["otherData"]["stall_breakdown"],
-        "stall breakdown drifted (MUX_BLESS=1 to accept an intentional change)"
+        trace["otherData"]["attribution"], golden["trace"]["otherData"]["attribution"],
+        "stall attribution drifted (MUX_BLESS=1 to accept an intentional change)"
     );
 }

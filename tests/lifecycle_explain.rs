@@ -9,7 +9,8 @@
 //! * **One schema** — the lifecycle fold and `Journal::replay` read the
 //!   same typed events, so every job's terminal agrees with the replayed
 //!   job state, and a journal written through the typed `EventKind`
-//!   analyzes into per-tenant Chrome-trace lanes.
+//!   analyzes into per-tenant Chrome-trace lanes — even one naming the
+//!   largest job id.
 //! * **Determinism** — `explain_job` and the tenant-lane Chrome trace are
 //!   pure functions of the journal: two independent replays of the same
 //!   trace produce bitwise-identical output (CI re-runs the binary twice
@@ -167,6 +168,37 @@ fn typed_journal_analyzes_into_per_tenant_chrome_lanes() {
     assert!(has("fault_recovery"));
     // Deterministic: byte-for-byte.
     assert_eq!(text, lifecycle_chrome_trace(&analysis));
+}
+
+/// The largest job id the journal accepts still exports: its lane id
+/// (`job + 1`, wrapping) neither overflows nor collides.
+#[test]
+fn largest_job_id_exports_its_own_lane() {
+    let job = u64::MAX;
+    let mut journal = Journal::new();
+    journal.push(
+        0,
+        0.0,
+        EventKind::Submit {
+            job,
+            tenant: "acme".into(),
+            backbone: "B".into(),
+            total_tokens: 100,
+            slo_seconds: None,
+        },
+    );
+    journal.push(0, 1.0, EventKind::Dispatch { job, instance: 0 });
+    journal.push(0, 3.0, EventKind::Complete { job });
+    let analysis = analyze_journal(&journal.to_jsonl()).expect("analyze");
+    let v: Value = serde_json::from_str(&lifecycle_chrome_trace(&analysis)).expect("valid JSON");
+    let lanes: Vec<&str> = v["traceEvents"]
+        .as_array()
+        .expect("events")
+        .iter()
+        .filter(|e| e["name"].as_str() == Some("thread_name"))
+        .map(|e| e["args"]["name"].as_str().expect("lane name"))
+        .collect();
+    assert_eq!(lanes, vec!["job 18446744073709551615"]);
 }
 
 #[test]
