@@ -1497,16 +1497,12 @@ impl FineTuneService {
         }
     }
 
-    /// Advances one observation tick: bumps the tick counter (and the
-    /// global telemetry tick when streaming telemetry is on), advances
+    /// Advances one observation tick: bumps the tick counter, advances
     /// simulated time by `dt`, then samples every running job through the
     /// monitor's detectors.
     pub fn tick(&mut self, dt: f64) {
         let _span = mux_obs::span("service.tick");
         self.tick += 1;
-        if mux_obs::timeseries::telemetry_enabled() {
-            mux_obs::timeseries::advance_tick();
-        }
         self.advance(dt);
         self.serving_step();
         self.sample_and_detect(dt);
@@ -1612,12 +1608,6 @@ impl FineTuneService {
         let mut events: Vec<AlertEvent> = Vec::new();
         for &(jid, inst_idx) in &running {
             let rate = self.job_rate(jid);
-            if mux_obs::timeseries::telemetry_enabled() {
-                mux_obs::set_gauge(
-                    &format!("service.job.{}.throughput_tokens_per_second", jid.0),
-                    rate,
-                );
-            }
             events.extend(rt.monitor.observe_throughput(jid.0, rate, tick));
             if let Some(&(_, shares)) = rt.stall_cache.get(&inst_idx) {
                 for (ci, class) in StallClass::ALL.iter().enumerate() {
@@ -2061,10 +2051,10 @@ impl FineTuneService {
             .iter()
             .map(|(name, h)| {
                 let hist = json!({
-                    "count": h.count,
-                    "sum": h.sum,
-                    "min": h.min,
-                    "max": h.max,
+                    "count": h.count(),
+                    "sum": h.sum(),
+                    "min": h.min(),
+                    "max": h.max(),
                     "p50": h.quantile(0.50),
                     "p95": h.quantile(0.95),
                     "p99": h.quantile(0.99),
@@ -2724,6 +2714,29 @@ mod tests {
         assert!(phases.contains_key("engine.simulate"), "phases: {phases:?}");
         assert!(obs["counters"]["planner.candidates"].as_u64().unwrap() >= 1);
         assert!(obs["gauges"]["run.mean_utilization"].as_f64().unwrap() > 0.0);
+
+        // The printed op-duration quantiles are within the sketch's 1 % of
+        // the exact ceil-rank quantiles of the traced run's compute ops.
+        let traced = svc.traced_instance(0).expect("traced instance");
+        let mut durs: Vec<f64> = traced
+            .ops
+            .iter()
+            .filter(|op| matches!(op.kind, OpKind::Compute))
+            .map(|op| op.end - op.start)
+            .filter(|&d| d > 0.0)
+            .collect();
+        durs.sort_by(f64::total_cmp);
+        let h = &obs["histograms"]["engine.compute_op_seconds"];
+        assert_eq!(h["count"].as_u64(), Some(durs.len() as u64));
+        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+            let rank = (q * durs.len() as f64).ceil().max(1.0) as usize;
+            let exact = durs[rank - 1];
+            let printed = h[key].as_f64().unwrap();
+            assert!(
+                (printed - exact).abs() <= 0.01 * exact,
+                "{key}: report prints {printed}, exact {exact}"
+            );
+        }
     }
 
     #[test]

@@ -559,7 +559,7 @@ impl ServingRuntime {
                 for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
                     out.push_str(&format!(
                         "{family}{{tenant=\"{esc}\",quantile=\"{label}\"}} {}\n",
-                        quantile(sketch, q)
+                        sketch.quantile(q)
                     ));
                 }
             }
@@ -591,9 +591,9 @@ pub fn report_json(runtime: Option<&ServingRuntime>, now: f64) -> Value {
         .map(|(name, t)| {
             let quantiles = |sketch: &QuantileSketch| {
                 json!({
-                    "p50": quantile(sketch, 0.5),
-                    "p95": quantile(sketch, 0.95),
-                    "p99": quantile(sketch, 0.99),
+                    "p50": sketch.quantile(0.5),
+                    "p95": sketch.quantile(0.95),
+                    "p99": sketch.quantile(0.99),
                 })
             };
             json!({
@@ -648,15 +648,6 @@ fn goodput(stats: &ServingStats, now: f64) -> f64 {
         stats.slo_attained as f64 / now
     } else {
         0.0
-    }
-}
-
-/// A sketch's `q`-quantile, 0 while it is empty.
-fn quantile(sketch: &QuantileSketch, q: f64) -> f64 {
-    if sketch.is_empty() {
-        0.0
-    } else {
-        sketch.quantile(q)
     }
 }
 

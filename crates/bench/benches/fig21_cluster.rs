@@ -45,7 +45,7 @@ fn main() {
         let mut tput = std::collections::BTreeMap::new();
         for sys in SystemKind::ALL {
             let profile = calibrate(sys, &backbone, &instance, mix, 6, 4, reference);
-            let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape");
+            let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape and profile");
             println!(
                 "  {:<8} cluster throughput {:.2} (rel), mean JCT {:.0} min, queue {:.0} min, profile {:?}",
                 sys.name(),

@@ -130,49 +130,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_telemetry_overhead(c: &mut Criterion) {
-    // Same contract as the span path: streaming telemetry (windowed
-    // time-series fed by counters/gauges/histograms) must be free while
-    // disabled. A disabled `ingest()` is one relaxed atomic load; it must
-    // not touch the series store at all.
-    use mux_obs::timeseries;
-
-    timeseries::reset_telemetry();
-    timeseries::set_telemetry(false);
-    let mut g = c.benchmark_group("telemetry_overhead");
-    g.bench_function("ingest_disabled_x1000", |b| {
-        b.iter(|| {
-            for i in 0..1000u64 {
-                timeseries::ingest("bench.telemetry", black_box(i as f64));
-            }
-        })
-    });
-    // Zero-cost means zero side effects too: nothing may have been buffered.
-    assert!(
-        timeseries::snapshot_series().is_empty(),
-        "disabled telemetry ingest must not allocate series state"
-    );
-    {
-        let _on = timeseries::telemetry_scope();
-        g.bench_function("ingest_enabled_x1000", |b| {
-            b.iter(|| {
-                for i in 0..1000u64 {
-                    timeseries::ingest("bench.telemetry", black_box(i as f64));
-                }
-            })
-        });
-        g.bench_function("window_agg_w32", |b| {
-            for t in 0..64 {
-                timeseries::set_tick(t);
-                timeseries::ingest("bench.telemetry.windowed", t as f64);
-            }
-            b.iter(|| black_box(timeseries::window("bench.telemetry.windowed", 32)))
-        });
-    }
-    timeseries::reset_telemetry();
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_fusion,
@@ -180,7 +137,6 @@ criterion_group!(
     bench_subgraphs,
     bench_packing,
     bench_tensor,
-    bench_obs_overhead,
-    bench_telemetry_overhead
+    bench_obs_overhead
 );
 criterion_main!(benches);

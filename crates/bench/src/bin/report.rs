@@ -18,8 +18,8 @@
 //!   planner phases, histograms) in Prometheus text-exposition format.
 //! - `--write-baseline <json>`: run every gate scenario (`fig14-small`
 //!   end-to-end run, `planner-scale` planning wall time at M=1024,
-//!   `telemetry-overhead` disabled-path ingest wall time) and write their
-//!   headline numbers as a perf-baseline array.
+//!   `telemetry-overhead` disabled-path metric-write wall time) and write
+//!   their headline numbers as a perf-baseline array.
 //! - `--check-baseline <json>`: re-run each scenario named in the
 //!   checked-in baseline (array, or a single legacy object) and compare;
 //!   exits non-zero on any regression (the CI gate).
@@ -458,7 +458,6 @@ fn replay_journal(path: &Path) -> Result<(), String> {
 /// Runs the service-telemetry scenario live for `ticks` ticks, printing
 /// one summary line per tick.
 fn watch(ticks: usize) {
-    let _telemetry = mux_obs::timeseries::telemetry_scope();
     let mut svc = service_telemetry_scenario();
     println!(
         "{:>5} {:>9} {:>4} {:>4} {:>4} {:>4} {:>14}  {:<39} alerts",

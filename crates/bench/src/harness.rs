@@ -547,17 +547,18 @@ pub fn service_telemetry_step(svc: &mut mux_api::FineTuneService) {
 }
 
 /// The `telemetry-overhead` CI measurement: best-of-3 wall time of 2M
-/// **disabled-path** telemetry ingests (the zero-cost guarantee),
-/// reported as the makespan. Utilization and stall share are pinned so
-/// only the wall-time axis gates.
+/// **disabled-path** `record_histogram` calls (the metric-write path
+/// instrumented code pays when collection is off), reported as the
+/// makespan. Utilization and stall share are pinned so only the
+/// wall-time axis gates.
 pub fn telemetry_overhead_measurement() -> PerfMeasurement {
     const OPS: usize = 2_000_000;
-    mux_obs::timeseries::set_telemetry(false);
+    mux_obs::set_enabled(false);
     let secs = (0..3)
         .map(|_| {
             let start = Instant::now();
             for i in 0..OPS {
-                mux_obs::timeseries::ingest("bench.telemetry.off", i as f64);
+                mux_obs::record_histogram("bench.telemetry.off", i as f64);
             }
             start.elapsed().as_secs_f64()
         })
@@ -623,11 +624,10 @@ pub fn serve_mix_measurement() -> PerfMeasurement {
 
 /// The `sketch-overhead` CI measurement: best-of-3 wall time of 2M
 /// quantile-sketch inserts plus a 64-way shard merge — the hot path the
-/// timeseries window aggregator and the replay report now run instead of
-/// exact-sample quantiles. Gated at wall-time tolerance so an
-/// accidentally super-constant insert (e.g. a rebucketing loop) fails CI.
-/// Utilization and stall share are pinned so only the wall-time axis
-/// gates.
+/// registry histograms and the replay report run instead of exact-sample
+/// quantiles. Gated at wall-time tolerance so an accidentally
+/// super-constant insert (e.g. a rebucketing loop) fails CI. Utilization
+/// and stall share are pinned so only the wall-time axis gates.
 pub fn sketch_overhead_measurement() -> PerfMeasurement {
     const OPS: usize = 2_000_000;
     const SHARDS: usize = 64;

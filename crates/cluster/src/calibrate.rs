@@ -72,7 +72,9 @@ pub fn reference_throughput(
 }
 
 /// Calibrates `system`'s instance profile for 1..=`max_tasks` co-located
-/// tasks, normalized by `reference_tps`.
+/// tasks, normalized by `reference_tps`. When even one task OOMs the
+/// profile is `single_task(0.0)`, which every replay rejects as
+/// [`ClusterError::InvalidRate`](crate::ClusterError::InvalidRate).
 pub fn calibrate(
     system: SystemKind,
     backbone: &ModelConfig,

@@ -128,6 +128,7 @@ pub fn replay_priority(
             gpus_per_instance: shape.gpus_per_instance,
         });
     }
+    profile.validate()?;
     let mut st = State {
         instances: vec![Vec::new(); n_inst],
         queue: VecDeque::new(),

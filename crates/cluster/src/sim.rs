@@ -19,6 +19,16 @@ use crate::trace::TraceTask;
 pub enum ClusterError {
     /// A throughput profile was built with no rates at all.
     EmptyProfile,
+    /// A profile rate is not finite and positive: a 0 or NaN rate never
+    /// completes a task, and a negative one runs time backwards.
+    InvalidRate {
+        /// Co-located task count the rate belongs to (`rate[tasks - 1]`).
+        tasks: usize,
+        /// The offending rate.
+        rate: f64,
+    },
+    /// The profile lets an instance hold zero tasks, so nothing can run.
+    ZeroColocation,
     /// The cluster shape carves out zero instances
     /// (`total_gpus < gpus_per_instance`).
     ZeroInstances {
@@ -43,6 +53,13 @@ impl std::fmt::Display for ClusterError {
         match self {
             ClusterError::EmptyProfile => {
                 write!(f, "throughput profile needs at least the 1-task rate")
+            }
+            ClusterError::InvalidRate { tasks, rate } => write!(
+                f,
+                "throughput profile rate {rate} at {tasks} task(s) is not finite and positive"
+            ),
+            ClusterError::ZeroColocation => {
+                write!(f, "throughput profile allows zero co-located tasks")
             }
             ClusterError::ZeroInstances {
                 total_gpus,
@@ -87,14 +104,33 @@ impl ThroughputProfile {
 
     /// Builds a profile from measured aggregate rates for 1..=max tasks.
     pub fn from_rates(rate: Vec<f64>) -> Result<Self, ClusterError> {
-        if rate.is_empty() {
+        let profile = Self {
+            max_colocated: rate.len(),
+            rate,
+        };
+        profile.validate()?;
+        Ok(profile)
+    }
+
+    /// Checks the profile can drive a replay: at least one rate, every
+    /// rate finite and positive, and room for at least one task. The
+    /// fields are public, so every replay checks what it is handed.
+    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+        if self.rate.is_empty() {
             return Err(ClusterError::EmptyProfile);
         }
-        let max = rate.len();
-        Ok(Self {
-            rate,
-            max_colocated: max,
-        })
+        if let Some((i, &rate)) = self
+            .rate
+            .iter()
+            .enumerate()
+            .find(|(_, r)| !(r.is_finite() && **r > 0.0))
+        {
+            return Err(ClusterError::InvalidRate { tasks: i + 1, rate });
+        }
+        if self.max_colocated == 0 {
+            return Err(ClusterError::ZeroColocation);
+        }
+        Ok(())
     }
 
     /// Aggregate rate with `k` tasks, clamped to the calibrated range on
@@ -233,6 +269,7 @@ pub fn replay_fcfs_faulty(
             gpus_per_instance: shape.gpus_per_instance,
         });
     }
+    profile.validate()?;
     let down =
         |ii: usize, now: f64| -> bool { outages.iter().any(|o| o.instance == ii && o.covers(now)) };
     // The next outage boundary (start or end) strictly after `now`: rates
@@ -514,6 +551,13 @@ mod tests {
             ThroughputProfile::from_rates(vec![]).unwrap_err(),
             ClusterError::EmptyProfile
         );
+        assert_eq!(
+            ThroughputProfile::from_rates(vec![1.0, 0.0]).unwrap_err(),
+            ClusterError::InvalidRate {
+                tasks: 2,
+                rate: 0.0
+            }
+        );
         let trace = generate(4, 3, None);
         let bad = ClusterShape {
             total_gpus: 2,
@@ -523,6 +567,30 @@ mod tests {
             replay_fcfs(&trace, bad, &ThroughputProfile::single_task(1.0)),
             Err(ClusterError::ZeroInstances { .. })
         ));
+        // Profiles that would stall the replay forever (0, NaN, no rate)
+        // or return nonsense (negative rate, no room for a task) are typed
+        // errors at both replay entry points, however they were built.
+        // (Errors compare by text: a NaN rate never equals itself.)
+        let hand = |rate: Vec<f64>, max_colocated| ThroughputProfile {
+            rate,
+            max_colocated,
+        };
+        let rate = |rate| ClusterError::InvalidRate { tasks: 1, rate };
+        let prios = vec![crate::policies::Priority::Low; trace.len()];
+        for (profile, want) in [
+            (ThroughputProfile::single_task(0.0), rate(0.0)),
+            (hand(vec![0.0], 1), rate(0.0)),
+            (hand(vec![f64::NAN], 1), rate(f64::NAN)),
+            (ThroughputProfile::single_task(-1.0), rate(-1.0)),
+            (hand(vec![], 1), ClusterError::EmptyProfile),
+            (hand(vec![1.0], 0), ClusterError::ZeroColocation),
+        ] {
+            let fcfs = replay_fcfs(&trace, shape(), &profile).map(|_| ());
+            let prio = crate::policies::replay_priority(&trace, &prios, shape(), &profile, None);
+            for got in [fcfs, prio.map(|_| ())] {
+                assert_eq!(got.unwrap_err().to_string(), want.to_string());
+            }
+        }
         // Degenerate aggregate queries clamp instead of panicking.
         let p = ThroughputProfile::single_task(1.0);
         assert_eq!(p.aggregate(0), 1.0);

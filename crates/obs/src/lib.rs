@@ -2,9 +2,10 @@
 //!
 //! Trace-level observability for the MuxTune planner and engine: named
 //! phase **spans** and a process-wide **metrics registry** (phase wall
-//! times, counters, gauges, and log-bucketed **histograms** with quantile
-//! snapshots). [`render_prom`] / [`snapshot_prom`] serialize the registry
-//! as Prometheus text exposition for scraping dashboards.
+//! times, counters, gauges, and **histograms** — one [`QuantileSketch`]
+//! per name, so every printed quantile is within 1 % of exact).
+//! [`render_prom`] / [`snapshot_prom`] serialize the registry as
+//! Prometheus text exposition for scraping dashboards.
 //!
 //! The whole layer is gated by one global switch and is **zero-cost when
 //! disabled**: [`span`] performs a single relaxed atomic load and returns
@@ -27,7 +28,6 @@
 pub mod fingerprint;
 pub mod profile;
 pub mod sketch;
-pub mod timeseries;
 
 pub use fingerprint::{fnv1a_64, Fnv1a};
 pub use sketch::QuantileSketch;
@@ -62,15 +62,7 @@ pub(crate) fn set_flag(bit: u8, on: bool) -> bool {
 
 /// The process-wide registry. A plain `Mutex` is enough: writes happen only
 /// while observability is enabled, which is never on the measured fast path.
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-#[derive(Debug, Default, Clone)]
-struct Registry {
-    phases: BTreeMap<String, PhaseStat>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramStat>,
-}
+static REGISTRY: Mutex<Option<Snapshot>> = Mutex::new(None);
 
 /// Aggregate wall time of one named phase.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
@@ -187,20 +179,13 @@ pub fn span_with(make_name: impl FnOnce() -> String) -> Option<SpanGuard> {
     Some(open_span(Cow::Owned(make_name()), flags))
 }
 
-fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
+fn with_registry<R>(f: impl FnOnce(&mut Snapshot) -> R) -> R {
     let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(Registry::default))
+    f(guard.get_or_insert_with(Snapshot::default))
 }
 
 /// Adds `seconds` of wall time to phase `name` (no-op when disabled).
-///
-/// While streaming telemetry is on, the observation also lands in the
-/// time-series store under the same name (independently of the span
-/// switch — the two layers gate separately).
 pub fn record_phase(name: &str, seconds: f64) {
-    if timeseries::telemetry_enabled() {
-        timeseries::ingest(name, seconds);
-    }
     if !enabled() {
         return;
     }
@@ -213,9 +198,6 @@ pub fn record_phase(name: &str, seconds: f64) {
 
 /// Increments counter `name` by `by` (no-op when disabled).
 pub fn incr_counter(name: &str, by: u64) {
-    if timeseries::telemetry_enabled() {
-        timeseries::ingest(name, by as f64);
-    }
     if !enabled() {
         return;
     }
@@ -224,9 +206,6 @@ pub fn incr_counter(name: &str, by: u64) {
 
 /// Sets gauge `name` to `value` (no-op when disabled).
 pub fn set_gauge(name: &str, value: f64) {
-    if timeseries::telemetry_enabled() {
-        timeseries::ingest(name, value);
-    }
     if !enabled() {
         return;
     }
@@ -235,102 +214,15 @@ pub fn set_gauge(name: &str, value: f64) {
     });
 }
 
-/// One observation distribution: log₂-bucketed counts plus exact
-/// count / sum / min / max.
-///
-/// Buckets hold values in `(2^(e-1), 2^e]`; non-positive and sub-1e-12
-/// observations collapse into the smallest bucket. Quantiles are estimated
-/// from the buckets ([`HistogramStat::quantile`]) with ≤ 2x relative error
-/// — plenty for p50/p95/p99 dashboards of latencies spanning decades.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct HistogramStat {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// `(bucket upper bound, count)`, ascending; bounds are powers of two.
-    pub buckets: Vec<(f64, u64)>,
-}
-
-/// Values at or below this floor share the smallest bucket.
-const HISTOGRAM_FLOOR: f64 = 1e-12;
-
-fn bucket_upper(value: f64) -> f64 {
-    let v = value.max(HISTOGRAM_FLOOR);
-    let e = v.log2().ceil();
-    // Guard the exact-power edge: ceil(log2(2^k)) can land below k by a ulp.
-    let mut upper = e.exp2();
-    if upper < v {
-        upper *= 2.0;
-    }
-    upper
-}
-
-impl HistogramStat {
-    fn observe(&mut self, value: f64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-        let upper = bucket_upper(value);
-        match self.buckets.binary_search_by(|&(b, _)| b.total_cmp(&upper)) {
-            Ok(i) => self.buckets[i].1 += 1,
-            Err(i) => self.buckets.insert(i, (upper, 1)),
-        }
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimated `q`-quantile (`q` in `[0, 1]`): the geometric midpoint of
-    /// the first bucket whose cumulative count reaches `q * count`,
-    /// clamped to the exact `[min, max]` range. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(upper, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                let mid = upper / std::f64::consts::SQRT_2;
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// Records `value` into histogram `name` (no-op when disabled).
 ///
-/// Non-finite observations are dropped: `bucket_upper(inf)` would mint an
-/// `inf` bucket and the prom exposition would then emit a second
-/// `le="+Inf"` series (invalid 0.0.4 text format), and NaN poisons
-/// sum/min/max. Dropped values are tallied in the `dropped_nonfinite`
-/// counter so the lossage stays visible.
+/// Non-finite observations are dropped before they reach the sketch, and
+/// tallied in the `dropped_nonfinite` counter so the lossage stays
+/// visible in the registry itself.
 pub fn record_histogram(name: &str, value: f64) {
     if !value.is_finite() {
         incr_counter("dropped_nonfinite", 1);
         return;
-    }
-    if timeseries::telemetry_enabled() {
-        timeseries::ingest(name, value);
     }
     if !enabled() {
         return;
@@ -339,11 +231,12 @@ pub fn record_histogram(name: &str, value: f64) {
         r.histograms
             .entry(name.to_string())
             .or_default()
-            .observe(value);
+            .insert(value);
     });
 }
 
-/// A copy of the registry contents at one point in time.
+/// The registry's contents. The live registry is one of these behind a
+/// mutex; [`snapshot`] returns a copy of it.
 #[derive(Debug, Default, Clone)]
 pub struct Snapshot {
     /// Per-phase wall-time aggregates.
@@ -353,22 +246,14 @@ pub struct Snapshot {
     /// Last-write-wins gauges.
     pub gauges: BTreeMap<String, f64>,
     /// Observation distributions.
-    pub histograms: BTreeMap<String, HistogramStat>,
+    pub histograms: BTreeMap<String, QuantileSketch>,
 }
 
 /// Snapshots the registry (works even while disabled — it reads whatever
 /// was collected before).
 pub fn snapshot() -> Snapshot {
     let guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    match guard.as_ref() {
-        Some(r) => Snapshot {
-            phases: r.phases.clone(),
-            counters: r.counters.clone(),
-            gauges: r.gauges.clone(),
-            histograms: r.histograms.clone(),
-        },
-        None => Snapshot::default(),
-    }
+    guard.clone().unwrap_or_default()
 }
 
 /// Sanitizes a registry name into a Prometheus metric-name fragment:
@@ -422,8 +307,8 @@ fn prom_f64(v: f64) -> String {
 ///
 /// Phases become `muxtune_phase_seconds_total` / `muxtune_phase_count`
 /// families labeled by phase name; counters and gauges become
-/// `muxtune_<sanitized-name>` metrics; histograms become native prom
-/// histograms (`_bucket{le=...}` cumulative series plus `_sum`/`_count`).
+/// `muxtune_<sanitized-name>` metrics; histograms become prom summaries
+/// (`{quantile="0.5|0.95|0.99"}` series plus `_sum`/`_count`).
 pub fn render_prom(snap: &Snapshot) -> String {
     let mut out = String::new();
     if !snap.phases.is_empty() {
@@ -459,18 +344,15 @@ pub fn render_prom(snap: &Snapshot) -> String {
     }
     for (name, h) in &snap.histograms {
         let metric = format!("muxtune_{}", prom_sanitize(name));
-        out.push_str(&format!("# TYPE {metric} histogram\n"));
-        let mut cumulative = 0u64;
-        for &(upper, n) in &h.buckets {
-            cumulative += n;
+        out.push_str(&format!("# TYPE {metric} summary\n"));
+        for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
             out.push_str(&format!(
-                "{metric}_bucket{{le=\"{}\"}} {cumulative}\n",
-                prom_f64(upper)
+                "{metric}{{quantile=\"{label}\"}} {}\n",
+                prom_f64(h.quantile(q))
             ));
         }
-        out.push_str(&format!("{metric}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{metric}_sum {}\n", prom_f64(h.sum)));
-        out.push_str(&format!("{metric}_count {}\n", h.count));
+        out.push_str(&format!("{metric}_sum {}\n", prom_f64(h.sum())));
+        out.push_str(&format!("{metric}_count {}\n", h.count()));
     }
     out
 }
@@ -554,10 +436,10 @@ mod tests {
         }
         let snap = snapshot();
         let h = &snap.histograms["lat"];
-        assert_eq!(h.count, 4);
-        assert!((h.sum - 18.5).abs() < 1e-12);
-        assert_eq!(h.min, 0.5);
-        assert_eq!(h.max, 8.0);
+        assert_eq!(h.count(), 4);
+        assert!((h.sum() - 18.5).abs() < 1e-12);
+        assert_eq!(h.min(), 0.5);
+        assert_eq!(h.max(), 8.0);
         assert!((h.mean() - 4.625).abs() < 1e-12);
     }
 
@@ -578,28 +460,8 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!(p50 < 5e-3, "p50 {p50}");
         assert!(p99 > 0.5, "p99 {p99}");
-        assert!(h.quantile(1.0) <= h.max + 1e-12);
-        assert!(h.quantile(0.0) >= h.min - 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2_and_cover_all_observations() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        let _on = enabled_scope();
-        for v in [0.3, 0.6, 1.2, 100.0, 0.0, -5.0] {
-            record_histogram("b", v);
-        }
-        let h = snapshot().histograms["b"].clone();
-        let total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, h.count, "every observation lands in a bucket");
-        for w in h.buckets.windows(2) {
-            assert!(w[0].0 < w[1].0, "ascending bucket bounds");
-        }
-        for &(upper, _) in &h.buckets {
-            let e = upper.log2();
-            assert!((e - e.round()).abs() < 1e-9, "power-of-two bound {upper}");
-        }
+        assert!(h.quantile(1.0) <= h.max() + 1e-12);
+        assert!(h.quantile(0.0) >= h.min() - 1e-12);
     }
 
     #[test]
@@ -625,7 +487,8 @@ mod tests {
         assert!(text.contains("muxtune_phase_seconds_total{phase=\"planner.total\"} 0.25"));
         assert!(text.contains("muxtune_planner_candidates_total 3"));
         assert!(text.contains("muxtune_run_mean_utilization 0.75"));
-        assert!(text.contains("muxtune_engine_step_seconds_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("# TYPE muxtune_engine_step_seconds summary"));
+        assert!(text.contains("muxtune_engine_step_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("muxtune_engine_step_seconds_count 2"));
         // Exposition hygiene: every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
@@ -683,22 +546,10 @@ mod tests {
         record_histogram("hostile", 2.0);
         let snap = snapshot();
         let h = &snap.histograms["hostile"];
-        assert_eq!(h.count, 1, "only the finite observation lands");
-        assert!(h.sum.is_finite() && h.min.is_finite() && h.max.is_finite());
-        assert!(h.buckets.iter().all(|&(b, _)| b.is_finite()));
+        assert_eq!(h.count(), 1, "only the finite observation lands");
+        assert!(h.sum().is_finite() && h.min().is_finite() && h.max().is_finite());
         assert_eq!(snap.counters["dropped_nonfinite"], 3);
-        // The exposition must contain exactly one le="+Inf" series for the
-        // histogram — a literal `inf` bucket would add a second one.
         let text = render_prom(&snap);
-        let inf_lines = text
-            .lines()
-            .filter(|l| l.starts_with("muxtune_hostile_bucket{le=\"+Inf\"}"))
-            .count();
-        assert_eq!(inf_lines, 1, "single +Inf series in {text:?}");
-        assert!(
-            !text.contains("le=\"inf\""),
-            "no literal inf bucket in {text:?}"
-        );
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("name value");
             assert!(value.parse::<f64>().unwrap().is_finite(), "line {line:?}");

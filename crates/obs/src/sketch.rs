@@ -10,8 +10,10 @@
 //! true ceil-rank quantile `t` satisfies `|x − t| ≤ α·t`, regardless of
 //! how many samples the sketch absorbed.
 //!
-//! Three properties the exact-sample path (`timeseries`'s capped raw
-//! tails) cannot offer simultaneously:
+//! It is the one quantile structure: the registry's histograms
+//! ([`crate::record_histogram`]), the serving latencies and the
+//! per-tenant JCT / queue-wait quantiles are all sketches. Three
+//! properties a capped exact-sample buffer cannot offer simultaneously:
 //!
 //! - **bounded memory**: at most [`QuantileSketch::max_buckets`] buckets
 //!   ever exist; overflow collapses the *lowest* keys into one floor
@@ -246,9 +248,8 @@ impl QuantileSketch {
         Ok(())
     }
 
-    /// The `q`-quantile under the same ceil-rank rule the exact path
-    /// uses (`timeseries::quantile_of`): the value at ascending rank
-    /// `max(1, ceil(q·n))`. Returns 0 when empty. The answer is within
+    /// The `q`-quantile under the ceil-rank rule: the value at ascending
+    /// rank `max(1, ceil(q·n))`. Returns 0 when empty. The answer is within
     /// relative error `α` of the exact ceil-rank sample (exact 0 for
     /// ranks inside the zero bucket; min/max are returned exactly at the
     /// extremes).

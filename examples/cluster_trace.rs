@@ -36,7 +36,7 @@ fn main() {
 
     for sys in [SystemKind::MuxTune, SystemKind::Nemo] {
         let profile = calibrate(sys, &backbone, &instance, Mix::NonUniform, 4, 4, reference);
-        let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape");
+        let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape and profile");
         println!(
             "{:<8}: cluster throughput {:.1} (rel. units), mean JCT {:.0} min, mean queueing {:.0} min",
             sys.name(),

@@ -23,7 +23,6 @@
 //!   randomized streams, shard-merged in random order (property test).
 
 use muxtune::api::{EventKind, Journal, DECISION_CANDIDATE_CAP};
-use muxtune::obs::timeseries::quantile_of;
 use muxtune::obs::QuantileSketch;
 use muxtune::obs_analysis::lifecycle::{
     analyze_journal, explain_job, lifecycle_chrome_trace, Terminal,
@@ -264,6 +263,14 @@ fn explanation_names_policy_and_runner_up() {
 // Sketch relative-error bound (property)
 // ---------------------------------------------------------------------------
 
+/// Exact ceil-rank quantile: the value at ascending rank
+/// `max(1, ceil(q·n))`, the reference the sketch approximates.
+fn exact_quantile(values: &mut [f64], q: f64) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let rank = (q * values.len() as f64).ceil().max(1.0) as usize;
+    values[rank.min(values.len()) - 1]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -287,7 +294,7 @@ proptest! {
         let alpha = merged.relative_error();
         let mut sorted = vals.clone();
         for q in [0.5, 0.95, 0.99] {
-            let exact = quantile_of(&mut sorted, q);
+            let exact = exact_quantile(&mut sorted, q);
             let approx = merged.quantile(q);
             prop_assert!(
                 (approx - exact).abs() <= alpha * exact + 1e-12,

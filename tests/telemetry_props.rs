@@ -1,7 +1,5 @@
 //! Property tests of the streaming-telemetry stack:
 //!
-//! - **Window aggregation**: the O(window) bucketed sliding-window
-//!   aggregate equals a naive recompute over every retained sample.
 //! - **Detector calibration**: EWMA+MAD z-score detectors never fire on a
 //!   constant stream and always fire (within the hysteresis bound) on a
 //!   large step change; the SLO burn-rate evaluator stays quiet while a
@@ -12,7 +10,6 @@
 //!   round trip while tampering is detected.
 
 use muxtune::api::{Journal, MonitorConfig};
-use muxtune::obs::timeseries::{quantile_of, TimeSeries};
 use muxtune::obs_analysis::online::{
     BurnRateConfig, BurnRateEvaluator, DetectorConfig, EwmaMadDetector, OnlineMonitor,
 };
@@ -23,86 +20,11 @@ use muxtune::data::corpus::DatasetKind;
 use muxtune::obs_analysis::StallClass;
 
 // ---------------------------------------------------------------------------
-// Window aggregation vs naive recompute
+// Detector calibration
 // ---------------------------------------------------------------------------
-
-/// Samples as (tick-delta, value): deltas keep ticks non-decreasing, the
-/// contract `TimeSeries::record` documents.
-fn sample_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
-    prop::collection::vec((0u64..3, -1000.0f64..1000.0), 1..120)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn window_agg_matches_naive_recompute(
-        stream in sample_stream(),
-        end_off in 0u64..8,
-        window in 1u64..50,
-    ) {
-        let mut ts = TimeSeries::new(256);
-        let mut tick = 1u64;
-        let mut points: Vec<(u64, f64)> = Vec::new();
-        for (delta, v) in &stream {
-            tick += delta;
-            ts.record(tick, *v);
-            points.push((tick, *v));
-        }
-        let end = tick + end_off;
-        let agg = ts.window_agg(end, window);
-
-        // Naive model over every sample in (end - window, end].
-        let lo = end.saturating_sub(window);
-        let mut vals: Vec<f64> = points
-            .iter()
-            .filter(|(t, _)| *t > lo && *t <= end)
-            .map(|(_, v)| *v)
-            .collect();
-        prop_assert_eq!(agg.count, vals.len() as u64);
-        if vals.is_empty() {
-            prop_assert_eq!(agg.sum, 0.0);
-            prop_assert_eq!(agg.min, 0.0);
-            prop_assert_eq!(agg.max, 0.0);
-            prop_assert_eq!(agg.p95, 0.0);
-        } else {
-            let sum: f64 = vals.iter().sum();
-            let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(
-                (agg.sum - sum).abs() <= 1e-9 * sum.abs().max(1.0),
-                "sum {} vs naive {}", agg.sum, sum
-            );
-            prop_assert_eq!(agg.min, min);
-            prop_assert_eq!(agg.max, max);
-            // Quantiles now come from merged per-bucket DDSketches: exact
-            // to the ceil-rank sample only up to the sketch's relative
-            // error for positive quantiles; zero/negative samples share
-            // one bucket (pinned at the exact min), so a non-positive
-            // quantile is only bracketed.
-            let alpha = muxtune::obs::QuantileSketch::default().relative_error();
-            for (q, approx) in [(0.5, agg.p50), (0.95, agg.p95), (0.99, agg.p99)] {
-                let exact = quantile_of(&mut vals, q);
-                if exact > 0.0 {
-                    prop_assert!(
-                        (approx - exact).abs() <= alpha * exact + 1e-12,
-                        "p{} {} vs exact {} (alpha {})", q * 100.0, approx, exact, alpha
-                    );
-                } else {
-                    prop_assert!(
-                        approx >= min && approx <= 0.0,
-                        "p{} {} outside [{}, 0] (exact {})", q * 100.0, approx, min, exact
-                    );
-                }
-            }
-            let mean = sum / agg.count as f64;
-            prop_assert!((agg.mean() - mean).abs() <= 1e-9 * mean.abs().max(1.0));
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Detector calibration
-    // -----------------------------------------------------------------------
 
     /// A constant stream has zero deviation: the z-score stays at
     /// floating-point noise (the EWMA mean converges to the constant up to
