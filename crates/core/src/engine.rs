@@ -7,7 +7,7 @@
 //! communication stream (or launched blocking, for baseline/ablation
 //! modes) and activation memory tracked against device capacity.
 
-use mux_gpu_sim::metrics::{device_metrics, mean_utilization};
+use mux_gpu_sim::metrics::device_metrics;
 use mux_gpu_sim::spec::CommCtaPolicy;
 use mux_gpu_sim::timeline::{Cluster, CollectiveKind, OomError, OpHandle, OpRecord, Timeline};
 use mux_model::memory::activation_bytes;
@@ -112,7 +112,6 @@ pub struct MuxEngine<'a> {
     /// Token accounting per pipeline round of each bucket.
     tokens_per_round: Vec<(u64, u64)>,
     options: EngineOptions,
-    comm_policy: CommCtaPolicy,
     train_flops_per_eff_token: f64,
 }
 
@@ -135,12 +134,6 @@ impl<'a> MuxEngine<'a> {
         let cfg = registry.backbone();
         let ranges = stage_layers(cfg.num_layers, plan.pp);
         let gpu = &cluster.gpus[0];
-        let link = &cluster.intra_link;
-        let comm_policy = if options.overlap_comm {
-            CommCtaPolicy::for_link(link, options.generous_ctas)
-        } else {
-            CommCtaPolicy::sequential()
-        };
 
         let mut items = Vec::with_capacity(buckets.len());
         let mut act_bytes = Vec::with_capacity(buckets.len());
@@ -371,7 +364,6 @@ impl<'a> MuxEngine<'a> {
             p2p_bytes: p2p,
             tokens_per_round: tokens,
             options,
-            comm_policy,
             train_flops_per_eff_token: train_flops_per_token(cfg, unit, TrainMode::Peft),
         }
     }
@@ -384,6 +376,14 @@ impl<'a> MuxEngine<'a> {
     /// The bucketed hTasks this engine executes.
     pub fn buckets(&self) -> &[Vec<HTask>] {
         &self.buckets
+    }
+
+    /// Selects the launch mode of later runs: collectives overlapped on the
+    /// communication stream, or launched blocking. The build reads neither
+    /// `overlap_comm` nor `generous_ctas`, so one engine serves both modes,
+    /// bit-identical to an engine built with the other setting.
+    pub fn set_overlap_comm(&mut self, overlap: bool) {
+        self.options.overlap_comm = overlap;
     }
 
     /// Runs the engine; returns metrics or the OOM that aborted it.
@@ -399,13 +399,28 @@ impl<'a> MuxEngine<'a> {
 
     fn run_inner(&self, trace: bool) -> Result<(RunMetrics, Option<Vec<OpRecord>>), OomError> {
         let _sim_span = mux_obs::span("engine.simulate");
-        let mut tl = Timeline::new(self.cluster);
+        let mut tl = if trace {
+            Timeline::new(self.cluster)
+        } else {
+            Timeline::untraced(self.cluster)
+        };
         // Static memory (backbone shard + task state) is vetted by the
         // Eq. 5 cost model at planning time; the ledger enforces the
         // dynamic activation part during execution.
         let mut exec = EngineExec {
             eng: self,
             oom: None,
+            comm_policy: if self.options.overlap_comm {
+                CommCtaPolicy::for_link(&self.cluster.intra_link, self.options.generous_ctas)
+            } else {
+                CommCtaPolicy::sequential()
+            },
+            stage_devices: (0..self.plan.pp)
+                .map(|s| self.plan.stage_devices(0, s))
+                .collect(),
+            handles: Vec::new(),
+            item_spans: Vec::new(),
+            item_deps: Vec::new(),
         };
         let makespan = simulate_pipeline(&mut tl, &self.template.program, &mut exec, self.plan.pp);
         if let Some(oom) = exec.oom {
@@ -439,7 +454,7 @@ impl<'a> MuxEngine<'a> {
             effective_tokens: eff,
             throughput: total as f64 / makespan,
             effective_throughput: eff as f64 / makespan,
-            mean_utilization: mean_utilization(&tl, makespan),
+            mean_utilization: dm.iter().map(|d| d.avg_utilization).sum::<f64>() / dm.len() as f64,
             peak_mem: peak,
             mfu: self.train_flops_per_eff_token * eff as f64 / (makespan * peak_flops),
             energy_joules: energy,
@@ -454,14 +469,25 @@ impl<'a> MuxEngine<'a> {
     }
 }
 
+/// One run's executor. Every cell reuses its handle and dependency
+/// buffers instead of allocating per item.
 struct EngineExec<'e, 'c> {
     eng: &'e MuxEngine<'c>,
     oom: Option<OomError>,
+    comm_policy: CommCtaPolicy,
+    stage_devices: Vec<Vec<usize>>,
+    /// Every handle the current cell issued, item by item.
+    handles: Vec<OpHandle>,
+    /// The `(start, end)` range of `handles` each item of the current cell
+    /// issued.
+    item_spans: Vec<(usize, usize)>,
+    /// The dependency list of the item being issued.
+    item_deps: Vec<OpHandle>,
 }
 
 impl PipelineExec for EngineExec<'_, '_> {
     fn stage_devices(&self, stage: usize) -> Vec<usize> {
-        self.eng.plan.stage_devices(0, stage)
+        self.stage_devices[stage].clone()
     }
 
     fn exec(
@@ -472,67 +498,78 @@ impl PipelineExec for EngineExec<'_, '_> {
         phase: Phase,
         deps: &[OpHandle],
     ) -> OpHandle {
-        let bucket = self.eng.template.mb_bucket[mb];
-        let devices = self.stage_devices(stage);
+        let Self {
+            eng,
+            oom,
+            comm_policy,
+            stage_devices,
+            handles,
+            item_spans,
+            item_deps,
+        } = self;
+        let bucket = eng.template.mb_bucket[mb];
+        let devices = &stage_devices[stage];
         // Activation memory: allocate on forward, release on backward.
-        if self.oom.is_none() {
-            let bytes = self.eng.act_bytes[bucket][stage];
+        if oom.is_none() {
+            let bytes = eng.act_bytes[bucket][stage];
             match phase {
                 Phase::Forward => {
-                    for &d in &devices {
+                    for &d in devices {
                         if let Err(e) = tl.alloc(d, bytes / devices.len() as u64) {
-                            self.oom = Some(e);
+                            *oom = Some(e);
                         }
                     }
                 }
                 Phase::Backward => {
-                    for &d in &devices {
+                    for &d in devices {
                         tl.free(d, bytes / devices.len() as u64);
                     }
                 }
                 Phase::Weight => {}
             }
         }
-        let items = &self.eng.items[bucket][stage];
-        let mut handles: Vec<Vec<OpHandle>> = Vec::with_capacity(items.len());
-        for item in items {
+        handles.clear();
+        item_spans.clear();
+        for item in &eng.items[bucket][stage] {
             let (dur, util, flops) = match phase {
                 Phase::Forward => item.fwd,
                 Phase::Backward | Phase::Weight => item.bwd,
             };
-            let mut item_deps: Vec<OpHandle> = deps.to_vec();
+            item_deps.clear();
+            item_deps.extend_from_slice(deps);
             for &d in &item.deps {
-                item_deps.extend(handles[d].iter().copied());
+                let (lo, hi) = item_spans[d];
+                item_deps.extend_from_slice(&handles[lo..hi]);
             }
-            let mut hs: Vec<OpHandle> = devices
-                .iter()
-                .map(|&dev| {
-                    tl.compute_fixed(
-                        dev,
-                        dur,
-                        util,
-                        flops,
-                        &item_deps,
-                        format!("b{bucket} s{stage} mb{mb} {:?} {}", phase, item.label),
-                    )
-                })
-                .collect();
+            let first = handles.len();
+            for &dev in devices {
+                handles.push(tl.compute_fixed(
+                    dev,
+                    dur,
+                    util,
+                    flops,
+                    item_deps,
+                    format_args!("b{bucket} s{stage} mb{mb} {:?} {}", phase, item.label),
+                ));
+            }
             if item.comm_payload > 0.0 && devices.len() > 1 {
                 let c = tl.collective(
-                    &devices,
+                    devices,
                     CollectiveKind::AllReduce,
                     item.comm_payload,
-                    &hs,
-                    self.eng.comm_policy,
-                    !self.eng.options.overlap_comm,
-                    format!("b{bucket} s{stage} mb{mb} {:?} ar", phase),
+                    &handles[first..],
+                    *comm_policy,
+                    !eng.options.overlap_comm,
+                    format_args!("b{bucket} s{stage} mb{mb} {:?} ar", phase),
                 );
-                hs.push(c);
+                handles.push(c);
             }
-            handles.push(hs);
+            item_spans.push((first, handles.len()));
         }
-        let all: Vec<OpHandle> = handles.into_iter().flatten().collect();
-        tl.join(&all, format!("cell b{bucket} s{stage} mb{mb} {phase:?}"))
+        tl.join(
+            handles,
+            format_args!("cell b{bucket} s{stage} mb{mb} {phase:?}"),
+        )
     }
 
     fn p2p_bytes(&self, mb: usize) -> f64 {

@@ -414,10 +414,11 @@ fn append_shifted(out: &mut Vec<OpRecord>, records: Vec<OpRecord>, t_off: f64) {
     }));
 }
 
-/// Merges the metrics of buckets run back to back (orchestration off):
-/// makespans, tokens and energy add, peak memory is the per-device max,
-/// and the time averages — utilization and MFU — weight each bucket by its
-/// makespan, `Σ xᵢ·Tᵢ / Σ Tᵢ`. A single bucket's metrics pass through.
+/// Merges the metrics of units run back to back (one per bucket with
+/// orchestration off): makespans, tokens and energy add, peak memory is the
+/// per-device max, and the time averages — utilization and MFU — weight
+/// each unit by its makespan, `Σ xᵢ·Tᵢ / Σ Tᵢ`. A single unit's metrics
+/// (an orchestrated run) pass through.
 fn merge_bucket_runs(parts: &[RunMetrics]) -> RunMetrics {
     let (first, rest) = parts.split_first().expect("at least one bucket exists");
     let mut acc = first.clone();
@@ -516,62 +517,52 @@ fn plan_and_run_inner(
                 .max(cfg.plan.pp.min(2 * cfg.plan.pp + 4));
         }
 
+        // Disabling orchestration (-OO) removes *both* tiers of §3.4: no
+        // Algorithm-1 interleaving inside a bucket (engine flag) and no
+        // inter-stage interleaving across buckets — each bucket runs as its
+        // own pipeline, back to back.
+        let units: Vec<Vec<Vec<HTask>>> = if options.orchestrate {
+            vec![buckets]
+        } else {
+            buckets.into_iter().map(|b| vec![b]).collect()
+        };
         // Overlapping communication pays a CTA/bandwidth toll (§3.4.3); it
         // only wins when the launch order has independent work to hide it
-        // under. Evaluate both launch modes and keep the faster.
-        let mut variants = vec![options];
-        if options.overlap_comm {
-            let mut seq_opts = options;
-            seq_opts.overlap_comm = false;
-            variants.push(seq_opts);
-        }
-        for opts in variants {
+        // under. Evaluate both launch modes and keep the faster. The build
+        // reads neither launch-mode knob, so the first launch builds each
+        // unit's engine and the second reruns it.
+        let launches: &[bool] = if options.overlap_comm {
+            &[true, false]
+        } else {
+            &[false]
+        };
+        let mut engines: Vec<MuxEngine<'_>> = Vec::with_capacity(units.len());
+        for &overlap in launches {
             mux_obs::incr_counter("planner.candidates", 1);
             let _cand_span = mux_obs::span("planner.candidate_run");
-            // Disabling orchestration (-OO) removes *both* tiers of §3.4:
-            // no Algorithm-1 interleaving inside a bucket (engine flag) and
-            // no inter-stage interleaving across buckets — each bucket runs
-            // as its own pipeline, back to back.
-            let run_result = if opts.orchestrate {
-                let eng = MuxEngine::new(registry, cluster, cfg.plan, buckets.clone(), opts);
-                if trace {
-                    eng.run_traced().map(|(m, t)| (m, Some(t)))
+            let mut parts: Vec<RunMetrics> = Vec::new();
+            let mut records: Vec<OpRecord> = Vec::new();
+            let outcome = units.iter().enumerate().try_for_each(|(i, unit)| {
+                if i == engines.len() {
+                    let eng = MuxEngine::new(registry, cluster, cfg.plan, unit.clone(), options);
+                    engines.push(eng);
+                }
+                let eng = &mut engines[i];
+                eng.set_overlap_comm(overlap);
+                let m = if trace {
+                    let (m, t) = eng.run_traced()?;
+                    let t_off = parts.iter().map(|p| p.makespan).sum();
+                    append_shifted(&mut records, t, t_off);
+                    m
                 } else {
-                    eng.run().map(|m| (m, None))
-                }
-            } else {
-                let mut parts: Vec<RunMetrics> = Vec::new();
-                let mut records: Vec<OpRecord> = Vec::new();
-                let mut failed = None;
-                for bucket in &buckets {
-                    let eng =
-                        MuxEngine::new(registry, cluster, cfg.plan, vec![bucket.clone()], opts);
-                    let bucket_result = if trace {
-                        eng.run_traced().map(|(m, t)| (m, Some(t)))
-                    } else {
-                        eng.run().map(|m| (m, None))
-                    };
-                    match bucket_result {
-                        Ok((m, t)) => {
-                            if let Some(t) = t {
-                                let t_off = parts.iter().map(|p| p.makespan).sum();
-                                append_shifted(&mut records, t, t_off);
-                            }
-                            parts.push(m);
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    None => Ok((merge_bucket_runs(&parts), trace.then_some(records))),
-                    Some(e) => Err(e),
-                }
-            };
-            match run_result {
-                Ok((m, t)) => {
+                    eng.run()?
+                };
+                parts.push(m);
+                Ok(())
+            });
+            match outcome {
+                Ok(()) => {
+                    let m = merge_bucket_runs(&parts);
                     let score = m.effective_throughput;
                     if best.as_ref().map(|(_, b, _)| score > *b).unwrap_or(true) {
                         best = Some((
@@ -582,7 +573,7 @@ fn plan_and_run_inner(
                                 planning_seconds: 0.0,
                             },
                             score,
-                            t,
+                            trace.then_some(records),
                         ));
                     }
                 }

@@ -18,13 +18,12 @@ pub mod spec;
 pub mod timeline;
 
 pub use metrics::{
-    device_metrics, fault_impact, mean_utilization, utilization_trace, DeviceMetrics, FaultImpact,
-    UtilizationTrace,
+    device_metrics, fault_impact, utilization_trace, DeviceMetrics, FaultImpact, UtilizationTrace,
 };
 pub use render::{render_summary, render_timeline};
 pub use serving::PhaseModel;
 pub use spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work, WorkClass};
 pub use timeline::{
-    Cluster, CollectiveKind, FaultWindow, FaultWindows, LaneKind, OomError, OpHandle, OpKind,
-    OpRecord, Timeline,
+    Cluster, CollectiveKind, Devices, FaultWindow, FaultWindows, LaneKind, OomError, OpHandle,
+    OpKind, OpRecord, Timeline,
 };

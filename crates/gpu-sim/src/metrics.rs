@@ -149,15 +149,6 @@ pub fn fault_impact(tl: &Timeline<'_>) -> FaultImpact {
     }
 }
 
-/// Mean of the per-device average utilization — one number per run.
-pub fn mean_utilization(tl: &Timeline<'_>, window: f64) -> f64 {
-    let m = device_metrics(tl, window);
-    if m.is_empty() {
-        return 0.0;
-    }
-    m.iter().map(|d| d.avg_utilization).sum::<f64>() / m.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +229,6 @@ mod tests {
         let t = Timeline::new(&c);
         let m = device_metrics(&t, 0.0);
         assert_eq!(m[0].busy_fraction, 0.0);
-        assert_eq!(mean_utilization(&t, 0.0), 0.0);
+        assert_eq!(m[0].avg_utilization, 0.0);
     }
 }

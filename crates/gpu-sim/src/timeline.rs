@@ -8,6 +8,9 @@
 //! **communication** stream. Overlap between them is where both the benefit
 //! (hidden stalls) and the cost (CTA contention, §3.4.3) live.
 
+use std::fmt;
+use std::ops::Deref;
+
 use crate::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
 
 /// A multi-GPU machine (possibly multiple nodes).
@@ -59,12 +62,10 @@ impl Cluster {
     /// The link a device group communicates over: the inter-node link if
     /// the group spans nodes, else the intra-node link.
     pub fn link_for(&self, group: &[usize]) -> &LinkSpec {
+        let node = |g: &usize| g / self.gpus_per_node;
         let spans_nodes = group
-            .iter()
-            .map(|g| g / self.gpus_per_node)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-            > 1;
+            .first()
+            .is_some_and(|first| group.iter().any(|g| node(g) != node(first)));
         match (&self.inter_link, spans_nodes) {
             (Some(inter), true) => inter,
             _ => &self.intra_link,
@@ -98,6 +99,60 @@ pub enum OpKind {
     Join,
 }
 
+/// The devices an operator occupied: one for compute, `[src, dst]` for a
+/// p2p copy, the group for a collective, none for a join. Up to two are
+/// stored inline, so compute and p2p records allocate nothing; a larger
+/// collective group lives on the heap. Derefs to the device slice.
+#[derive(Clone)]
+pub struct Devices(DeviceRepr);
+
+#[derive(Clone)]
+enum DeviceRepr {
+    Inline { len: u8, ids: [usize; 2] },
+    Group(Box<[usize]>),
+}
+
+impl Devices {
+    fn new(ids: &[usize]) -> Self {
+        Self(if ids.len() <= 2 {
+            let mut inline = [0; 2];
+            inline[..ids.len()].copy_from_slice(ids);
+            DeviceRepr::Inline {
+                len: ids.len() as u8,
+                ids: inline,
+            }
+        } else {
+            DeviceRepr::Group(ids.into())
+        })
+    }
+}
+
+impl Deref for Devices {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            DeviceRepr::Inline { len, ids } => &ids[..usize::from(*len)],
+            DeviceRepr::Group(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Devices {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Devices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A completed operator record, for metrics and timeline export.
 #[derive(Debug, Clone)]
 pub struct OpRecord {
@@ -106,13 +161,14 @@ pub struct OpRecord {
     /// End time, seconds.
     pub end: f64,
     /// Devices involved (1 for compute, group for collectives).
-    pub devices: Vec<usize>,
+    pub devices: Devices,
     /// Lane.
     pub lane: LaneKind,
     /// Operator kind.
     pub kind: OpKind,
     /// Indices (into the timeline's op list) of the operators this one
     /// waited on — the dependency edges needed for stall attribution.
+    /// Empty on an [untraced](Timeline::untraced) timeline.
     pub deps: Vec<usize>,
     /// Achieved-utilization proxy in `[0, 1]` (compute ops only).
     pub utilization: f64,
@@ -123,7 +179,8 @@ pub struct OpRecord {
     /// Compute-rate penalty this op imposes on overlapped compute
     /// (comm ops only).
     pub compute_penalty: f64,
-    /// Label for traces.
+    /// Label for traces. Empty on an [untraced](Timeline::untraced)
+    /// timeline.
     pub label: String,
 }
 
@@ -240,6 +297,11 @@ impl FaultWindows {
 
 /// The execution timeline of one simulated run.
 ///
+/// A timeline made by [`Timeline::new`] records every operator's label and
+/// dependency edges for trace export and stall attribution; one made by
+/// [`Timeline::untraced`] keeps neither and renders no label, so its
+/// compute, p2p and join records allocate nothing.
+///
 /// ```
 /// use mux_gpu_sim::spec::{GpuSpec, LinkSpec, Work};
 /// use mux_gpu_sim::timeline::{Cluster, Timeline};
@@ -267,10 +329,13 @@ pub struct Timeline<'a> {
     fault_delay: f64,
     /// Operators whose duration a fault window stretched.
     perturbed_ops: usize,
+    /// Whether op records keep their labels and dependency edges.
+    traced: bool,
 }
 
 impl<'a> Timeline<'a> {
-    /// Creates an empty timeline over a cluster.
+    /// Creates an empty timeline over a cluster that records every
+    /// operator's label and dependency edges.
     pub fn new(cluster: &'a Cluster) -> Self {
         let n = cluster.num_gpus();
         Self {
@@ -283,6 +348,17 @@ impl<'a> Timeline<'a> {
             faults: FaultWindows::default(),
             fault_delay: 0.0,
             perturbed_ops: 0,
+            traced: true,
+        }
+    }
+
+    /// Creates an empty timeline whose op records keep no label and no
+    /// dependency edges. Times, utilization, memory and fault accounting
+    /// are bit-identical to a [`Timeline::new`] run of the same submissions.
+    pub fn untraced(cluster: &'a Cluster) -> Self {
+        Self {
+            traced: false,
+            ..Self::new(cluster)
         }
     }
 
@@ -328,6 +404,17 @@ impl<'a> Timeline<'a> {
         deps.iter().map(|d| self.ops[d.0].end).fold(0.0, f64::max)
     }
 
+    /// Appends `op`, filling in its dependency edges and rendering its
+    /// label only when this timeline is traced.
+    fn push(&mut self, mut op: OpRecord, deps: &[OpHandle], label: impl fmt::Display) -> OpHandle {
+        if self.traced {
+            op.deps = deps.iter().map(|d| d.0).collect();
+            op.label = label.to_string();
+        }
+        self.ops.push(op);
+        OpHandle(self.ops.len() - 1)
+    }
+
     /// Sum of comm time on `dev` overlapping `[start, end)`, weighted by
     /// each comm op's compute penalty. Only already-submitted comm ops are
     /// visible — launch order is submission order, so a collective launched
@@ -353,7 +440,7 @@ impl<'a> Timeline<'a> {
         dev: usize,
         work: Work,
         deps: &[OpHandle],
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> OpHandle {
         assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
         let spec = &self.cluster.gpus[dev];
@@ -376,20 +463,20 @@ impl<'a> Timeline<'a> {
         let end = start + base + stretch;
         self.compute_free[dev] = end;
         let utilization = spec.op_utilization(work) * base / (base + stretch);
-        self.ops.push(OpRecord {
+        let op = OpRecord {
             start,
             end,
-            devices: vec![dev],
+            devices: Devices::new(&[dev]),
             lane: LaneKind::Compute,
             kind: OpKind::Compute,
-            deps: deps.iter().map(|d| d.0).collect(),
+            deps: Vec::new(),
             utilization,
             flops: work.flops,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: label.into(),
-        });
-        OpHandle(self.ops.len() - 1)
+            label: String::new(),
+        };
+        self.push(op, deps, label)
     }
 
     /// Submits pre-costed compute work: an operator (or fused subgraph)
@@ -402,7 +489,7 @@ impl<'a> Timeline<'a> {
         utilization: f64,
         flops: f64,
         deps: &[OpHandle],
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> OpHandle {
         assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
         assert!(seconds >= 0.0, "negative duration");
@@ -423,20 +510,20 @@ impl<'a> Timeline<'a> {
         } else {
             utilization
         };
-        self.ops.push(OpRecord {
+        let op = OpRecord {
             start,
             end,
-            devices: vec![dev],
+            devices: Devices::new(&[dev]),
             lane: LaneKind::Compute,
             kind: OpKind::Compute,
-            deps: deps.iter().map(|d| d.0).collect(),
+            deps: Vec::new(),
             utilization: util,
             flops,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: label.into(),
-        });
-        OpHandle(self.ops.len() - 1)
+            label: String::new(),
+        };
+        self.push(op, deps, label)
     }
 
     /// Collective kinds.
@@ -463,7 +550,7 @@ impl<'a> Timeline<'a> {
         deps: &[OpHandle],
         policy: CommCtaPolicy,
         blocking: bool,
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> OpHandle {
         assert!(!group.is_empty(), "collective over empty group");
         let mut start = self.deps_ready(deps);
@@ -490,13 +577,13 @@ impl<'a> Timeline<'a> {
                 self.comm_intervals[g].push((start, end, policy.compute_penalty));
             }
         }
-        self.ops.push(OpRecord {
+        let op = OpRecord {
             start,
             end,
-            devices: group.to_vec(),
+            devices: Devices::new(group),
             lane: LaneKind::Comm,
             kind: OpKind::Collective,
-            deps: deps.iter().map(|d| d.0).collect(),
+            deps: Vec::new(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: payload_bytes,
@@ -505,9 +592,9 @@ impl<'a> Timeline<'a> {
             } else {
                 policy.compute_penalty
             },
-            label: label.into(),
-        });
-        OpHandle(self.ops.len() - 1)
+            label: String::new(),
+        };
+        self.push(op, deps, label)
     }
 
     /// Submits a point-to-point transfer from `src` to `dst` (pipeline
@@ -524,46 +611,45 @@ impl<'a> Timeline<'a> {
         dst: usize,
         bytes: f64,
         deps: &[OpHandle],
-        label: impl Into<String>,
+        label: impl fmt::Display,
     ) -> OpHandle {
-        let link = self.cluster.link_for(&[src, dst]).clone();
         let start = self.deps_ready(deps);
-        let healthy = link.p2p_time(bytes);
+        let healthy = self.cluster.link_for(&[src, dst]).p2p_time(bytes);
         let degrade = self.faults.link_factor(&[src, dst], start);
         let end = start + self.perturb(healthy, degrade);
-        self.ops.push(OpRecord {
+        let op = OpRecord {
             start,
             end,
-            devices: vec![src, dst],
+            devices: Devices::new(&[src, dst]),
             lane: LaneKind::Comm,
             kind: OpKind::P2p,
-            deps: deps.iter().map(|d| d.0).collect(),
+            deps: Vec::new(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: bytes,
             compute_penalty: 0.0,
-            label: label.into(),
-        });
-        OpHandle(self.ops.len() - 1)
+            label: String::new(),
+        };
+        self.push(op, deps, label)
     }
 
     /// A zero-duration synchronization point joining `deps`.
-    pub fn join(&mut self, deps: &[OpHandle], label: impl Into<String>) -> OpHandle {
+    pub fn join(&mut self, deps: &[OpHandle], label: impl fmt::Display) -> OpHandle {
         let t = self.deps_ready(deps);
-        self.ops.push(OpRecord {
+        let op = OpRecord {
             start: t,
             end: t,
-            devices: vec![],
+            devices: Devices::new(&[]),
             lane: LaneKind::Compute,
             kind: OpKind::Join,
-            deps: deps.iter().map(|d| d.0).collect(),
+            deps: Vec::new(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: label.into(),
-        });
-        OpHandle(self.ops.len() - 1)
+            label: String::new(),
+        };
+        self.push(op, deps, label)
     }
 
     /// Allocates `bytes` on `dev`, failing with [`OomError`] past capacity.

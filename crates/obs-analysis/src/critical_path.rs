@@ -314,7 +314,7 @@ pub fn critical_path(ops: &[OpRecord]) -> CriticalPath {
                     OpKind::P2p => CpKind::P2p,
                 },
                 label: op.label.clone(),
-                devices: op.devices.clone(),
+                devices: op.devices.to_vec(),
             });
         }
         match binding_pred(ops, &lanes, cur) {

@@ -292,6 +292,7 @@ pub fn simulate_pipeline(
 ) -> f64 {
     let mut cursors = vec![0usize; programs.len()];
     let mut done: HashMap<PipeInstr, OpHandle> = HashMap::new();
+    let mut deps: Vec<OpHandle> = Vec::new();
     // Successor map in the forward direction.
     let mut downstream: HashMap<usize, usize> = HashMap::new();
     for s in 0..num_virtual_stages {
@@ -320,7 +321,7 @@ pub fn simulate_pipeline(
                 if !ready {
                     break;
                 }
-                let mut deps: Vec<OpHandle> = Vec::new();
+                deps.clear();
                 match instr.phase {
                     Phase::Forward => {
                         if let Some(up) = exec.upstream(instr.stage, num_virtual_stages) {
@@ -332,7 +333,7 @@ pub fn simulate_pipeline(
                                 dst,
                                 exec.p2p_bytes(instr.mb),
                                 &[h],
-                                format!("p2p-f s{}->s{} mb{}", up, instr.stage, instr.mb),
+                                format_args!("p2p-f s{}->s{} mb{}", up, instr.stage, instr.mb),
                             );
                             deps.push(p);
                         }
@@ -350,7 +351,7 @@ pub fn simulate_pipeline(
                                 dst,
                                 exec.p2p_bytes(instr.mb),
                                 &[h],
-                                format!("p2p-b s{}->s{} mb{}", d, instr.stage, instr.mb),
+                                format_args!("p2p-b s{}->s{} mb{}", d, instr.stage, instr.mb),
                             );
                             deps.push(p);
                         }

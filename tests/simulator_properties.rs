@@ -1,11 +1,18 @@
 //! Property-based tests of the discrete-event simulator's core invariants:
 //! per-lane mutual exclusion, dependency causality, collective
-//! synchronization, and memory-ledger accounting.
+//! synchronization, and memory-ledger accounting — plus the two engine
+//! equivalences the planner relies on: an untraced run equals a traced
+//! one, and one engine build serves both launch modes.
 
 use proptest::prelude::*;
 
+use muxtune::core::{EngineOptions, HTask, MuxEngine, RunMetrics};
 use muxtune::gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
-use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, LaneKind, OpHandle, Timeline};
+use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, LaneKind, OomError, OpHandle, Timeline};
+use muxtune::model::config::ModelConfig;
+use muxtune::parallel::plan::HybridParallelism;
+use muxtune::peft::registry::TaskRegistry;
+use muxtune::peft::types::PeftTask;
 
 /// A randomized operation script.
 #[derive(Debug, Clone)]
@@ -76,7 +83,7 @@ fn run_script(script: &[ScriptOp], devices: usize) -> (Vec<OpRecordLite>, f64) {
     let records = tl
         .ops()
         .iter()
-        .map(|o| (o.start, o.end, o.devices.clone(), o.lane))
+        .map(|o| (o.start, o.end, o.devices.to_vec(), o.lane))
         .collect();
     (records, tl.finish_time())
 }
@@ -144,5 +151,137 @@ proptest! {
         }
         prop_assert_eq!(tl.mem_in_use(0), in_use);
         prop_assert_eq!(tl.peak_mem(0), peak);
+    }
+}
+
+/// Every field of a run's metrics, floats as raw bits.
+fn metric_bits(m: &RunMetrics) -> (Vec<u64>, u64, u64, Vec<u64>) {
+    let floats = [
+        m.makespan,
+        m.throughput,
+        m.effective_throughput,
+        m.mean_utilization,
+        m.mfu,
+        m.energy_joules,
+        m.tokens_per_joule,
+    ];
+    (
+        floats.iter().map(|x| x.to_bits()).collect(),
+        m.total_tokens,
+        m.effective_tokens,
+        m.peak_mem.clone(),
+    )
+}
+
+type RunBits = Result<(Vec<u64>, u64, u64, Vec<u64>), OomError>;
+
+fn run_bits(eng: &MuxEngine<'_>) -> RunBits {
+    eng.run().map(|m| metric_bits(&m))
+}
+
+/// A small multi-task engine: `tasks` LoRA tasks over an 8-layer backbone,
+/// either fused into one hTask or one hTask each, in one shared bucket or
+/// one bucket per hTask.
+#[derive(Debug)]
+struct EngineCase {
+    tp: usize,
+    pp: usize,
+    tasks: usize,
+    fused: bool,
+    one_bucket: bool,
+    orchestrate: bool,
+}
+
+impl EngineCase {
+    fn registry(&self) -> TaskRegistry {
+        let mut reg = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
+        for i in 0..self.tasks as u32 {
+            reg.register_task(PeftTask::lora(
+                i + 1,
+                8 << (i % 2),
+                2 + i as usize,
+                64 << (i % 3),
+            ))
+            .expect("register");
+        }
+        reg
+    }
+
+    fn buckets(&self, reg: &TaskRegistry) -> Vec<Vec<HTask>> {
+        let tasks: Vec<&PeftTask> = reg.tasks().collect();
+        let htasks: Vec<HTask> = if self.fused {
+            vec![HTask::from_padded(&tasks, 2)]
+        } else {
+            tasks.iter().map(|t| HTask::from_padded(&[t], 2)).collect()
+        };
+        if self.one_bucket {
+            vec![htasks]
+        } else {
+            htasks.into_iter().map(|h| vec![h]).collect()
+        }
+    }
+
+    fn engine<'c>(&self, reg: &TaskRegistry, cluster: &'c Cluster, overlap: bool) -> MuxEngine<'c> {
+        let plan = HybridParallelism {
+            tp: self.tp,
+            pp: self.pp,
+            dp: 1,
+        };
+        let options = EngineOptions {
+            overlap_comm: overlap,
+            orchestrate: self.orchestrate,
+            ..EngineOptions::default()
+        };
+        MuxEngine::new(reg, cluster, plan, self.buckets(reg), options)
+    }
+}
+
+fn engine_case() -> impl Strategy<Value = EngineCase> {
+    (
+        prop::sample::select(vec![1usize, 2]),
+        prop::sample::select(vec![1usize, 2, 4]),
+        1usize..=4,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(tp, pp, tasks, fused, one_bucket, orchestrate)| EngineCase {
+                tp,
+                pp,
+                tasks,
+                fused,
+                one_bucket,
+                orchestrate,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn untraced_run_is_bit_identical_to_traced(case in engine_case(), overlap in any::<bool>()) {
+        let reg = case.registry();
+        let cluster = Cluster::single_node(GpuSpec::a40(), case.tp * case.pp, LinkSpec::nvlink_a40());
+        let eng = case.engine(&reg, &cluster, overlap);
+        let traced: RunBits = eng.run_traced().map(|(m, ops)| {
+            assert!(!ops.is_empty() && ops.iter().all(|o| !o.label.is_empty()));
+            metric_bits(&m)
+        });
+        prop_assert_eq!(run_bits(&eng), traced);
+    }
+
+    #[test]
+    fn one_build_serves_both_launch_modes(case in engine_case()) {
+        let reg = case.registry();
+        let cluster = Cluster::single_node(GpuSpec::a40(), case.tp * case.pp, LinkSpec::nvlink_a40());
+        let mut reused = case.engine(&reg, &cluster, true);
+        let overlapped = run_bits(&reused);
+        reused.set_overlap_comm(false);
+        let fresh_blocking = case.engine(&reg, &cluster, false);
+        prop_assert_eq!(run_bits(&reused), run_bits(&fresh_blocking));
+        reused.set_overlap_comm(true);
+        prop_assert_eq!(run_bits(&reused), overlapped);
     }
 }
