@@ -9,6 +9,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::OnceLock;
 
 use mux_data::corpus::Corpus;
 use mux_gpu_sim::spec::{GpuSpec, LinkSpec};
@@ -294,6 +295,10 @@ struct Instance {
     /// `None` until the first incremental replan). Persists the fusion
     /// DP's range tables across membership changes.
     planner: Option<IncrementalEstimator>,
+    /// The current membership's traced run, filled by the first reader
+    /// (report, prom, monitor) and dropped by `replan`. `reprice` keeps
+    /// it: fault and preemption state never enter the traced run.
+    traced: OnceLock<Option<TracedInstance>>,
 }
 
 /// A scheduled "some job finishes" event: under the rates of `epoch`, the
@@ -351,16 +356,17 @@ impl Ord for ResumeEvent {
     }
 }
 
-/// One traced re-plan of a non-empty instance (see
-/// [`FineTuneService::traced_instance`]).
+/// What the readers print of one traced run of a non-empty instance (see
+/// [`FineTuneService::traced_instance`]); the op list itself is dropped.
 struct TracedInstance {
     report: MuxTuneReport,
-    ops: Vec<OpRecord>,
-    /// The instance's own device count (its shrunk cluster after a device
-    /// loss): every per-device array it renders has this length.
-    devices: usize,
+    /// Per-device compute-lane busy fraction and mean utilization, one row
+    /// per device of the instance's own cluster (the shrunk one after a
+    /// device loss).
+    devices: Vec<Value>,
     attribution: Vec<DeviceAttribution>,
     stalls: StallTotals,
+    critical_path: Value,
 }
 
 /// An instance's stall totals summed over its devices: the attribution
@@ -399,23 +405,20 @@ impl StallTotals {
 }
 
 impl TracedInstance {
-    /// Inserts the report's plan outcome for this instance into `m`:
-    /// makespan and utilization, per-device compute-lane occupancy, the
-    /// 5-class attribution rows with their conservation-checked window,
-    /// the stall share, and the critical path.
-    fn insert_json(&self, m: &mut Map) {
-        let metrics = &self.report.metrics;
-        let mut busy = vec![0.0f64; self.devices];
-        let mut util_weighted = vec![0.0f64; self.devices];
-        for op in &self.ops {
+    /// Keeps what the readers print of `ops`, a traced run on
+    /// `num_devices` devices.
+    fn new(report: MuxTuneReport, ops: &[OpRecord], num_devices: usize) -> Self {
+        let mut busy = vec![0.0f64; num_devices];
+        let mut util_weighted = vec![0.0f64; num_devices];
+        for op in ops {
             if op.kind == OpKind::Compute && op.end > op.start {
                 let (d, dur) = (op.devices[0], op.end - op.start);
                 busy[d] += dur;
                 util_weighted[d] += op.utilization * dur;
             }
         }
-        let span = metrics.makespan.max(1e-12);
-        let devices: Vec<Value> = (0..self.devices)
+        let span = report.metrics.makespan.max(1e-12);
+        let devices = (0..num_devices)
             .map(|d| {
                 json!({
                     "device": d,
@@ -424,6 +427,22 @@ impl TracedInstance {
                 })
             })
             .collect();
+        let attribution = device_attribution(ops, num_devices);
+        Self {
+            report,
+            devices,
+            stalls: StallTotals::of(&attribution),
+            attribution,
+            critical_path: critical_path(ops).to_json(16),
+        }
+    }
+
+    /// Inserts the report's plan outcome for this instance into `m`:
+    /// makespan and utilization, per-device compute-lane occupancy, the
+    /// 5-class attribution rows with their conservation-checked window,
+    /// the stall share, and the critical path.
+    fn insert_json(&self, m: &mut Map) {
+        let metrics = &self.report.metrics;
         let attribution = self
             .attribution
             .iter()
@@ -433,10 +452,10 @@ impl TracedInstance {
             ("makespan_seconds", metrics.makespan.into()),
             ("effective_throughput", metrics.effective_throughput.into()),
             ("mean_utilization", metrics.mean_utilization.into()),
-            ("devices", Value::Array(devices)),
+            ("devices", Value::Array(self.devices.clone())),
             ("attribution", Value::Array(attribution)),
             ("stall_share", self.stalls.share().into()),
-            ("critical_path", critical_path(&self.ops).to_json(16)),
+            ("critical_path", self.critical_path.clone()),
         ] {
             m.insert(key.into(), value);
         }
@@ -473,10 +492,6 @@ struct MonitorRuntime {
     monitor: OnlineMonitor,
     /// Last observed per-job progress, for burn-rate deltas.
     last_progress: BTreeMap<JobId, f64>,
-    /// Per-instance stall-class shares, cached by plan epoch so the
-    /// traced attribution re-plan runs once per membership change, not
-    /// once per tick.
-    stall_cache: BTreeMap<usize, (u64, [f64; StallClass::COUNT])>,
 }
 
 /// One `--watch` line: the service's live state at a tick.
@@ -562,9 +577,8 @@ struct JobRow<'a> {
 /// rendered as the JSON report or as the Prometheus body.
 struct ReportView<'a> {
     jobs: Vec<JobRow<'a>>,
-    /// One traced re-plan per instance, `None` for empty or unplaceable
-    /// ones.
-    instances: Vec<Option<TracedInstance>>,
+    /// Each instance's traced run, `None` for empty or unplaceable ones.
+    instances: Vec<Option<&'a TracedInstance>>,
     tenants: BTreeMap<&'a str, TenantStats>,
     jain_throughput: f64,
     jain_work: f64,
@@ -572,7 +586,7 @@ struct ReportView<'a> {
     /// `(rule, severity, active, fired_total)` for every rule in
     /// [`online::rules`].
     rules: Vec<(String, online::Severity, usize, u64)>,
-    /// The `mux-obs` registry as the re-plans left it.
+    /// The `mux-obs` registry as the process collected it.
     obs: mux_obs::Snapshot,
 }
 
@@ -822,6 +836,7 @@ impl FineTuneService {
                                 planned_at: self.now,
                                 epoch: 0,
                                 planner: None,
+                                traced: OnceLock::new(),
                             });
                             let i = self.instances.len() - 1;
                             self.by_backbone
@@ -984,6 +999,7 @@ impl FineTuneService {
             let inst = &mut self.instances[i];
             inst.rates.clear();
             inst.raw_rates.clear();
+            inst.traced.take();
             // The epoch advances only when a replan *concludes* (success
             // or empty instance), not per shed-retry iteration: k sheds
             // must cost one epoch, not k+1, so replayed journals agree
@@ -1388,13 +1404,7 @@ impl FineTuneService {
         self.monitor = Some(MonitorRuntime {
             monitor: OnlineMonitor::new(cfg),
             last_progress: BTreeMap::new(),
-            stall_cache: BTreeMap::new(),
         });
-    }
-
-    /// Whether streaming monitoring is on.
-    pub fn monitoring_enabled(&self) -> bool {
-        self.monitor.is_some()
     }
 
     /// The current observation tick (count of [`Self::tick`] calls).
@@ -1582,21 +1592,6 @@ impl FineTuneService {
             return;
         };
         let tick = self.tick;
-
-        // Refresh the per-instance stall-class shares for any instance
-        // whose plan epoch changed (one traced re-plan per membership
-        // change, amortized over all the ticks in between).
-        for i in 0..self.instances.len() {
-            let epoch = self.instances[i].epoch;
-            if rt.stall_cache.get(&i).is_some_and(|&(e, _)| e == epoch) {
-                continue;
-            }
-            let shares = self
-                .traced_instance(i)
-                .map_or([0.0; StallClass::COUNT], |t| t.stalls.class_shares());
-            rt.stall_cache.insert(i, (epoch, shares));
-        }
-
         let running: Vec<(JobId, usize)> = self
             .jobs
             .values()
@@ -1609,13 +1604,9 @@ impl FineTuneService {
         for &(jid, inst_idx) in &running {
             let rate = self.job_rate(jid);
             events.extend(rt.monitor.observe_throughput(jid.0, rate, tick));
-            if let Some(&(_, shares)) = rt.stall_cache.get(&inst_idx) {
-                for (ci, class) in StallClass::ALL.iter().enumerate() {
-                    events.extend(
-                        rt.monitor
-                            .observe_stall_share(jid.0, *class, shares[ci], tick),
-                    );
-                }
+            let shares = self.stall_class_shares(inst_idx);
+            for (class, share) in StallClass::ALL.into_iter().zip(shares) {
+                events.extend(rt.monitor.observe_stall_share(jid.0, class, share, tick));
             }
             let j = &self.jobs[&jid];
             let progress = self.job_progress(j);
@@ -1690,26 +1681,13 @@ impl FineTuneService {
                 JobState::Rejected => rejected += 1,
             }
         }
-        let mut stall_class_shares = [0.0f64; StallClass::COUNT];
-        if let Some(rt) = &self.monitor {
-            let live: Vec<&[f64; StallClass::COUNT]> = self
-                .instances
-                .iter()
-                .enumerate()
-                .filter(|(_, inst)| !inst.registry.is_empty())
-                .filter_map(|(i, _)| rt.stall_cache.get(&i).map(|(_, s)| s))
-                .collect();
-            if !live.is_empty() {
-                for s in &live {
-                    for (ci, v) in s.iter().enumerate() {
-                        stall_class_shares[ci] += v;
-                    }
-                }
-                for v in &mut stall_class_shares {
-                    *v /= live.len() as f64;
-                }
-            }
-        }
+        let live: Vec<[f64; StallClass::COUNT]> = (0..self.instances.len())
+            .filter(|&i| !self.instances[i].registry.is_empty())
+            .map(|i| self.stall_class_shares(i))
+            .collect();
+        let stall_class_shares = std::array::from_fn(|ci| {
+            live.iter().map(|s| s[ci]).sum::<f64>() / live.len().max(1) as f64
+        });
         TelemetrySummary {
             tick: self.tick,
             now: self.now,
@@ -1732,44 +1710,33 @@ impl FineTuneService {
         }
     }
 
-    /// Traced re-plan of instance `i` on its own cluster (the shrunk one
-    /// after a device loss), its 5-class stall attribution per device, and
-    /// the instance's stall totals. Engine op durations feed the
-    /// `engine.*_seconds` histograms.
+    /// Instance `i`'s traced run: its plan re-run with tracing on its own
+    /// cluster (the shrunk one after a device loss), kept until the next
+    /// replan. Only the first call per plan simulates.
     ///
     /// `None` when the instance is empty or the planner cannot place the
     /// current membership.
-    fn traced_instance(&self, i: usize) -> Option<TracedInstance> {
+    fn traced_instance(&self, i: usize) -> Option<&TracedInstance> {
         let inst = &self.instances[i];
-        if inst.registry.is_empty() {
-            return None;
-        }
-        let plan = inst.plan_override.unwrap_or(self.cfg.plan);
-        let cfg = PlannerConfig::muxtune(plan, self.cfg.micro_batches);
-        let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
-        let (report, ops) =
-            plan_and_run_traced(&inst.registry, cluster, &inst.corpora, &cfg).ok()?;
-        for op in &ops {
-            let dur = op.end - op.start;
-            if dur <= 0.0 {
-                continue;
+        let run = || {
+            if inst.registry.is_empty() {
+                return None;
             }
-            match op.kind {
-                OpKind::Compute => mux_obs::record_histogram("engine.compute_op_seconds", dur),
-                OpKind::Collective => mux_obs::record_histogram("engine.collective_seconds", dur),
-                _ => {}
-            }
-        }
-        let devices = cluster.gpus.len();
-        let attribution = device_attribution(&ops, devices);
-        let stalls = StallTotals::of(&attribution);
-        Some(TracedInstance {
-            report,
-            ops,
-            devices,
-            attribution,
-            stalls,
-        })
+            let plan = inst.plan_override.unwrap_or(self.cfg.plan);
+            let cfg = PlannerConfig::muxtune(plan, self.cfg.micro_batches);
+            let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
+            let (report, ops) =
+                plan_and_run_traced(&inst.registry, cluster, &inst.corpora, &cfg).ok()?;
+            Some(TracedInstance::new(report, &ops, cluster.gpus.len()))
+        };
+        inst.traced.get_or_init(run).as_ref()
+    }
+
+    /// Instance `i`'s stall-class shares of its traced run, in
+    /// [`StallClass::ALL`] order (zeros when it has none).
+    fn stall_class_shares(&self, i: usize) -> [f64; StallClass::COUNT] {
+        self.traced_instance(i)
+            .map_or([0.0; StallClass::COUNT], |t| t.stalls.class_shares())
     }
 
     /// Current aggregate progress rate of a job, tokens/second (0 when
@@ -1812,13 +1779,11 @@ impl FineTuneService {
     }
 
     /// The one view [`Self::service_report`] and [`Self::snapshot_prom`]
-    /// render. Resets the `mux-obs` registry, re-plans every non-empty
-    /// instance once with tracing on, captures the registry, then derives
-    /// the per-job, per-tenant, capacity and per-rule facts.
+    /// render: every instance's traced run, the `mux-obs` registry as the
+    /// process collected it, and the per-job, per-tenant, capacity and
+    /// per-rule facts derived from them.
     fn report_view(&self) -> ReportView<'_> {
-        let _on = mux_obs::enabled_scope();
-        mux_obs::reset();
-        let instances: Vec<Option<TracedInstance>> = (0..self.instances.len())
+        let instances: Vec<Option<&TracedInstance>> = (0..self.instances.len())
             .map(|i| self.traced_instance(i))
             .collect();
         let obs = mux_obs::snapshot();
@@ -1906,12 +1871,13 @@ impl FineTuneService {
     /// with **per-job throughput, stall share, ETA, and SLO verdicts**;
     /// per-instance plan outcomes with per-device utilization, the 5-class
     /// **stall attribution** (pipeline bubble / comm wait / dependency
-    /// wait / alignment imbalance / fault recovery, from a traced re-plan
-    /// of the current membership; the one stall model every breakdown
-    /// reads), and the **critical path** through the instance's timeline; the
-    /// tenant, capacity, alert, fault and serving sections; and the
-    /// `mux-obs` registry — planner phase wall times, counters, gauges,
-    /// and histograms — collected while those re-plans ran.
+    /// wait / alignment imbalance / fault recovery, from the instance's
+    /// traced run of its current membership; the one stall model every
+    /// breakdown reads), and the **critical path** through the instance's
+    /// timeline; the tenant, capacity, alert, fault and serving sections;
+    /// and the `mux-obs` registry — phase wall times, counters, gauges,
+    /// and histograms — as the process collected it (empty unless
+    /// collection is on).
     pub fn service_report(&self) -> Value {
         let view = self.report_view();
         let jobs: Vec<Value> = view
@@ -2117,8 +2083,8 @@ impl FineTuneService {
     /// per-instance makespan, utilization and per-class stall seconds,
     /// per-tenant fairness/SLO/JCT families, pool headroom and alert
     /// tallies, the serving families when serving is enabled, then the
-    /// `mux-obs` registry (planner phases, counters, gauges, histograms)
-    /// captured during the underlying re-plans.
+    /// `mux-obs` registry (phases, counters, gauges, histograms) as the
+    /// process collected it.
     pub fn snapshot_prom(&self) -> String {
         let view = self.report_view();
         let mut out = String::new();
@@ -2597,14 +2563,6 @@ mod tests {
         JobSpec::lora("LLaMA2-7B", DatasetKind::OpenBookQa, 16, 4, tokens)
     }
 
-    /// `service_report()` and `snapshot_prom()` reset and read the
-    /// process-global `mux-obs` registry, so the tests calling them run one
-    /// at a time: a concurrent reset would wipe another test's snapshot.
-    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn same_backbone_jobs_share_one_instance() {
         let mut svc = service(16);
@@ -2692,8 +2650,7 @@ mod tests {
     }
 
     #[test]
-    fn service_report_surfaces_devices_stalls_and_planner_phases() {
-        let _serial = obs_lock();
+    fn service_report_surfaces_devices_and_stalls() {
         let mut svc = service(4);
         svc.submit(spec(100_000));
         svc.submit(spec(100_000));
@@ -2708,40 +2665,10 @@ mod tests {
         }
         let stalls = inst["attribution"].as_array().expect("stall attribution");
         assert_eq!(stalls.len(), 4);
-        let obs = &rep["observability"];
-        let phases = obs["phases"].as_object().expect("phases");
-        assert!(phases.contains_key("planner.fusion"), "phases: {phases:?}");
-        assert!(phases.contains_key("engine.simulate"), "phases: {phases:?}");
-        assert!(obs["counters"]["planner.candidates"].as_u64().unwrap() >= 1);
-        assert!(obs["gauges"]["run.mean_utilization"].as_f64().unwrap() > 0.0);
-
-        // The printed op-duration quantiles are within the sketch's 1 % of
-        // the exact ceil-rank quantiles of the traced run's compute ops.
-        let traced = svc.traced_instance(0).expect("traced instance");
-        let mut durs: Vec<f64> = traced
-            .ops
-            .iter()
-            .filter(|op| matches!(op.kind, OpKind::Compute))
-            .map(|op| op.end - op.start)
-            .filter(|&d| d > 0.0)
-            .collect();
-        durs.sort_by(f64::total_cmp);
-        let h = &obs["histograms"]["engine.compute_op_seconds"];
-        assert_eq!(h["count"].as_u64(), Some(durs.len() as u64));
-        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-            let rank = (q * durs.len() as f64).ceil().max(1.0) as usize;
-            let exact = durs[rank - 1];
-            let printed = h[key].as_f64().unwrap();
-            assert!(
-                (printed - exact).abs() <= 0.01 * exact,
-                "{key}: report prints {printed}, exact {exact}"
-            );
-        }
     }
 
     #[test]
     fn service_report_attributes_stalls_and_tracks_slos() {
-        let _serial = obs_lock();
         let mut svc = service(4);
         let relaxed = svc.submit(spec(100_000).with_slo(1e9));
         let tight = svc.submit(spec(100_000).with_slo(1e-3));
@@ -2792,22 +2719,10 @@ mod tests {
             assert_eq!(violated, id == tight.0, "job {id}");
         }
         assert_ne!(relaxed, tight);
-
-        // Histograms captured during the traced re-plan surface in the
-        // obs section with quantiles.
-        let hists = rep["observability"]["histograms"]
-            .as_object()
-            .expect("histograms");
-        let h = hists
-            .get("engine.compute_op_seconds")
-            .expect("compute-op histogram");
-        assert!(h["count"].as_u64().unwrap() > 0);
-        assert!(h["p99"].as_f64().unwrap() >= h["p50"].as_f64().unwrap());
     }
 
     #[test]
     fn snapshot_prom_is_well_formed_exposition() {
-        let _serial = obs_lock();
         let mut svc = service(4);
         svc.submit(spec(100_000).with_slo(3600.0));
         svc.submit(spec(100_000));
@@ -2837,8 +2752,6 @@ mod tests {
                 "missing class {class}"
             );
         }
-        // The obs registry rides along (planner phases from the re-plan).
-        assert!(text.contains("muxtune_phase_seconds_total{phase=\"planner.total\"}"));
         // Every non-comment line is `name[{labels}] value`.
         for line in text
             .lines()
@@ -2852,7 +2765,6 @@ mod tests {
 
     #[test]
     fn tenant_quantile_families_survive_hostile_tenant_names() {
-        let _serial = obs_lock();
         // The new per-tenant JCT/queue-wait families interpolate tenant
         // names into label values; hostile names (quotes, newlines,
         // backslashes, UTF-8, leading digits) must escape into valid
@@ -3510,7 +3422,6 @@ mod tests {
 
     #[test]
     fn report_faults_section_has_stable_keys_and_live_counts() {
-        let _serial = obs_lock();
         let mut svc = service(4);
         svc.submit(spec(50_000));
         let quiet = svc.service_report();

@@ -287,26 +287,6 @@ impl ServingRuntime {
             + self.decoding.len()
     }
 
-    /// Absolute time of the next serving event, if any — lets drivers
-    /// keep ticking until the stream drains.
-    pub fn next_event_at(&self) -> Option<f64> {
-        let mut at: Option<f64> = None;
-        let mut fold = |t: f64| at = Some(at.map_or(t, |a: f64| a.min(t)));
-        if let Some(r) = self.pending.front() {
-            fold(r.arrival);
-        }
-        if let Some(q) = self.queue.front() {
-            fold(q.spec.arrival + self.cfg.queue_timeout_seconds);
-        }
-        if let Some(b) = &self.batch {
-            fold(b.ends);
-        }
-        if let Some(Reverse(d)) = self.decoding.peek() {
-            fold(d.at);
-        }
-        at
-    }
-
     /// Latches this tick's Eq. 7 grouping headroom (free co-location
     /// slots / total slots) and the resulting serving latency scale.
     /// Called by the service before [`Self::step`] each tick.

@@ -253,20 +253,6 @@ fn render_prom() -> String {
     let _on = mux_obs::enabled_scope();
     mux_obs::reset();
     let (report, ops, num_devices) = fig14_small_trace_scenario();
-    for op in &ops {
-        let dur = op.end - op.start;
-        if dur > 0.0 {
-            match op.kind {
-                mux_gpu_sim::timeline::OpKind::Compute => {
-                    mux_obs::record_histogram("engine.compute_op_seconds", dur)
-                }
-                mux_gpu_sim::timeline::OpKind::Collective => {
-                    mux_obs::record_histogram("engine.collective_seconds", dur)
-                }
-                _ => {}
-            }
-        }
-    }
     let m = measure_run(&report, &ops, num_devices);
     let mut out = String::new();
     out.push_str("# TYPE muxtune_run_makespan_seconds gauge\n");

@@ -66,3 +66,34 @@ fn unknown_format_alone_exits_2() {
     let dir = empty_dir("report_cli_format_alone");
     assert_refused(&dir, &["--format", "bogus"], "bogus");
 }
+
+/// `report --watch 25` prints the monitor's per-tick lines (rates, stall
+/// shares, alerts). They are pinned byte for byte against a golden, so a
+/// change that moves any printed number fails here rather than passing a
+/// run-twice diff. Regenerate after an intentional change with
+/// `MUX_BLESS=1 cargo test -p mux-bench --test report_cli`.
+#[test]
+fn watch_output_matches_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--watch", "25"])
+        .output()
+        .expect("run report");
+    assert!(
+        out.status.success(),
+        "report --watch 25: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let body = String::from_utf8(out.stdout).expect("utf-8 output");
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/report_watch25.txt");
+    if std::env::var_os("MUX_BLESS").is_some() {
+        std::fs::write(&golden, &body).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", golden.display()));
+    assert_eq!(
+        body, want,
+        "report --watch 25 drifted from its golden (MUX_BLESS=1 to accept)"
+    );
+}

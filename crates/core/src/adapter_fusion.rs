@@ -12,8 +12,6 @@
 //!    all-reduces do not);
 //! 3. **no fusion across buckets** (they never share a pipeline clock).
 
-use mux_gpu_sim::spec::GpuSpec;
-
 /// Where an adapter subgraph sits, for the fusion decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdapterSite {
@@ -62,21 +60,6 @@ pub fn fused_latency(branches: &[(f64, f64)]) -> f64 {
     let weighted: f64 = branches.iter().map(|(t, u)| t * u).sum();
     let largest = branches.iter().map(|(t, _)| *t).fold(0.0, f64::max);
     weighted.max(largest)
-}
-
-/// Latency and utilization of one adapter branch, summing its nodes'
-/// standalone costs on `gpu` (helper shared by cost model and engine).
-pub fn branch_cost(
-    gpu: &GpuSpec,
-    ops: impl Iterator<Item = mux_gpu_sim::spec::Work>,
-) -> (f64, f64) {
-    let mut t = 0.0;
-    let mut u: f64 = 0.0;
-    for w in ops {
-        t += gpu.compute_time(w, 1.0);
-        u = u.max(gpu.op_utilization(w));
-    }
-    (t, u)
 }
 
 #[cfg(test)]

@@ -168,12 +168,6 @@ impl<'a> CostModel<'a> {
         2.0 * warm_drain + 2.0 * h.micro_batches as f64 * bottleneck
     }
 
-    /// Eq. 4's steady-state term only, per micro-batch — the per-stage
-    /// average used by the DP transition (Eq. 6 divides by `S`).
-    pub fn steady_contribution(&self, h: &HTask) -> f64 {
-        self.pipeline_latency(h) / self.num_stages() as f64
-    }
-
     /// Eq. 5: peak memory of stage `s` when `htasks` co-locate, with up to
     /// `in_flight` micro-batch activations resident (1F1B holds ≤ S).
     pub fn stage_memory(&self, s: usize, htasks: &[HTask], in_flight: usize) -> u64 {

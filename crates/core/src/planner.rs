@@ -10,7 +10,7 @@ use std::time::Instant;
 use mux_data::align::{
     align_task, unit_len, AlignError, AlignStrategy, AlignedBatch, TaskAlignment, TaskData,
 };
-use mux_gpu_sim::timeline::{Cluster, OomError, OpRecord};
+use mux_gpu_sim::timeline::{Cluster, OomError, OpKind, OpRecord};
 use mux_obs::fingerprint::Fnv1a;
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
@@ -87,6 +87,8 @@ pub fn plan_and_run(
 
 /// [`plan_and_run`], additionally returning the winning configuration's
 /// full operator trace (export it with `mux_obs_analysis::timeline_chrome_trace`).
+/// The winner's compute and collective op durations also feed the
+/// `engine.compute_op_seconds` / `engine.collective_seconds` histograms.
 ///
 /// When the winner disabled orchestration (per-bucket back-to-back runs),
 /// the per-bucket traces are concatenated on a shifted time axis so the
@@ -597,6 +599,14 @@ fn plan_and_run_inner(
         report.metrics.effective_throughput,
     );
     mux_obs::set_gauge("planner.planning_seconds", report.planning_seconds);
+    for op in trace_out.iter().flatten().filter(|op| op.end > op.start) {
+        let dur = op.end - op.start;
+        match op.kind {
+            OpKind::Compute => mux_obs::record_histogram("engine.compute_op_seconds", dur),
+            OpKind::Collective => mux_obs::record_histogram("engine.collective_seconds", dur),
+            _ => {}
+        }
+    }
     Ok((report, trace_out))
 }
 

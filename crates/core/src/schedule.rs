@@ -153,78 +153,6 @@ pub fn schedule_subgraphs(
     out
 }
 
-/// The seed O(ready²) selection loop, retained verbatim as the differential
-/// reference for the heap scheduler's equivalence proptest. Panics on
-/// non-finite latencies (the seed behaviour) — reference/test use only.
-pub fn schedule_subgraphs_reference(
-    dags: &[Vec<Subgraph>],
-    latency: &dyn Fn(usize, &Subgraph) -> f64,
-) -> Vec<LaunchItem> {
-    let mut indeg: Vec<Vec<usize>> = dags
-        .iter()
-        .map(|d| d.iter().map(|s| s.deps.len()).collect())
-        .collect();
-    let mut succ: Vec<Vec<Vec<usize>>> = dags
-        .iter()
-        .map(|d| {
-            let mut s = vec![Vec::new(); d.len()];
-            for sg in d {
-                for &dep in &sg.deps {
-                    s[dep].push(sg.id);
-                }
-            }
-            s
-        })
-        .collect();
-    let mut ready: Vec<LaunchItem> = Vec::new();
-    for (di, d) in dags.iter().enumerate() {
-        for sg in d {
-            if sg.deps.is_empty() {
-                ready.push(LaunchItem {
-                    dag: di,
-                    subgraph: sg.id,
-                });
-            }
-        }
-    }
-    let total: usize = dags.iter().map(|d| d.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    while !ready.is_empty() {
-        let best = ready
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let sa = &dags[a.dag][a.subgraph];
-                let sb = &dags[b.dag][b.subgraph];
-                sa.priority
-                    .cmp(&sb.priority)
-                    .then(
-                        latency(b.dag, sb)
-                            .partial_cmp(&latency(a.dag, sa))
-                            .expect("finite latency"),
-                    )
-                    .then(a.dag.cmp(&b.dag))
-                    .then(a.subgraph.cmp(&b.subgraph))
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty ready set");
-        let item = ready.swap_remove(best);
-        out.push(item);
-        for &nxt in &succ[item.dag][item.subgraph] {
-            indeg[item.dag][nxt] -= 1;
-            if indeg[item.dag][nxt] == 0 {
-                ready.push(LaunchItem {
-                    dag: item.dag,
-                    subgraph: nxt,
-                });
-            }
-        }
-        succ[item.dag][item.subgraph].clear();
-    }
-    assert_eq!(out.len(), total, "cycle detected in subgraph DAGs");
-    out
-}
-
 /// Whether `order` respects every DAG's dependencies (test/diagnostic).
 pub fn is_valid_order(dags: &[Vec<Subgraph>], order: &[LaunchItem]) -> bool {
     let mut pos: Vec<Vec<Option<usize>>> = dags.iter().map(|d| vec![None; d.len()]).collect();

@@ -277,16 +277,6 @@ impl LinkSpec {
         }
     }
 
-    /// PCIe 4.0 x16, ~25 GB/s effective.
-    pub fn pcie4() -> Self {
-        Self {
-            name: "PCIe4".into(),
-            bandwidth: 25.0e9,
-            latency: 5.0e-6,
-            sharp: false,
-        }
-    }
-
     /// 100 Gb/s InfiniBand (ConnectX-5, Testbed-B inter-node).
     pub fn ib100() -> Self {
         Self {

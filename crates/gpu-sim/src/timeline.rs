@@ -699,11 +699,6 @@ impl<'a> Timeline<'a> {
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops
     }
-
-    /// Earliest free time of a device's compute lane.
-    pub fn compute_free_at(&self, dev: usize) -> f64 {
-        self.compute_free[dev]
-    }
 }
 
 /// Collective operation kinds.

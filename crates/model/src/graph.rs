@@ -72,11 +72,6 @@ impl OpGraph {
         &self.nodes[id]
     }
 
-    /// In-degree of every node.
-    pub fn in_degrees(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.deps.len()).collect()
-    }
-
     /// Successor lists (inverse of `deps`).
     pub fn successors(&self) -> Vec<Vec<usize>> {
         let mut succ = vec![Vec::new(); self.nodes.len()];
@@ -105,22 +100,6 @@ impl OpGraph {
         self.nodes
             .iter()
             .map(|n| n.template.cost.flops(shape, pass))
-            .sum()
-    }
-
-    /// Sum of memory traffic over all nodes.
-    pub fn total_bytes(&self, shape: TokenShape, pass: Pass) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.template.cost.bytes(shape, pass))
-            .sum()
-    }
-
-    /// Sum of communication payload over all nodes.
-    pub fn total_comm_bytes(&self, shape: TokenShape) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.template.cost.comm_bytes(shape))
             .sum()
     }
 

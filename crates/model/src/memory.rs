@@ -33,12 +33,6 @@ pub fn task_state_bytes(adapter_params: u64) -> u64 {
     adapter_params * 4 * 4
 }
 
-/// Transient input-gradient buffer for `tokens` tokens (one hidden-width per
-/// token; the paper notes it usually reuses the activation allocation).
-pub fn input_grad_bytes(cfg: &ModelConfig, tokens: usize) -> u64 {
-    (tokens as u64) * (cfg.hidden as u64) * (cfg.dtype_bytes as u64)
-}
-
 /// Full-replica memory for one single-task instance (the HF-PEFT/NeMo
 /// deployment model): whole backbone + task state + activations for one
 /// micro-batch across all layers.

@@ -7,24 +7,39 @@
 //! - the *value* goldens pin the full report JSON and the full Prometheus
 //!   body byte for byte, with only wall-clock values masked (phase
 //!   `total_seconds`, the `planner.planning_seconds` gauge, and their prom
-//!   series), so a refactor of either renderer cannot move a number.
+//!   series), so a refactor of either renderer cannot move a number;
+//! - the `observability` section is the `mux-obs` registry as the process
+//!   collected it, so these scenarios run with collection on from the
+//!   first submit, and a traced plan's op durations reach the printed
+//!   histogram quantiles within the sketch's 1 %.
 //!
 //! Regenerate the goldens after an *intentional* change with:
 //! `MUX_BLESS=1 cargo test --test service_report_schema`
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
+use muxtune::core::planner::plan_and_run_traced;
 use muxtune::data::corpus::DatasetKind;
+use muxtune::gpu_sim::timeline::OpKind;
 use muxtune::prelude::*;
 use serde_json::Value;
 
-/// The report re-plans with the process-global `mux-obs` registry on, so
-/// the tests in this file run one at a time: a concurrent scenario would
-/// leak its spans and counters into the other's snapshot.
+/// Every test in this file clears the process-global `mux-obs` registry
+/// and turns collection on, so they run one at a time: a concurrent
+/// scenario would leak its spans and counters into the other's snapshot.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`OBS_LOCK`] and clears the registry. Collection is turned on by
+/// the caller's `enabled_scope()`, declared after the guard so it ends
+/// first.
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    muxtune::obs::reset();
+    guard
+}
 
 fn golden_path() -> PathBuf {
     golden("service_report.schema.json")
@@ -133,7 +148,8 @@ fn key_paths(v: &Value, prefix: &str, out: &mut BTreeSet<String>) {
 
 #[test]
 fn service_report_schema_matches_golden() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
+    let _on = muxtune::obs::enabled_scope();
     let rep = report(&scenario());
     let mut paths = BTreeSet::new();
     key_paths(&rep, "", &mut paths);
@@ -247,7 +263,8 @@ fn assert_golden(name: &str, body: &str) {
 
 #[test]
 fn service_report_and_prom_values_match_golden() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
+    let _on = muxtune::obs::enabled_scope();
     let svc = scenario();
     let rep = mask_report(report(&svc));
     let json = serde_json::to_string_pretty(&rep).expect("serialize") + "\n";
@@ -256,4 +273,82 @@ fn service_report_and_prom_values_match_golden() {
         "service_report.values.prom",
         &mask_prom(&svc.snapshot_prom()),
     );
+}
+
+/// With collection on, the report and prom show the planner and engine
+/// phases, counters, gauges and op-duration histograms that the service's
+/// replans and traced runs recorded.
+#[test]
+fn report_shows_the_registry_as_collected() {
+    let _serial = serial();
+    let _on = muxtune::obs::enabled_scope();
+    let mut cfg = ServiceConfig::a40_pool(4);
+    cfg.backbone_layers = Some(8);
+    let mut svc = FineTuneService::new(cfg);
+    for _ in 0..2 {
+        svc.submit(JobSpec::lora(
+            "LLaMA2-7B",
+            DatasetKind::OpenBookQa,
+            16,
+            4,
+            100_000,
+        ));
+    }
+    let rep = svc.service_report();
+    let obs = &rep["observability"];
+    let phases = obs["phases"].as_object().expect("phases");
+    assert!(phases.contains_key("planner.fusion"), "phases: {phases:?}");
+    assert!(phases.contains_key("engine.simulate"), "phases: {phases:?}");
+    assert!(obs["counters"]["planner.candidates"].as_u64().unwrap() >= 1);
+    assert!(obs["gauges"]["run.mean_utilization"].as_f64().unwrap() > 0.0);
+    let h = &obs["histograms"]["engine.compute_op_seconds"];
+    assert!(h["count"].as_u64().unwrap() > 0);
+    assert!(h["p99"].as_f64().unwrap() >= h["p50"].as_f64().unwrap());
+    let text = svc.snapshot_prom();
+    assert!(text.contains("muxtune_phase_seconds_total{phase=\"planner.total\"}"));
+}
+
+/// A traced plan feeds its winner's compute-op durations to the
+/// `engine.compute_op_seconds` histogram, and the p50/p95/p99 the report
+/// prints from it are within the sketch's 1 % of the exact ceil-rank
+/// quantiles.
+#[test]
+fn traced_op_duration_quantiles_are_within_one_percent_of_exact() {
+    let _serial = serial();
+    let _on = muxtune::obs::enabled_scope();
+    let model = ModelConfig::llama2_7b().with_layers(8);
+    let mut reg = TaskRegistry::new(model);
+    for id in 1..=2 {
+        reg.register_task(PeftTask::lora(id, 16, 4, 256))
+            .expect("register");
+    }
+    let cluster = Cluster::single_node(GpuSpec::a40(), 4, LinkSpec::nvlink_a40());
+    let cfg = PlannerConfig::muxtune(
+        HybridParallelism {
+            tp: 2,
+            pp: 2,
+            dp: 1,
+        },
+        4,
+    );
+    let (_, ops) = plan_and_run_traced(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
+    let mut durs: Vec<f64> = ops
+        .iter()
+        .filter(|op| matches!(op.kind, OpKind::Compute))
+        .map(|op| op.end - op.start)
+        .filter(|&d| d > 0.0)
+        .collect();
+    durs.sort_by(f64::total_cmp);
+    let snap = muxtune::obs::snapshot();
+    let h = &snap.histograms["engine.compute_op_seconds"];
+    assert_eq!(h.count(), durs.len() as u64);
+    for q in [0.5, 0.95, 0.99] {
+        let rank = (q * durs.len() as f64).ceil().max(1.0) as usize;
+        let exact = durs[rank - 1];
+        let printed = h.quantile(q);
+        assert!(
+            (printed - exact).abs() <= 0.01 * exact,
+            "q{q}: histogram prints {printed}, exact {exact}"
+        );
+    }
 }
