@@ -24,9 +24,9 @@ use mux_obs_analysis::{
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
 use mux_peft::types::TaskId;
+use muxtune_core::engine::RunMetrics;
 use muxtune_core::planner::{
-    degraded_plan, plan_and_run, plan_and_run_traced, plan_estimate, IncrementalEstimator,
-    MuxTuneReport, PlannerConfig,
+    degraded_plan, plan_and_run, plan_estimate, IncrementalEstimator, Plan, PlannerConfig,
 };
 use serde_json::{json, Map, Value};
 
@@ -102,18 +102,21 @@ pub struct ServiceConfig {
     pub replan_mode: ReplanMode,
 }
 
-/// How the service prices progress rates on a replan.
+/// How the service prices progress rates on a replan. Every mode keeps
+/// the [`Plan`] it priced, and reports trace exactly that plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplanMode {
     /// Full fidelity: plan candidates are validated on the GPU simulator
-    /// ([`plan_and_run`]) — several engine runs per membership change.
+    /// ([`plan_and_run`]) — several engine runs per membership change —
+    /// and the fastest is kept.
     #[default]
     Simulate,
     /// Cost-model fast path: throughput comes from the fusion DP plus the
     /// Appendix-A grouped-latency estimate ([`plan_estimate`]), no engine
     /// runs. ~100× cheaper per replan with the same feasibility/error
-    /// surface; rates are estimates, not simulator measurements. Each
-    /// replan runs the planner cold, so this is the reference that
+    /// surface; rates are estimates, not simulator measurements, and the
+    /// kept plan is the DP's in the configured launch mode. Each replan
+    /// runs the planner cold, so this is the reference that
     /// [`ReplanMode::Incremental`] is diffed against.
     Estimate,
     /// Incremental fast path: each instance keeps a warm
@@ -295,9 +298,11 @@ struct Instance {
     /// `None` until the first incremental replan). Persists the fusion
     /// DP's range tables across membership changes.
     planner: Option<IncrementalEstimator>,
-    /// The current membership's traced run, filled by the first reader
-    /// (report, prom, monitor) and dropped by `replan`. `reprice` keeps
-    /// it: fault and preemption state never enter the traced run.
+    /// The plan the last successful replan priced (`None` while empty).
+    plan: Option<Plan>,
+    /// One traced run of `plan`, filled by the first reader (report, prom,
+    /// monitor) and dropped with the plan by `replan`. `reprice` keeps it:
+    /// fault and preemption state never enter the traced run.
     traced: OnceLock<Option<TracedInstance>>,
 }
 
@@ -359,7 +364,7 @@ impl Ord for ResumeEvent {
 /// What the readers print of one traced run of a non-empty instance (see
 /// [`FineTuneService::traced_instance`]); the op list itself is dropped.
 struct TracedInstance {
-    report: MuxTuneReport,
+    metrics: RunMetrics,
     /// Per-device compute-lane busy fraction and mean utilization, one row
     /// per device of the instance's own cluster (the shrunk one after a
     /// device loss).
@@ -407,7 +412,7 @@ impl StallTotals {
 impl TracedInstance {
     /// Keeps what the readers print of `ops`, a traced run on
     /// `num_devices` devices.
-    fn new(report: MuxTuneReport, ops: &[OpRecord], num_devices: usize) -> Self {
+    fn new(metrics: RunMetrics, ops: &[OpRecord], num_devices: usize) -> Self {
         let mut busy = vec![0.0f64; num_devices];
         let mut util_weighted = vec![0.0f64; num_devices];
         for op in ops {
@@ -417,7 +422,7 @@ impl TracedInstance {
                 util_weighted[d] += op.utilization * dur;
             }
         }
-        let span = report.metrics.makespan.max(1e-12);
+        let span = metrics.makespan.max(1e-12);
         let devices = (0..num_devices)
             .map(|d| {
                 json!({
@@ -429,7 +434,7 @@ impl TracedInstance {
             .collect();
         let attribution = device_attribution(ops, num_devices);
         Self {
-            report,
+            metrics,
             devices,
             stalls: StallTotals::of(&attribution),
             attribution,
@@ -442,7 +447,7 @@ impl TracedInstance {
     /// 5-class attribution rows with their conservation-checked window,
     /// the stall share, and the critical path.
     fn insert_json(&self, m: &mut Map) {
-        let metrics = &self.report.metrics;
+        let metrics = &self.metrics;
         let attribution = self
             .attribution
             .iter()
@@ -462,18 +467,16 @@ impl TracedInstance {
     }
 }
 
-/// Resolves an engine-label hTask reference to the jobs behind it:
-/// `b{bucket}h{dag}` indexes `grouping.buckets[bucket][dag]`, which names
-/// a fused hTask whose member tasks map to jobs via the instance's
-/// task-to-job table.
-fn jobs_of_htask(inst: &Instance, report: &MuxTuneReport, href: &HTaskRef) -> Vec<JobId> {
-    let Some(bucket) = report.grouping.buckets.get(href.bucket) else {
-        return Vec::new();
-    };
-    let Some(&hidx) = bucket.get(href.htask) else {
-        return Vec::new();
-    };
-    let Some(htask) = report.fusion.htasks.get(hidx) else {
+/// Resolves an engine-label hTask reference of the instance's plan to the
+/// jobs behind it: `b{bucket}h{dag}` indexes `grouping.buckets[bucket][dag]`,
+/// which names a fused hTask whose member tasks map to jobs via the
+/// instance's task-to-job table.
+fn jobs_of_htask(inst: &Instance, href: &HTaskRef) -> Vec<JobId> {
+    let htask = inst.plan.as_ref().and_then(|plan| {
+        let &h = plan.grouping.buckets.get(href.bucket)?.get(href.htask)?;
+        plan.fusion.htasks.get(h)
+    });
+    let Some(htask) = htask else {
         return Vec::new();
     };
     let mut jobs: Vec<JobId> = htask
@@ -836,6 +839,7 @@ impl FineTuneService {
                                 planned_at: self.now,
                                 epoch: 0,
                                 planner: None,
+                                plan: None,
                                 traced: OnceLock::new(),
                             });
                             let i = self.instances.len() - 1;
@@ -999,6 +1003,7 @@ impl FineTuneService {
             let inst = &mut self.instances[i];
             inst.rates.clear();
             inst.raw_rates.clear();
+            inst.plan = None;
             inst.traced.take();
             // The epoch advances only when a replan *concludes* (success
             // or empty instance), not per shed-retry iteration: k sheds
@@ -1019,31 +1024,21 @@ impl FineTuneService {
                 );
                 return;
             }
-            let plan = inst.plan_override.unwrap_or(self.cfg.plan);
-            let cfg = PlannerConfig::muxtune(plan, self.cfg.micro_batches);
+            let parallelism = inst.plan_override.unwrap_or(self.cfg.plan);
+            let cfg = PlannerConfig::muxtune(parallelism, self.cfg.micro_batches);
+            let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
             let result = match self.cfg.replan_mode {
-                ReplanMode::Simulate => {
-                    let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
-                    plan_and_run(&inst.registry, cluster, &inst.corpora, &cfg)
-                        .map(|report| report.metrics.effective_throughput)
-                }
-                ReplanMode::Estimate => {
-                    let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
-                    plan_estimate(&inst.registry, cluster, &inst.corpora, &cfg)
-                }
-                ReplanMode::Incremental => {
-                    // Take/restore so the warm planner outlives the call
-                    // without aliasing the instance borrow.
-                    let mut est = inst.planner.take().unwrap_or_default();
-                    let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
-                    let r = est.estimate(&inst.registry, cluster, &inst.corpora, &cfg);
-                    inst.planner = Some(est);
-                    r
-                }
+                ReplanMode::Simulate => plan_and_run(&inst.registry, cluster, &inst.corpora, &cfg)
+                    .map(|report| (report.metrics.effective_throughput, report.plan)),
+                ReplanMode::Estimate => plan_estimate(&inst.registry, cluster, &inst.corpora, &cfg),
+                ReplanMode::Incremental => inst
+                    .planner
+                    .get_or_insert_with(IncrementalEstimator::new)
+                    .estimate(&inst.registry, cluster, &inst.corpora, &cfg),
             };
             let degrading = !inst.lost_devices.is_empty();
             match result {
-                Ok(effective_throughput) => {
+                Ok((effective_throughput, plan)) => {
                     let raw: BTreeMap<TaskId, f64> = inst
                         .corpora
                         .iter()
@@ -1071,6 +1066,7 @@ impl FineTuneService {
                         .iter()
                         .map(|(&t, &r)| (t, r * mult))
                         .collect();
+                    inst.plan = Some(plan);
                     inst.epoch += 1;
                     inst.planned_at = self.now;
                     let (epoch, tasks) = (inst.epoch, inst.registry.len());
@@ -1710,24 +1706,20 @@ impl FineTuneService {
         }
     }
 
-    /// Instance `i`'s traced run: its plan re-run with tracing on its own
-    /// cluster (the shrunk one after a device loss), kept until the next
-    /// replan. Only the first call per plan simulates.
+    /// Instance `i`'s traced run: the plan its last replan priced, run
+    /// once with tracing on its own cluster (the shrunk one after a device
+    /// loss) and kept until the next replan. Only the first call per plan
+    /// simulates.
     ///
-    /// `None` when the instance is empty or the planner cannot place the
-    /// current membership.
+    /// `None` when the instance is empty, or when its plan, priced by the
+    /// cost model alone, runs out of memory in the engine.
     fn traced_instance(&self, i: usize) -> Option<&TracedInstance> {
         let inst = &self.instances[i];
         let run = || {
-            if inst.registry.is_empty() {
-                return None;
-            }
-            let plan = inst.plan_override.unwrap_or(self.cfg.plan);
-            let cfg = PlannerConfig::muxtune(plan, self.cfg.micro_batches);
+            let plan = inst.plan.as_ref()?;
             let cluster = inst.cluster_override.as_ref().unwrap_or(&self.cluster);
-            let (report, ops) =
-                plan_and_run_traced(&inst.registry, cluster, &inst.corpora, &cfg).ok()?;
-            Some(TracedInstance::new(report, &ops, cluster.gpus.len()))
+            let (metrics, ops) = plan.run_traced(&inst.registry, cluster).ok()?;
+            Some(TracedInstance::new(metrics, &ops, cluster.gpus.len()))
         };
         inst.traced.get_or_init(run).as_ref()
     }
@@ -1796,7 +1788,7 @@ impl FineTuneService {
             let Some(t) = t else { continue };
             let mut by_job: BTreeMap<JobId, f64> = BTreeMap::new();
             for (href, &secs) in t.attribution.iter().flat_map(|d| &d.by_htask) {
-                let jobs = jobs_of_htask(inst, &t.report, href);
+                let jobs = jobs_of_htask(inst, href);
                 let share = secs / jobs.len() as f64;
                 for j in jobs {
                     *by_job.entry(j).or_insert(0.0) += share;
@@ -2130,11 +2122,11 @@ impl FineTuneService {
             let Some(t) = t else { continue };
             out.push_str(&format!(
                 "muxtune_instance_makespan_seconds{{instance=\"{i}\"}} {}\n",
-                t.report.metrics.makespan
+                t.metrics.makespan
             ));
             out.push_str(&format!(
                 "muxtune_instance_mean_utilization{{instance=\"{i}\"}} {}\n",
-                t.report.metrics.mean_utilization
+                t.metrics.mean_utilization
             ));
             out.push_str(&format!(
                 "muxtune_instance_stall_share{{instance=\"{i}\"}} {}\n",
@@ -3013,6 +3005,40 @@ mod tests {
         let est = run(ReplanMode::Estimate);
         let inc = run(ReplanMode::Incremental);
         assert_eq!(est, inc, "estimate vs incremental diverged");
+    }
+
+    /// Under both cost-model modes a read traces the plan the replan
+    /// priced (the DP's, in the configured launch mode), not the plan a
+    /// Simulate-mode selection would pick.
+    #[test]
+    fn a_read_runs_the_plan_the_estimate_priced() {
+        for mode in [ReplanMode::Incremental, ReplanMode::Estimate] {
+            let mut cfg = ServiceConfig::a40_pool(4);
+            cfg.backbone_layers = Some(8);
+            cfg.replan_mode = mode;
+            let mut svc = FineTuneService::new(cfg);
+            svc.submit(spec(1 << 40));
+            svc.submit(spec(1 << 40));
+            let report = svc.service_report();
+            let (inst, cluster) = (&svc.instances[0], &svc.cluster);
+            let cfg = PlannerConfig::muxtune(svc.cfg.plan, svc.cfg.micro_batches);
+            let (_, priced) = plan_estimate(&inst.registry, cluster, &inst.corpora, &cfg)
+                .expect("the membership places");
+            let traced = inst.plan.as_ref().expect("the replan kept its plan");
+            let partition = |p: &Plan| -> Vec<Vec<TaskId>> {
+                p.fusion.htasks.iter().map(|h| h.tasks.clone()).collect()
+            };
+            assert_eq!(partition(traced), partition(&priced), "{mode:?}");
+            assert_eq!(traced.grouping.buckets, priced.grouping.buckets, "{mode:?}");
+            let (once, _) = priced
+                .run_traced(&inst.registry, cluster)
+                .expect("the DP plan fits");
+            assert_eq!(
+                report["instances"][0]["effective_throughput"].as_f64(),
+                Some(once.effective_throughput),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

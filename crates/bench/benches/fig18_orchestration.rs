@@ -54,7 +54,7 @@ fn run(
         &reg,
         cluster,
         HybridParallelism::tensor(4),
-        vec![htasks],
+        &[htasks],
         options,
     );
     let (m, _trace) = engine.run_traced().expect("fits");
@@ -131,7 +131,7 @@ fn main() {
         &reg,
         &a40,
         HybridParallelism::tensor(4),
-        vec![htasks],
+        &[htasks],
         EngineOptions {
             max_in_flight: 2,
             ..EngineOptions::default()

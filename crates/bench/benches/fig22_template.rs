@@ -50,7 +50,7 @@ fn main() {
             &reg,
             &cluster,
             HybridParallelism::pipeline(4),
-            buckets.clone(),
+            &buckets,
             options,
         );
         let m = engine.run().expect("fits");

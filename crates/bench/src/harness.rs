@@ -24,7 +24,7 @@ use muxtune_core::fusion::{
     fuse_dp_seed, fuse_tasks, FusionPolicy, IncrementalPlanner, RangeBuild,
 };
 use muxtune_core::grouping::group_htasks;
-use muxtune_core::planner::{plan_and_run_traced, MuxTuneReport, PlannerConfig};
+use muxtune_core::planner::{plan_and_run, MuxTuneReport, PlannerConfig};
 
 /// A single-node A40 testbed (Testbed-A style).
 pub fn a40_cluster(gpus: usize) -> Cluster {
@@ -241,7 +241,8 @@ pub fn dump_trace(
     cfg: &PlannerConfig,
 ) -> Option<PathBuf> {
     let dir = PathBuf::from(std::env::var_os(TRACE_DIR_ENV)?);
-    let (_, ops) = plan_and_run_traced(registry, cluster, corpora, cfg).ok()?;
+    let report = plan_and_run(registry, cluster, corpora, cfg).ok()?;
+    let (_, ops) = report.plan.run_traced(registry, cluster).ok()?;
     let path = write_trace_file(&dir, id, &ops, cluster.num_gpus())?;
     println!("  [trace] wrote {}", path.display());
     let attr_path = dir.join(format!("{id}.attribution.json"));
@@ -258,25 +259,7 @@ pub fn dump_trace(
 /// uniform OpenBookQA, tp2 x pp2 — two-device stages so the trace carries
 /// tensor-parallel collectives as well as inter-stage pipeline traffic.
 pub fn fig14_trace_scenario() -> (MuxTuneReport, Vec<OpRecord>, usize) {
-    let cluster = a40_cluster(4);
-    let (reg, corpora) = build_workload(
-        &ModelConfig::llama2_7b(),
-        Combo::Uniform(DatasetKind::OpenBookQa),
-        4,
-        4,
-        42,
-    );
-    let cfg = PlannerConfig::muxtune(
-        HybridParallelism {
-            tp: 2,
-            pp: 2,
-            dp: 1,
-        },
-        4,
-    );
-    let (report, ops) =
-        plan_and_run_traced(&reg, &cluster, &corpora, &cfg).expect("fig14 scenario plans");
-    (report, ops, cluster.num_gpus())
+    fig14_traced(ModelConfig::llama2_7b())
 }
 
 /// A truncated Fig-14 scenario for CI: the same task mix and tp2 x pp2
@@ -286,24 +269,25 @@ pub fn fig14_trace_scenario() -> (MuxTuneReport, Vec<OpRecord>, usize) {
 /// perf-regression gate (`report --check-baseline`) pins this scenario's
 /// headline numbers.
 pub fn fig14_small_trace_scenario() -> (MuxTuneReport, Vec<OpRecord>, usize) {
+    fig14_traced(ModelConfig::llama2_7b().with_layers(8))
+}
+
+/// The Fig-14 task mix and layout on `backbone`, planned and traced.
+fn fig14_traced(backbone: ModelConfig) -> (MuxTuneReport, Vec<OpRecord>, usize) {
     let cluster = a40_cluster(4);
-    let (reg, corpora) = build_workload(
-        &ModelConfig::llama2_7b().with_layers(8),
-        Combo::Uniform(DatasetKind::OpenBookQa),
-        4,
-        4,
-        42,
-    );
-    let cfg = PlannerConfig::muxtune(
-        HybridParallelism {
-            tp: 2,
-            pp: 2,
-            dp: 1,
-        },
-        4,
-    );
-    let (report, ops) =
-        plan_and_run_traced(&reg, &cluster, &corpora, &cfg).expect("fig14-small scenario plans");
+    let (reg, corpora) =
+        build_workload(&backbone, Combo::Uniform(DatasetKind::OpenBookQa), 4, 4, 42);
+    let plan = HybridParallelism {
+        tp: 2,
+        pp: 2,
+        dp: 1,
+    };
+    let cfg = PlannerConfig::muxtune(plan, 4);
+    let report = plan_and_run(&reg, &cluster, &corpora, &cfg).expect("fig14 scenario plans");
+    let (_, ops) = report
+        .plan
+        .run_traced(&reg, &cluster)
+        .expect("its plan runs");
     (report, ops, cluster.num_gpus())
 }
 

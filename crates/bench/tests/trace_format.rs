@@ -4,31 +4,81 @@
 //! streams (compute / communication / stall lanes), compute, collective,
 //! and stall categories are all present and distinct, and each device's
 //! stall lane tiles its idle window to the seconds `otherData.attribution`
-//! reports.
+//! reports. The serialized trace and its `.attribution.json` are also
+//! pinned across commits by goldens under `tests/golden/`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::sync::OnceLock;
 
-use mux_bench::harness::fig14_trace_scenario;
+use mux_bench::harness::{attribution_json, fig14_trace_scenario};
+use mux_obs::fingerprint::fnv1a_64;
 use mux_obs_analysis::{timeline_chrome_trace, StallClass};
 use serde_json::Value;
 
+/// The Fig-14 run as `report --trace-out` writes it.
+struct Fig14 {
+    trace: Value,
+    num_devices: usize,
+    makespan: f64,
+    /// The `.attribution.json` body written beside the trace.
+    attribution: String,
+    /// FNV-1a-64 of the serialized trace, which is too large to commit.
+    fingerprint: u64,
+}
+
 /// The scenario is a full planner run; compute it once for all tests.
-fn trace() -> &'static (Value, usize, f64) {
-    static TRACE: OnceLock<(Value, usize, f64)> = OnceLock::new();
+fn trace() -> &'static Fig14 {
+    static TRACE: OnceLock<Fig14> = OnceLock::new();
     TRACE.get_or_init(|| {
         let (report, ops, num_devices) = fig14_trace_scenario();
-        (
-            timeline_chrome_trace(&ops, num_devices),
+        let trace = timeline_chrome_trace(&ops, num_devices);
+        let body = serde_json::to_string_pretty(&trace).expect("serializes");
+        let attribution = attribution_json(&ops, num_devices);
+        Fig14 {
+            fingerprint: fnv1a_64(body.as_bytes()),
+            attribution: serde_json::to_string_pretty(&attribution).expect("serializes"),
+            trace,
             num_devices,
-            report.metrics.makespan,
-        )
+            makespan: report.metrics.makespan,
+        }
     })
+}
+
+/// Compares `body` with `tests/golden/<name>`, or rewrites the golden
+/// under `MUX_BLESS=1`.
+fn assert_golden(name: &str, body: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    if std::env::var_os("MUX_BLESS").is_some() {
+        std::fs::write(&path, body).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    assert_eq!(
+        body, want,
+        "{name} drifted from its golden (MUX_BLESS=1 to accept)"
+    );
+}
+
+/// A change that moves any Fig-14 op fails here, not only a run-twice
+/// diff. Regenerate after an intentional schedule or cost-model change
+/// with `MUX_BLESS=1 cargo test -p mux-bench --test trace_format`.
+#[test]
+fn fig14_trace_and_attribution_match_goldens() {
+    let fig = trace();
+    assert_golden("fig14.attribution.json", &fig.attribution);
+    assert_golden(
+        "fig14.trace.fnv1a64",
+        &format!("{:016x}\n", fig.fingerprint),
+    );
 }
 
 #[test]
 fn fig14_trace_is_valid_chrome_trace_json() {
-    let (value, _, _) = &trace();
+    let value = &trace().trace;
     // Serialize and parse back: what the viewer loads is what we checked.
     let text = serde_json::to_string_pretty(value).expect("serializes");
     let parsed: Value = serde_json::from_str(&text).expect("round-trips through the parser");
@@ -61,7 +111,12 @@ fn fig14_trace_is_valid_chrome_trace_json() {
 
 #[test]
 fn fig14_trace_has_three_streams_and_distinct_categories_per_device() {
-    let (value, num_devices, makespan) = &trace();
+    let Fig14 {
+        trace: value,
+        num_devices,
+        makespan,
+        ..
+    } = trace();
     let events = value["traceEvents"].as_array().expect("traceEvents array");
 
     let mut streams: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
@@ -109,7 +164,11 @@ fn fig14_trace_has_three_streams_and_distinct_categories_per_device() {
 
 #[test]
 fn fig14_trace_names_every_device_and_stream() {
-    let (value, num_devices, _) = &trace();
+    let Fig14 {
+        trace: value,
+        num_devices,
+        ..
+    } = trace();
     let events = value["traceEvents"].as_array().expect("traceEvents array");
     let process_names: BTreeSet<u64> = events
         .iter()
@@ -147,7 +206,11 @@ fn fig14_trace_names_every_device_and_stream() {
 
 #[test]
 fn fig14_stall_lane_tiles_each_device_window() {
-    let (value, num_devices, _) = &trace();
+    let Fig14 {
+        trace: value,
+        num_devices,
+        ..
+    } = trace();
     let events = value["traceEvents"].as_array().expect("traceEvents array");
     let rows = value["otherData"]["attribution"]
         .as_array()

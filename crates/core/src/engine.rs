@@ -100,8 +100,6 @@ struct Item {
 pub struct MuxEngine<'a> {
     cluster: &'a Cluster,
     plan: HybridParallelism,
-    /// Buckets of hTasks (resolved).
-    buckets: Vec<Vec<HTask>>,
     template: PipelineTemplate,
     /// `items[bucket][stage]` — launch items per pipeline cell.
     items: Vec<Vec<Vec<Item>>>,
@@ -122,7 +120,7 @@ impl<'a> MuxEngine<'a> {
         registry: &TaskRegistry,
         cluster: &'a Cluster,
         plan: HybridParallelism,
-        buckets: Vec<Vec<HTask>>,
+        buckets: &[Vec<HTask>],
         options: EngineOptions,
     ) -> Self {
         assert_eq!(
@@ -139,7 +137,7 @@ impl<'a> MuxEngine<'a> {
         let mut act_bytes = Vec::with_capacity(buckets.len());
         let mut p2p = Vec::with_capacity(buckets.len());
         let mut tokens = Vec::with_capacity(buckets.len());
-        for bucket in &buckets {
+        for bucket in buckets {
             let mut per_stage = Vec::with_capacity(ranges.len());
             for &(a, b) in &ranges {
                 // Build + segment each member hTask's stage graph.
@@ -357,7 +355,6 @@ impl<'a> MuxEngine<'a> {
         Self {
             cluster,
             plan,
-            buckets,
             template,
             items,
             act_bytes,
@@ -371,11 +368,6 @@ impl<'a> MuxEngine<'a> {
     /// The generated template (inspectable for tests/ablation).
     pub fn template(&self) -> &PipelineTemplate {
         &self.template
-    }
-
-    /// The bucketed hTasks this engine executes.
-    pub fn buckets(&self) -> &[Vec<HTask>] {
-        &self.buckets
     }
 
     /// Selects the launch mode of later runs: collectives overlapped on the
@@ -610,7 +602,7 @@ mod tests {
             &reg,
             &cluster,
             HybridParallelism::pipeline(4),
-            buckets,
+            &buckets,
             EngineOptions::default(),
         );
         let m = eng.run().expect("fits");
@@ -631,7 +623,7 @@ mod tests {
             &reg,
             &cluster,
             HybridParallelism::pipeline(4),
-            buckets,
+            &buckets,
             EngineOptions::default(),
         );
         let (m, trace) = eng.run_traced().expect("fits");
@@ -658,7 +650,7 @@ mod tests {
                 &reg,
                 &cluster,
                 HybridParallelism::pipeline(4),
-                vec![vec![h.clone()]],
+                &[vec![h.clone()]],
                 opts,
             )
         };
@@ -683,11 +675,10 @@ mod tests {
             &reg,
             &cluster,
             HybridParallelism::pipeline(4),
-            buckets,
+            &buckets,
             EngineOptions::default(),
         );
         assert_eq!(eng.template().mb_bucket.len(), 3 * 5);
-        assert_eq!(eng.buckets().len(), 3);
     }
 
     #[test]
@@ -716,7 +707,7 @@ mod tests {
                 &r2,
                 &cluster,
                 HybridParallelism::pipeline(4),
-                vec![vec![h]],
+                &[vec![h]],
                 opts,
             );
             let m = eng.run().expect("fits");
@@ -750,7 +741,7 @@ mod tests {
             &reg,
             &cluster,
             HybridParallelism::pipeline(2),
-            vec![vec![h]],
+            &[vec![h]],
             opts,
         );
         let err = eng.run().expect_err("must OOM");

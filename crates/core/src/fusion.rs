@@ -327,12 +327,6 @@ impl IncrementalPlanner {
         self.stats.noop_plans += 1;
     }
 
-    /// The plan of the most recent successful [`plan`](Self::plan), if the
-    /// membership has not changed since.
-    pub fn cached_plan(&self) -> Option<&FusionPlan> {
-        self.cached.as_ref()
-    }
-
     /// Inserts `task` at its sorted position, invalidating only the ranges
     /// that cross it. `fingerprint` is an opaque content hash (e.g. over
     /// the task's corpus); [`sync`](Self::sync) re-inserts a task whose
@@ -1001,13 +995,10 @@ mod tests {
         let mut changed = items(&r);
         changed[1].1 = 0xdead_beef;
         assert_eq!(inc.sync(&changed), 2);
-        inc.plan(&cm, &build).expect("feasible");
+        let warm = inc.plan(&cm, &build).expect("feasible");
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let scratch = fuse_tasks(&cm, &tasks, FusionPolicy::Dp, &build).expect("feasible");
-        assert_eq!(
-            inc.cached_plan().expect("cached").predicted.to_bits(),
-            scratch.predicted.to_bits()
-        );
+        assert_eq!(warm.predicted.to_bits(), scratch.predicted.to_bits());
     }
 
     #[test]

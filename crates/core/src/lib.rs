@@ -38,7 +38,7 @@ pub use fusion::{
 pub use grouping::{group_htasks, Grouping};
 pub use htask::HTask;
 pub use planner::{
-    degraded_plan, plan_and_run, plan_and_run_traced, plan_estimate, IncrementalEstimator,
-    MuxTuneReport, PlannerConfig,
+    degraded_plan, plan_and_run, plan_estimate, IncrementalEstimator, MuxTuneReport, Plan,
+    PlannerConfig,
 };
 pub use template::BucketOrder;

@@ -1,7 +1,8 @@
 //! The end-to-end execution planner: data alignment → task fusion (DP) →
 //! hTask grouping → structured template → engine run. This is the
 //! "Execution Planner" box of the paper's Fig 6, with every component
-//! individually toggleable for the §5.3 ablations.
+//! individually toggleable for the §5.3 ablations. Every planning path
+//! returns its decision as a [`Plan`]; [`Plan::run_traced`] runs it again.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::RwLock;
@@ -53,54 +54,96 @@ impl PlannerConfig {
     }
 }
 
-/// Everything the planner decided plus the measured outcome.
+/// An execution plan: everything needed to run it again.
 #[derive(Debug, Clone)]
-pub struct MuxTuneReport {
+pub struct Plan {
     /// The fusion decision.
     pub fusion: FusionPlan,
-    /// The grouping decision.
+    /// The Eq. 7 grouping of `fusion`'s hTasks into buckets.
     pub grouping: Grouping,
+    /// The parallelism the plan runs under.
+    pub parallelism: HybridParallelism,
+    /// The configured engine toggles, `overlap_comm` set to the chosen
+    /// launch mode. A zero `max_in_flight` is resolved when the plan runs.
+    pub options: EngineOptions,
+}
+
+impl Plan {
+    /// What running the plan builds: its engine options, with template
+    /// rule 3 applied, and its units, each one engine's buckets of hTasks.
+    fn engine_units(&self, cm: &CostModel<'_>) -> (EngineOptions, Vec<Vec<Vec<HTask>>>) {
+        let buckets: Vec<Vec<HTask>> = self
+            .grouping
+            .buckets
+            .iter()
+            .map(|b| b.iter().map(|&i| self.fusion.htasks[i].clone()).collect())
+            .collect();
+        // Template rule 3: derive the in-flight cap from the memory model —
+        // temporally interleaved buckets share the budget, so the cap counts
+        // resident pipeline *cells*, not per-hTask copies — and never below
+        // the pipeline depth.
+        let mut options = self.options;
+        if options.max_in_flight == 0 {
+            options.max_in_flight = cm.max_in_flight(&buckets).max(self.parallelism.pp);
+        }
+        // Disabling orchestration (-OO) removes *both* tiers of §3.4: no
+        // Algorithm-1 interleaving inside a bucket (engine flag) and no
+        // inter-stage interleaving across buckets — each bucket runs as its
+        // own pipeline, back to back.
+        let units = if options.orchestrate {
+            vec![buckets]
+        } else {
+            buckets.into_iter().map(|b| vec![b]).collect()
+        };
+        (options, units)
+    }
+
+    /// Runs the plan on `cluster` with tracing on, returning its metrics
+    /// (bit for bit those [`plan_and_run`] measured, if it chose the plan)
+    /// and operator trace. With orchestration off the per-bucket traces
+    /// are concatenated on a shifted time axis. Compute and collective op
+    /// durations feed the `engine.compute_op_seconds` /
+    /// `engine.collective_seconds` histograms.
+    ///
+    /// # Errors
+    /// The OOM that aborted a unit, possible for a plan only estimated.
+    pub fn run_traced(
+        &self,
+        registry: &TaskRegistry,
+        cluster: &Cluster,
+    ) -> Result<(RunMetrics, Vec<OpRecord>), OomError> {
+        let cm = CostModel::new(registry, cluster.gpus[0].clone(), self.parallelism);
+        let (options, units) = self.engine_units(&cm);
+        let mut parts: Vec<RunMetrics> = Vec::with_capacity(units.len());
+        let mut records: Vec<OpRecord> = Vec::new();
+        for unit in &units {
+            let eng = MuxEngine::new(registry, cluster, self.parallelism, unit, options);
+            let (m, t) = eng.run_traced()?;
+            append_shifted(&mut records, t, parts.iter().map(|p| p.makespan).sum());
+            parts.push(m);
+        }
+        for op in records.iter().filter(|op| op.end > op.start) {
+            let dur = op.end - op.start;
+            match op.kind {
+                OpKind::Compute => mux_obs::record_histogram("engine.compute_op_seconds", dur),
+                OpKind::Collective => mux_obs::record_histogram("engine.collective_seconds", dur),
+                _ => {}
+            }
+        }
+        Ok((merge_bucket_runs(&parts), records))
+    }
+}
+
+/// The plan [`plan_and_run`] chose plus its measured outcome.
+#[derive(Debug, Clone)]
+pub struct MuxTuneReport {
+    /// The winning plan.
+    pub plan: Plan,
     /// Simulated run metrics.
     pub metrics: RunMetrics,
     /// Wall-clock planning overhead in seconds (the paper bounds it at
     /// ~10 s; ours is milliseconds because profiling is analytic).
     pub planning_seconds: f64,
-}
-
-/// Plans and runs all registered tasks of `registry` on `cluster`.
-///
-/// `corpora` supplies per-task raw sequence lengths for alignment-aware
-/// fusion; tasks without a corpus fall back to padded-shape planning.
-///
-/// # Errors
-/// Returns a typed [`PlanError`] — infeasible fusion, oversize sequence,
-/// degenerate cost, engine OOM — instead of panicking, so multi-tenant
-/// callers can reject the offending job while co-tenants keep running.
-pub fn plan_and_run(
-    registry: &TaskRegistry,
-    cluster: &Cluster,
-    corpora: &BTreeMap<TaskId, Vec<usize>>,
-    cfg: &PlannerConfig,
-) -> Result<MuxTuneReport, PlanError> {
-    plan_and_run_inner(registry, cluster, corpora, cfg, false).map(|(r, _)| r)
-}
-
-/// [`plan_and_run`], additionally returning the winning configuration's
-/// full operator trace (export it with `mux_obs_analysis::timeline_chrome_trace`).
-/// The winner's compute and collective op durations also feed the
-/// `engine.compute_op_seconds` / `engine.collective_seconds` histograms.
-///
-/// When the winner disabled orchestration (per-bucket back-to-back runs),
-/// the per-bucket traces are concatenated on a shifted time axis so the
-/// combined trace spans the summed makespan.
-pub fn plan_and_run_traced(
-    registry: &TaskRegistry,
-    cluster: &Cluster,
-    corpora: &BTreeMap<TaskId, Vec<usize>>,
-    cfg: &PlannerConfig,
-) -> Result<(MuxTuneReport, Vec<OpRecord>), PlanError> {
-    plan_and_run_inner(registry, cluster, corpora, cfg, true)
-        .map(|(r, t)| (r, t.expect("trace requested")))
 }
 
 /// Cost-model-only planning fast path: runs the Eq. 6 fusion DP and the
@@ -113,13 +156,15 @@ pub fn plan_and_run_traced(
 /// high-job-count trace replayer (`mux-workload`) runs the service in
 /// this mode to reach 10⁴–10⁵ job replays.
 ///
-/// Returns estimated effective tokens per second.
+/// Returns estimated effective tokens per second and the DP's plan. The
+/// estimate assumes overlapped communication, so the plan keeps the
+/// config's launch mode.
 pub fn plan_estimate(
     registry: &TaskRegistry,
     cluster: &Cluster,
     corpora: &BTreeMap<TaskId, Vec<usize>>,
     cfg: &PlannerConfig,
-) -> Result<f64, PlanError> {
+) -> Result<(f64, Plan), PlanError> {
     let _total_span = mux_obs::span("planner.estimate");
     let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
     let tasks: Vec<&PeftTask> = registry.tasks().collect();
@@ -130,7 +175,7 @@ pub fn plan_estimate(
     let fusion = with_range_build(corpora, cfg, &packs, |build| {
         fuse_tasks(&cm, &tasks, cfg.fusion, build)
     })?;
-    Ok(estimate_throughput(&cm, &fusion))
+    Ok(estimate(&cm, fusion, cfg))
 }
 
 /// Each task's alignment at every row length a candidate range has asked
@@ -227,9 +272,10 @@ fn with_range_build<R>(
 
 /// The Appendix-A throughput estimate of a fusion plan: Eq. 7 grouping,
 /// then effective content per round over the grouped pipeline's estimated
-/// round latency. Shared by [`plan_estimate`] and [`IncrementalEstimator`]
-/// so the two paths are arithmetic-identical by construction.
-fn estimate_throughput(cm: &CostModel<'_>, fusion: &FusionPlan) -> f64 {
+/// round latency, beside the plan it prices. Shared by [`plan_estimate`]
+/// and [`IncrementalEstimator`] so the two paths are arithmetic-identical
+/// by construction.
+fn estimate(cm: &CostModel<'_>, fusion: FusionPlan, cfg: &PlannerConfig) -> (f64, Plan) {
     let grouping = group_htasks(cm, &fusion.htasks);
     // Effective content per round: every hTask runs its micro-batches
     // once per round, each carrying `total_tokens` of which
@@ -239,7 +285,14 @@ fn estimate_throughput(cm: &CostModel<'_>, fusion: &FusionPlan) -> f64 {
         .iter()
         .map(|h| h.total_tokens() as f64 * h.micro_batches as f64 * h.effective_fraction)
         .sum();
-    effective_per_round / grouping.estimated.max(1e-9)
+    let throughput = effective_per_round / grouping.estimated.max(1e-9);
+    let plan = Plan {
+        fusion,
+        grouping,
+        parallelism: cfg.plan,
+        options: cfg.options,
+    };
+    (throughput, plan)
 }
 
 /// Content fingerprint of one task for the incremental planner's
@@ -309,7 +362,8 @@ pub struct IncrementalEstimator {
     planner: IncrementalPlanner,
     packs: PackMemo,
     ctx: Option<u64>,
-    cached_throughput: Option<f64>,
+    /// The most recent successful estimate, while the membership holds.
+    cached: Option<(f64, Plan)>,
 }
 
 impl IncrementalEstimator {
@@ -323,21 +377,16 @@ impl IncrementalEstimator {
         self.planner.stats()
     }
 
-    /// The fusion plan of the most recent successful estimate, if the
-    /// membership has not changed since.
-    pub fn fusion_plan(&self) -> Option<&FusionPlan> {
-        self.planner.cached_plan()
-    }
-
-    /// Estimated effective tokens per second for the current membership —
-    /// see [`plan_estimate`] for semantics and the error surface.
+    /// Estimated effective tokens per second for the current membership
+    /// and the plan it prices — see [`plan_estimate`] for semantics and the
+    /// error surface.
     pub fn estimate(
         &mut self,
         registry: &TaskRegistry,
         cluster: &Cluster,
         corpora: &BTreeMap<TaskId, Vec<usize>>,
         cfg: &PlannerConfig,
-    ) -> Result<f64, PlanError> {
+    ) -> Result<(f64, Plan), PlanError> {
         let _total_span = mux_obs::span("planner.estimate_incremental");
         if cfg.fusion != FusionPolicy::Dp {
             return plan_estimate(registry, cluster, corpora, cfg);
@@ -347,7 +396,7 @@ impl IncrementalEstimator {
             self.planner = IncrementalPlanner::new();
             self.packs = PackMemo::default();
             self.ctx = Some(ctx);
-            self.cached_throughput = None;
+            self.cached = None;
         }
         let items: Vec<(PeftTask, u64)> = registry
             .tasks()
@@ -359,13 +408,17 @@ impl IncrementalEstimator {
         self.packs.sync(&items);
         if self.planner.sync(&items) == 0 {
             // No-op replan: unchanged membership, unchanged context. Serve
-            // the cached throughput without touching the tables at all.
-            if let Some(tp) = self.cached_throughput {
+            // the cached estimate without touching the tables at all; only
+            // the engine options, which the estimate never reads, come
+            // from this call.
+            if let Some((throughput, plan)) = &self.cached {
                 self.planner.note_noop();
-                return Ok(tp);
+                let mut plan = plan.clone();
+                plan.options = cfg.options;
+                return Ok((*throughput, plan));
             }
         } else {
-            self.cached_throughput = None;
+            self.cached = None;
         }
         let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
         let before = self.planner.stats().ranges_built;
@@ -376,10 +429,9 @@ impl IncrementalEstimator {
         if built > 0 {
             mux_obs::incr_counter("planner.candidates", built);
         }
-        let fusion = fusion?;
-        let tp = estimate_throughput(&cm, &fusion);
-        self.cached_throughput = Some(tp);
-        Ok(tp)
+        let estimated = estimate(&cm, fusion?, cfg);
+        self.cached = Some(estimated.clone());
+        Ok(estimated)
     }
 }
 
@@ -451,13 +503,21 @@ fn merge_bucket_runs(parts: &[RunMetrics]) -> RunMetrics {
     acc
 }
 
-fn plan_and_run_inner(
+/// Plans and runs all registered tasks of `registry` on `cluster`.
+///
+/// `corpora` supplies per-task raw sequence lengths for alignment-aware
+/// fusion; tasks without a corpus fall back to padded-shape planning.
+///
+/// # Errors
+/// Returns a typed [`PlanError`] — infeasible fusion, oversize sequence,
+/// degenerate cost, engine OOM — instead of panicking, so multi-tenant
+/// callers can reject the offending job while co-tenants keep running.
+pub fn plan_and_run(
     registry: &TaskRegistry,
     cluster: &Cluster,
     corpora: &BTreeMap<TaskId, Vec<usize>>,
     cfg: &PlannerConfig,
-    trace: bool,
-) -> Result<(MuxTuneReport, Option<Vec<OpRecord>>), PlanError> {
+) -> Result<MuxTuneReport, PlanError> {
     let _total_span = mux_obs::span("planner.total");
     let t0 = Instant::now();
     let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
@@ -478,7 +538,7 @@ fn plan_and_run_inner(
         ],
         p => vec![p],
     };
-    let mut best: Option<(MuxTuneReport, f64, Option<Vec<OpRecord>>)> = None;
+    let mut best: Option<(Plan, RunMetrics)> = None;
     // Fusion-level errors (infeasible, oversize, degenerate) carry the
     // actionable reason; engine OOMs are the fallback diagnosis when every
     // policy that fused still failed to run.
@@ -503,31 +563,13 @@ fn plan_and_run_inner(
             let _s = mux_obs::span("planner.grouping");
             group_htasks(&cm, &fusion.htasks)
         };
-        let buckets: Vec<Vec<HTask>> = grouping
-            .buckets
-            .iter()
-            .map(|b| b.iter().map(|&i| fusion.htasks[i].clone()).collect())
-            .collect();
-
-        // Template rule 3: derive the in-flight cap from the memory model —
-        // temporally interleaved buckets share the budget, so the cap counts
-        // resident pipeline *cells*, not per-hTask copies.
-        let mut options = cfg.options;
-        if options.max_in_flight == 0 {
-            options.max_in_flight = cm
-                .max_in_flight(&buckets)
-                .max(cfg.plan.pp.min(2 * cfg.plan.pp + 4));
-        }
-
-        // Disabling orchestration (-OO) removes *both* tiers of §3.4: no
-        // Algorithm-1 interleaving inside a bucket (engine flag) and no
-        // inter-stage interleaving across buckets — each bucket runs as its
-        // own pipeline, back to back.
-        let units: Vec<Vec<Vec<HTask>>> = if options.orchestrate {
-            vec![buckets]
-        } else {
-            buckets.into_iter().map(|b| vec![b]).collect()
+        let mut plan = Plan {
+            fusion,
+            grouping,
+            parallelism: cfg.plan,
+            options: cfg.options,
         };
+        let (options, units) = plan.engine_units(&cm);
         // Overlapping communication pays a CTA/bandwidth toll (§3.4.3); it
         // only wins when the launch order has independent work to hide it
         // under. Evaluate both launch modes and keep the faster. The build
@@ -542,56 +584,40 @@ fn plan_and_run_inner(
         for &overlap in launches {
             mux_obs::incr_counter("planner.candidates", 1);
             let _cand_span = mux_obs::span("planner.candidate_run");
-            let mut parts: Vec<RunMetrics> = Vec::new();
-            let mut records: Vec<OpRecord> = Vec::new();
-            let outcome = units.iter().enumerate().try_for_each(|(i, unit)| {
+            let outcome = units.iter().enumerate().map(|(i, unit)| {
                 if i == engines.len() {
-                    let eng = MuxEngine::new(registry, cluster, cfg.plan, unit.clone(), options);
+                    let eng = MuxEngine::new(registry, cluster, cfg.plan, unit, options);
                     engines.push(eng);
                 }
-                let eng = &mut engines[i];
-                eng.set_overlap_comm(overlap);
-                let m = if trace {
-                    let (m, t) = eng.run_traced()?;
-                    let t_off = parts.iter().map(|p| p.makespan).sum();
-                    append_shifted(&mut records, t, t_off);
-                    m
-                } else {
-                    eng.run()?
-                };
-                parts.push(m);
-                Ok(())
+                engines[i].set_overlap_comm(overlap);
+                engines[i].run()
             });
-            match outcome {
-                Ok(()) => {
-                    let m = merge_bucket_runs(&parts);
-                    let score = m.effective_throughput;
-                    if best.as_ref().map(|(_, b, _)| score > *b).unwrap_or(true) {
-                        best = Some((
-                            MuxTuneReport {
-                                fusion: fusion.clone(),
-                                grouping: grouping.clone(),
-                                metrics: m,
-                                planning_seconds: 0.0,
-                            },
-                            score,
-                            trace.then_some(records),
-                        ));
+            match outcome.collect::<Result<Vec<_>, _>>() {
+                Ok(parts) => {
+                    let metrics = merge_bucket_runs(&parts);
+                    let score = metrics.effective_throughput;
+                    if best
+                        .as_ref()
+                        .is_none_or(|(_, b)| score > b.effective_throughput)
+                    {
+                        plan.options.overlap_comm = overlap;
+                        best = Some((plan.clone(), metrics));
                     }
                 }
                 Err(e) => run_err = Some(e),
             }
         }
     }
-    let (mut report, _, trace_out) = match best {
-        Some(b) => b,
-        None => {
-            return Err(plan_err
-                .or(run_err.map(PlanError::Oom))
-                .expect("at least one candidate was attempted"))
-        }
+    let Some((plan, metrics)) = best else {
+        return Err(plan_err
+            .or(run_err.map(PlanError::Oom))
+            .expect("at least one candidate was attempted"));
     };
-    report.planning_seconds = t0.elapsed().as_secs_f64();
+    let report = MuxTuneReport {
+        plan,
+        metrics,
+        planning_seconds: t0.elapsed().as_secs_f64(),
+    };
     mux_obs::set_gauge("run.makespan_seconds", report.metrics.makespan);
     mux_obs::set_gauge("run.mean_utilization", report.metrics.mean_utilization);
     mux_obs::set_gauge(
@@ -599,15 +625,7 @@ fn plan_and_run_inner(
         report.metrics.effective_throughput,
     );
     mux_obs::set_gauge("planner.planning_seconds", report.planning_seconds);
-    for op in trace_out.iter().flatten().filter(|op| op.end > op.start) {
-        let dur = op.end - op.start;
-        match op.kind {
-            OpKind::Compute => mux_obs::record_histogram("engine.compute_op_seconds", dur),
-            OpKind::Collective => mux_obs::record_histogram("engine.collective_seconds", dur),
-            _ => {}
-        }
-    }
-    Ok((report, trace_out))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -720,6 +738,37 @@ mod tests {
     }
 
     #[test]
+    fn running_the_chosen_plan_traced_reproduces_its_metrics() {
+        let r = registry(4, 128);
+        let c = cluster(4);
+        let mut no_oo = PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4);
+        no_oo.options.orchestrate = false;
+        no_oo.fusion = FusionPolicy::AllTemporal;
+        for cfg in [
+            PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4),
+            no_oo,
+        ] {
+            let rep = plan_and_run(&r, &c, &corpora(&r, DatasetKind::Rte), &cfg).expect("plans");
+            // Several buckets, so the -OO run concatenates several units.
+            assert!(rep.plan.grouping.buckets.len() > 1);
+            let (m, ops) = rep.plan.run_traced(&r, &c).expect("the chosen plan fits");
+            assert_eq!(m.makespan.to_bits(), rep.metrics.makespan.to_bits());
+            assert_eq!(
+                m.effective_throughput.to_bits(),
+                rep.metrics.effective_throughput.to_bits()
+            );
+            assert_eq!(m.mfu.to_bits(), rep.metrics.mfu.to_bits());
+            assert_eq!(m.peak_mem, rep.metrics.peak_mem);
+            let end = ops.iter().map(|op| op.end).fold(0.0, f64::max);
+            assert!(
+                (end - m.makespan).abs() <= 1e-9 * m.makespan,
+                "{end} vs {}",
+                m.makespan
+            );
+        }
+    }
+
+    #[test]
     fn chunked_alignment_raises_effective_throughput_on_mixed_lengths() {
         // Two SST2-ish tasks + two RTE-ish tasks: ZeroPad wastes compute.
         let mut r = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(16));
@@ -780,19 +829,21 @@ mod tests {
             PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4),
         );
         let mut inc = IncrementalEstimator::new();
-        let before = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
-        assert_eq!(
-            before.to_bits(),
-            plan_estimate(&r, &c, &corp, &cfg)
-                .expect("scratch")
-                .to_bits()
-        );
+        let (before, _) = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
+        let (scratch, _) = plan_estimate(&r, &c, &corp, &cfg).expect("scratch");
+        assert_eq!(before.to_bits(), scratch.to_bits());
+        // A no-op estimate is served from the cache with this call's options.
+        let mut blocking = cfg.clone();
+        blocking.options.overlap_comm = false;
+        let (again, plan) = inc.estimate(&r, &c, &corp, &blocking).expect("estimate");
+        assert_eq!(again.to_bits(), before.to_bits());
+        assert!(!plan.options.overlap_comm && inc.stats().noop_plans == 1);
         // Same id, same corpus, new shape: a content change, not a no-op.
         r.deregister_task(2).expect("registered");
         r.register_task(PeftTask::lora(2, 64, 8, 128))
             .expect("register");
-        let after = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
-        let scratch = plan_estimate(&r, &c, &corp, &cfg).expect("scratch");
+        let (after, _) = inc.estimate(&r, &c, &corp, &cfg).expect("estimate");
+        let (scratch, _) = plan_estimate(&r, &c, &corp, &cfg).expect("scratch");
         assert_eq!(after.to_bits(), scratch.to_bits(), "{after} vs {scratch}");
         assert_ne!(after.to_bits(), before.to_bits());
     }
@@ -809,8 +860,8 @@ mod tests {
         );
         let mut inc = IncrementalEstimator::new();
         let mut check = |r: &TaskRegistry| {
-            let got = inc.estimate(r, &c, &corp, &cfg).expect("estimate");
-            let scratch = plan_estimate(r, &c, &corp, &cfg).expect("scratch");
+            let (got, plan) = inc.estimate(r, &c, &corp, &cfg).expect("estimate");
+            let (scratch, _) = plan_estimate(r, &c, &corp, &cfg).expect("scratch");
             assert_eq!(got.to_bits(), scratch.to_bits(), "{got} vs {scratch}");
             // The seed DP shares no code with the planner.
             let cm = CostModel::new(r, c.gpus[0].clone(), cfg.plan);
@@ -819,7 +870,7 @@ mod tests {
                 fuse_dp_seed(&cm, &tasks, build)
             })
             .expect("seed");
-            let fused = inc.fusion_plan().expect("planned").predicted;
+            let fused = plan.fusion.predicted;
             assert_eq!(fused.to_bits(), seed.predicted.to_bits());
             let packs = inc.packs.packs.read().expect("pack memo lock");
             let packed = |id| packs.keys().filter(|(t, _)| *t == id).count();

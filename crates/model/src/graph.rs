@@ -103,22 +103,6 @@ impl OpGraph {
             .sum()
     }
 
-    /// Merges another graph into this one, offsetting ids, and returns the
-    /// id offset. Cross-graph dependencies can then be added by the caller
-    /// via [`OpGraph::add_dep`].
-    pub fn merge(&mut self, other: &OpGraph) -> usize {
-        let off = self.nodes.len();
-        for n in &other.nodes {
-            self.nodes.push(OpNode {
-                id: n.id + off,
-                template: n.template.clone(),
-                deps: n.deps.iter().map(|d| d + off).collect(),
-                tag: n.tag,
-            });
-        }
-        off
-    }
-
     /// Renders the DAG in Graphviz DOT format (adapter nodes colored by
     /// task tag, communication nodes boxed) — handy for inspecting
     /// multi-task graphs and subgraph segmentations.
@@ -146,17 +130,6 @@ impl OpGraph {
         }
         out.push_str("}\n");
         out
-    }
-
-    /// Adds a dependency edge `from -> to` (i.e. `to` now waits on `from`).
-    ///
-    /// # Panics
-    /// Panics if the edge would violate topological order (`from >= to`).
-    pub fn add_dep(&mut self, from: usize, to: usize) {
-        assert!(from < to, "edge {from}->{to} violates topological order");
-        if !self.nodes[to].deps.contains(&from) {
-            self.nodes[to].deps.push(from);
-        }
     }
 }
 
@@ -201,21 +174,6 @@ mod tests {
         let d = g.add(gemm("d"), vec![b, c], 0);
         assert_eq!(g.depths(), vec![0, 1, 1, 2]);
         let _ = d;
-    }
-
-    #[test]
-    fn merge_offsets_ids_and_deps() {
-        let mut g1 = OpGraph::new();
-        let a = g1.add(gemm("a"), vec![], 1);
-        g1.add(gemm("b"), vec![a], 1);
-        let mut g2 = OpGraph::new();
-        let x = g2.add(gemm("x"), vec![], 2);
-        g2.add(gemm("y"), vec![x], 2);
-        let off = g1.merge(&g2);
-        assert_eq!(off, 2);
-        assert_eq!(g1.len(), 4);
-        assert_eq!(g1.node(3).deps, vec![2]);
-        assert_eq!(g1.node(3).tag, 2);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Dynamic multi-task backbone sharing (§3.2).
 //!
 //! The [`TaskRegistry`] is the Rust analogue of the paper's
-//! `register_tasks()` API: tasks attach to and detach from an in-flight
-//! backbone instance in O(1) without touching the backbone description —
-//! no "from-scratch model reinitialization". Multi-task operator graphs are
-//! then *derived* per plan: shared backbone nodes (tag 0) with per-task
+//! `register_tasks()` API: [`TaskRegistry::register_task`] and
+//! [`TaskRegistry::deregister_task`] attach one task to and detach it from
+//! an in-flight backbone instance without touching the backbone
+//! description — no "from-scratch model reinitialization". The service
+//! calls them on each admission and completion. Multi-task operator graphs
+//! are then *derived* per plan: shared backbone nodes (tag 0) with per-task
 //! adapter branches (tagged by task id) joined through aggregate nodes.
 
 use std::collections::BTreeMap;
@@ -91,17 +93,6 @@ impl TaskRegistry {
         );
         self.tasks.insert(task.id, task);
         self.generation += 1;
-        Ok(())
-    }
-
-    /// Registers many tasks (the paper's `register_tasks()`).
-    pub fn register_tasks(
-        &mut self,
-        tasks: impl IntoIterator<Item = PeftTask>,
-    ) -> Result<(), RegistryError> {
-        for t in tasks {
-            self.register_task(t)?;
-        }
         Ok(())
     }
 

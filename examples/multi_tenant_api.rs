@@ -21,7 +21,7 @@ fn plan(registry: &TaskRegistry, cluster: &Cluster, corpora: &BTreeMap<TaskId, V
             "  replanned in {:.1} ms: {} tasks -> {} hTask(s), {:.0} effective tokens/s, peak mem {:.1} GB",
             r.planning_seconds * 1e3,
             registry.len(),
-            r.fusion.htasks.len(),
+            r.plan.fusion.htasks.len(),
             r.metrics.effective_throughput,
             *r.metrics.peak_mem.iter().max().unwrap_or(&0) as f64 / 1e9,
         ),

@@ -54,9 +54,9 @@ fn main() {
     println!(
         "  {} tasks fused into {} hTask(s)",
         registry.len(),
-        report.fusion.htasks.len()
+        report.plan.fusion.htasks.len()
     );
-    for (i, h) in report.fusion.htasks.iter().enumerate() {
+    for (i, h) in report.plan.fusion.htasks.iter().enumerate() {
         println!(
             "    hTask {i}: tasks {:?}, {} tokens/micro-batch, unit len {}",
             h.tasks,
@@ -66,8 +66,8 @@ fn main() {
     }
     println!(
         "  {} temporal bucket(s): {:?}",
-        report.grouping.buckets.len(),
-        report.grouping.buckets
+        report.plan.grouping.buckets.len(),
+        report.plan.grouping.buckets
     );
     println!(
         "  planning overhead: {:.1} ms",

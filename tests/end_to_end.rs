@@ -37,7 +37,7 @@ fn full_pipeline_is_deterministic() {
         "simulation must be bit-reproducible"
     );
     assert_eq!(a.metrics.total_tokens, b.metrics.total_tokens);
-    assert_eq!(a.fusion.htasks.len(), b.fusion.htasks.len());
+    assert_eq!(a.plan.fusion.htasks.len(), b.plan.fusion.htasks.len());
 }
 
 #[test]

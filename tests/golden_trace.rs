@@ -18,7 +18,7 @@ use mux_obs_analysis::timeline_chrome_trace;
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
 use mux_peft::types::PeftTask;
-use muxtune_core::planner::{plan_and_run_traced, PlannerConfig};
+use muxtune_core::planner::{plan_and_run, PlannerConfig};
 use serde_json::Value;
 
 fn golden_path() -> PathBuf {
@@ -43,8 +43,11 @@ fn scenario() -> (Value, f64) {
         },
         2,
     );
-    let (report, ops) =
-        plan_and_run_traced(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
+    let report = plan_and_run(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
+    let (_, ops) = report
+        .plan
+        .run_traced(&reg, &cluster)
+        .expect("its plan runs");
     (timeline_chrome_trace(&ops, 2), report.metrics.makespan)
 }
 

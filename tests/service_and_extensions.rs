@@ -44,7 +44,7 @@ fn all_four_peft_types_plan_and_run_together() {
     let cfg = PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4);
     let rep = plan_and_run(&reg, &cluster, &BTreeMap::new(), &cfg).expect("mixed run");
     assert!(rep.metrics.throughput > 0.0);
-    let all: usize = rep.fusion.htasks.iter().map(|h| h.tasks.len()).sum();
+    let all: usize = rep.plan.fusion.htasks.iter().map(|h| h.tasks.len()).sum();
     assert_eq!(all, 4, "every PEFT type scheduled");
 }
 

@@ -264,20 +264,21 @@ proptest! {
 
 /// `planner.total` spans the call-tree profiler holds under root span
 /// `root`.
-fn plans_under(root: &str) -> u64 {
-    let mut plans = 0;
+/// How many `name` spans ran under the root span `root`.
+fn spans_under(root: &str, name: &str) -> u64 {
+    let mut count = 0;
     profile::for_each_path(&profile::snapshot_profile(), |path, node| {
-        if path[0] == root && node.name == "planner.total" {
-            plans += node.count;
+        if path[0] == root && node.name == name {
+            count += node.count;
         }
     });
-    plans
+    count
 }
 
 /// An unchanged plan is never simulated again: the first report + prom
-/// pair after a membership change runs one traced plan per changed
-/// instance, and every later pair, including after a fault that only
-/// re-prices the instance, runs none.
+/// pair after a membership change runs each changed instance's plan once,
+/// traced, and every later pair, including after a fault that only
+/// re-prices the instance, runs nothing. No read plans.
 #[test]
 fn an_unchanged_plan_is_never_resimulated() {
     let _serial = serial();
@@ -292,7 +293,8 @@ fn an_unchanged_plan_is_never_resimulated() {
             let _ = svc.service_report();
             let _ = svc.snapshot_prom();
         }
-        plans_under(root)
+        assert_eq!(spans_under(root, "planner.total"), 0, "{root} planned");
+        spans_under(root, "engine.simulate")
     };
     assert_eq!(
         scrape(&svc, "scrape.first"),

@@ -21,7 +21,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use muxtune::core::planner::plan_and_run_traced;
 use muxtune::data::corpus::DatasetKind;
 use muxtune::gpu_sim::timeline::OpKind;
 use muxtune::prelude::*;
@@ -331,7 +330,11 @@ fn traced_op_duration_quantiles_are_within_one_percent_of_exact() {
         },
         4,
     );
-    let (_, ops) = plan_and_run_traced(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
+    let report = plan_and_run(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plan runs");
+    let (_, ops) = report
+        .plan
+        .run_traced(&reg, &cluster)
+        .expect("its plan runs");
     let mut durs: Vec<f64> = ops
         .iter()
         .filter(|op| matches!(op.kind, OpKind::Compute))

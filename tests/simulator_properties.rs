@@ -232,7 +232,7 @@ impl EngineCase {
             orchestrate: self.orchestrate,
             ..EngineOptions::default()
         };
-        MuxEngine::new(reg, cluster, plan, self.buckets(reg), options)
+        MuxEngine::new(reg, cluster, plan, &self.buckets(reg), options)
     }
 }
 
