@@ -2404,13 +2404,14 @@ impl FineTuneService {
                         .entry("restart".into())
                         .or_insert(0) += 1;
                 }
-                match degraded_plan(self.cfg.plan, survivors) {
+                let layers = self.instances[instance].registry.backbone().num_layers;
+                match degraded_plan(self.cfg.plan, survivors, layers) {
                     Some(plan) => {
                         let inst = &mut self.instances[instance];
                         inst.plan_override = Some(plan);
                         inst.cluster_override = Some(Cluster::single_node(
                             self.cfg.gpu.clone(),
-                            survivors,
+                            plan.num_gpus(),
                             self.cfg.link.clone(),
                         ));
                         self.replan(instance);
@@ -3502,6 +3503,42 @@ mod tests {
         for key in ["devices", "attribution"] {
             assert_eq!(row[key].as_array().map(Vec::len), Some(3), "{key}");
         }
+    }
+
+    #[test]
+    fn a_device_loss_never_plans_more_stages_than_the_backbone_has_layers() {
+        // tp2×pp2 over a 2-layer backbone: losing one of 4 GPUs leaves 3
+        // survivors, but 2 layers split into at most 2 stages.
+        let mut cfg = ServiceConfig::a40_pool(4);
+        cfg.backbone_layers = Some(2);
+        cfg.plan = HybridParallelism {
+            tp: 2,
+            pp: 2,
+            dp: 1,
+        };
+        let mut svc = FineTuneService::new(cfg);
+        let job = svc.submit(spec(100_000));
+        svc.inject_fault(ServiceFault::DeviceLoss {
+            instance: 0,
+            device: 3,
+        })
+        .expect("valid fault");
+        assert_eq!(
+            svc.instances[0].plan_override,
+            Some(HybridParallelism::pipeline(2))
+        );
+        assert!(matches!(
+            svc.job(job).unwrap().state,
+            JobState::Running { instance: 0 }
+        ));
+        assert!(svc.journal().events().iter().any(|e| matches!(
+            e.kind,
+            EventKind::RecoverReplan {
+                instance: 0,
+                devices_left: 3,
+                ..
+            }
+        )));
     }
 
     #[test]

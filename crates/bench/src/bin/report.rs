@@ -312,7 +312,12 @@ const WALL_TIME_SCENARIOS: &[&str] = &[
 /// entry carries exact per-path work budgets (`dp_cells`, `ranges_built`,
 /// `heap_ops`, …). Same seed ⇒ identical counts, so these gate with
 /// equality rather than a wall-time tolerance.
-const PROFILED_SCENARIOS: &[&str] = &["planner-incremental", "churn-replay", "serve-mix"];
+const PROFILED_SCENARIOS: &[&str] = &[
+    "fig14-small",
+    "planner-incremental",
+    "churn-replay",
+    "serve-mix",
+];
 
 /// Runs one gate scenario and returns its headline numbers.
 fn measure_scenario(name: &str) -> Result<PerfMeasurement, String> {

@@ -1,14 +1,15 @@
 //! The PEFT engine: executes a planned multi-task run on the simulator.
 //!
-//! Precomputes, per (bucket, stage), the Algorithm-1 launch order over the
-//! member hTasks' segmented subgraphs — with horizontal adapter fusion
-//! applied — and then drives the structured pipeline template through
-//! `mux_parallel::simulate_pipeline`, with collectives overlapped on the
-//! communication stream (or launched blocking, for baseline/ablation
-//! modes) and activation memory tracked against device capacity.
+//! Precomputes, per bucket and distinct stage depth, the Algorithm-1 launch
+//! order over the member hTasks' segmented subgraphs — with horizontal
+//! adapter fusion applied — and then drives the structured pipeline
+//! template through `mux_parallel::simulate_pipeline`, with collectives
+//! overlapped on the communication stream (or launched blocking, for
+//! baseline/ablation modes) and activation memory tracked against device
+//! capacity.
 
 use mux_gpu_sim::metrics::device_metrics;
-use mux_gpu_sim::spec::CommCtaPolicy;
+use mux_gpu_sim::spec::{CommCtaPolicy, GpuSpec};
 use mux_gpu_sim::timeline::{Cluster, CollectiveKind, OomError, OpHandle, OpRecord, Timeline};
 use mux_model::memory::activation_bytes;
 use mux_model::mfu::{train_flops_per_token, TrainMode};
@@ -81,7 +82,7 @@ pub struct RunMetrics {
     pub tokens_per_joule: f64,
 }
 
-/// One precomputed launch item of a (bucket, stage) cell.
+/// One precomputed launch item of a launch cell.
 #[derive(Debug, Clone)]
 struct Item {
     /// Item indices this one waits on (within the cell).
@@ -101,8 +102,11 @@ pub struct MuxEngine<'a> {
     cluster: &'a Cluster,
     plan: HybridParallelism,
     template: PipelineTemplate,
-    /// `items[bucket][stage]` — launch items per pipeline cell.
-    items: Vec<Vec<Vec<Item>>>,
+    /// `cells[bucket][cell]` — the launch items of each distinct stage
+    /// depth.
+    cells: Vec<Vec<Vec<Item>>>,
+    /// Each pipeline stage's cell index into `cells[bucket]`.
+    stage_cell: Vec<usize>,
     /// Per-bucket activation bytes per stage per in-flight micro-batch.
     act_bytes: Vec<Vec<u64>>,
     /// Per-bucket per-micro-batch p2p payload bytes.
@@ -133,187 +137,35 @@ impl<'a> MuxEngine<'a> {
         let ranges = stage_layers(cfg.num_layers, plan.pp);
         let gpu = &cluster.gpus[0];
 
-        let mut items = Vec::with_capacity(buckets.len());
+        // A stage's layer indices reach its graph only through op names,
+        // which no cell build reads, so stages of equal depth share one
+        // cell: each distinct depth is built once per bucket, over the
+        // first stage that has it.
+        let mut cell_ranges: Vec<(usize, usize)> = Vec::new();
+        let stage_cell: Vec<usize> = ranges
+            .iter()
+            .map(|&(a, b)| {
+                cell_ranges
+                    .iter()
+                    .position(|&(sa, sb)| sb - sa == b - a)
+                    .unwrap_or_else(|| {
+                        cell_ranges.push((a, b));
+                        cell_ranges.len() - 1
+                    })
+            })
+            .collect();
+
+        let mut cells = Vec::with_capacity(buckets.len());
         let mut act_bytes = Vec::with_capacity(buckets.len());
         let mut p2p = Vec::with_capacity(buckets.len());
         let mut tokens = Vec::with_capacity(buckets.len());
         for bucket in buckets {
-            let mut per_stage = Vec::with_capacity(ranges.len());
-            for &(a, b) in &ranges {
-                // Build + segment each member hTask's stage graph.
-                let graphs: Vec<_> = bucket
+            cells.push(
+                cell_ranges
                     .iter()
-                    .map(|h| registry.build_multitask_stage_graph(a, b, plan.tp, &h.tasks))
-                    .collect();
-                let dags: Vec<_> = {
-                    let _s = mux_obs::span("engine.segment");
-                    graphs.iter().map(segment).collect()
-                };
-                // Per-subgraph costs.
-                let sg_cost = |gi: usize, sg: &crate::subgraph::Subgraph, pass: Pass| {
-                    let h = &bucket[gi];
-                    let mut dur = 0.0;
-                    let mut util: f64 = 0.0;
-                    let mut flops = 0.0;
-                    for &n in &sg.nodes {
-                        let node = graphs[gi].node(n);
-                        if node.template.kind.is_comm() {
-                            continue;
-                        }
-                        let member = if node.tag == 0 {
-                            None
-                        } else {
-                            Some(
-                                h.tasks
-                                    .iter()
-                                    .position(|&t| t == node.tag)
-                                    .expect("adapter tag is a member"),
-                            )
-                        };
-                        let (t, u, f) = crate::cost::htask_op_time(
-                            gpu,
-                            node.template.kind,
-                            &node.template.cost,
-                            h,
-                            member,
-                            pass,
-                        );
-                        dur += t;
-                        util = util.max(u);
-                        flops += f;
-                    }
-                    (dur, util, flops)
-                };
-                let comm_payload = |gi: usize, sg: &crate::subgraph::Subgraph| -> f64 {
-                    sg.nodes
-                        .iter()
-                        .map(|&n| {
-                            let node = graphs[gi].node(n);
-                            if node.template.kind.is_comm() {
-                                node.template.cost.comm_bytes(bucket[gi].shape())
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum()
-                };
-                // Launch order.
-                let order = if options.orchestrate {
-                    let _s = mux_obs::span("engine.schedule");
-                    schedule_subgraphs(&dags, &|gi, sg| sg_cost(gi, sg, Pass::Forward).0)
-                } else {
-                    dags.iter()
-                        .enumerate()
-                        .flat_map(|(gi, d)| {
-                            d.iter().map(move |sg| crate::schedule::LaunchItem {
-                                dag: gi,
-                                subgraph: sg.id,
-                            })
-                        })
-                        .collect()
-                };
-                // Convert to items, applying case-2 adapter fusion over
-                // adjacent ready adapter branches.
-                let mut cell_items: Vec<Item> = Vec::new();
-                let mut item_of = vec![vec![usize::MAX; 0]; dags.len()];
-                for (gi, d) in dags.iter().enumerate() {
-                    item_of[gi] = vec![usize::MAX; d.len()];
-                }
-                let mut i = 0;
-                while i < order.len() {
-                    let li = order[i];
-                    let sg = &dags[li.dag][li.subgraph];
-                    // Horizontal adapter fusion (§3.4.3). Case 1: adapter
-                    // branches of *different member tasks within one hTask*
-                    // at the same attach point (same priority) fuse into a
-                    // grouped kernel. Case 2: adapters of single-task
-                    // hTasks in the same bucket fuse across DAGs. Case 3
-                    // (across buckets) never shares a cell by construction.
-                    let mut group = vec![li];
-                    if options.fuse_adapters && sg.is_adapter {
-                        let site = |l: &crate::schedule::LaunchItem| AdapterSite {
-                            bucket: 0,
-                            htask: l.dag,
-                            single_task_htask: bucket[l.dag].tasks.len() == 1,
-                            priority: dags[l.dag][l.subgraph].priority,
-                            feeds_pending_collective: false,
-                        };
-                        while i + group.len() < order.len() {
-                            let nxt = order[i + group.len()];
-                            let nsg = &dags[nxt.dag][nxt.subgraph];
-                            let case1 = nxt.dag == li.dag
-                                && nsg.is_adapter
-                                && nsg.task != sg.task
-                                && nsg.priority == sg.priority;
-                            let case2 = nxt.dag != li.dag
-                                && nsg.is_adapter
-                                && fusible_across_htasks(site(&li), site(&nxt));
-                            if case1 || case2 {
-                                group.push(nxt);
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    let idx = cell_items.len();
-                    let mut deps = Vec::new();
-                    let mut payload = 0.0;
-                    let mut fwd_branches = Vec::new();
-                    let mut bwd_branches = Vec::new();
-                    let mut flops = (0.0, 0.0);
-                    let mut label = String::new();
-                    for l in &group {
-                        let s = &dags[l.dag][l.subgraph];
-                        for &dsg in &s.deps {
-                            let di = item_of[l.dag][dsg];
-                            debug_assert_ne!(di, usize::MAX, "dep not yet issued");
-                            if !deps.contains(&di) {
-                                deps.push(di);
-                            }
-                        }
-                        let f = sg_cost(l.dag, s, Pass::Forward);
-                        let bw = sg_cost(l.dag, s, Pass::BackwardInputOnly);
-                        fwd_branches.push((f.0, f.1));
-                        bwd_branches.push((bw.0, bw.1));
-                        flops.0 += f.2;
-                        flops.1 += bw.2;
-                        payload += comm_payload(l.dag, s);
-                        item_of[l.dag][l.subgraph] = idx;
-                        if !label.is_empty() {
-                            label.push('+');
-                        }
-                        label.push_str(&format!("h{}sg{}", l.dag, l.subgraph));
-                    }
-                    let (fd, fu) = if group.len() > 1 {
-                        let d = fused_latency(&fwd_branches);
-                        (
-                            d,
-                            fwd_branches.iter().map(|(t, u)| t * u).sum::<f64>() / d.max(1e-12),
-                        )
-                    } else {
-                        fwd_branches[0]
-                    };
-                    let (bd, bu) = if group.len() > 1 {
-                        let d = fused_latency(&bwd_branches);
-                        (
-                            d,
-                            bwd_branches.iter().map(|(t, u)| t * u).sum::<f64>() / d.max(1e-12),
-                        )
-                    } else {
-                        bwd_branches[0]
-                    };
-                    cell_items.push(Item {
-                        deps,
-                        fwd: (fd, fu.min(1.0), flops.0),
-                        bwd: (bd, bu.min(1.0), flops.1),
-                        comm_payload: payload,
-                        label,
-                    });
-                    i += group.len();
-                }
-                per_stage.push(cell_items);
-            }
-            items.push(per_stage);
+                    .map(|&layers| build_cell(registry, gpu, plan.tp, layers, bucket, &options))
+                    .collect(),
+            );
 
             // Memory + token accounting.
             let stage_act: Vec<u64> = ranges
@@ -356,7 +208,8 @@ impl<'a> MuxEngine<'a> {
             cluster,
             plan,
             template,
-            items,
+            cells,
+            stage_cell,
             act_bytes,
             p2p_bytes: p2p,
             tokens_per_round: tokens,
@@ -461,6 +314,192 @@ impl<'a> MuxEngine<'a> {
     }
 }
 
+/// Builds the launch cell of `bucket` over decoder layers `a..b`: each
+/// member hTask's stage graph is segmented and priced, the subgraphs are
+/// ordered by Algorithm 1 (or run back to back without orchestration), and
+/// adjacent ready adapter branches are horizontally fused.
+fn build_cell(
+    registry: &TaskRegistry,
+    gpu: &GpuSpec,
+    tp: usize,
+    (a, b): (usize, usize),
+    bucket: &[HTask],
+    options: &EngineOptions,
+) -> Vec<Item> {
+    // Build + segment each member hTask's stage graph.
+    let graphs: Vec<_> = bucket
+        .iter()
+        .map(|h| registry.build_multitask_stage_graph(a, b, tp, &h.tasks))
+        .collect();
+    let dags: Vec<_> = {
+        let _s = mux_obs::span("engine.segment");
+        graphs.iter().map(segment).collect()
+    };
+    // Per-subgraph costs.
+    let sg_cost = |gi: usize, sg: &crate::subgraph::Subgraph, pass: Pass| {
+        let h = &bucket[gi];
+        let mut dur = 0.0;
+        let mut util: f64 = 0.0;
+        let mut flops = 0.0;
+        for &n in &sg.nodes {
+            let node = graphs[gi].node(n);
+            if node.template.kind.is_comm() {
+                continue;
+            }
+            let member = if node.tag == 0 {
+                None
+            } else {
+                Some(
+                    h.tasks
+                        .iter()
+                        .position(|&t| t == node.tag)
+                        .expect("adapter tag is a member"),
+                )
+            };
+            let (t, u, f) = crate::cost::htask_op_time(
+                gpu,
+                node.template.kind,
+                &node.template.cost,
+                h,
+                member,
+                pass,
+            );
+            dur += t;
+            util = util.max(u);
+            flops += f;
+        }
+        (dur, util, flops)
+    };
+    let comm_payload = |gi: usize, sg: &crate::subgraph::Subgraph| -> f64 {
+        sg.nodes
+            .iter()
+            .map(|&n| {
+                let node = graphs[gi].node(n);
+                if node.template.kind.is_comm() {
+                    node.template.cost.comm_bytes(bucket[gi].shape())
+                } else {
+                    0.0
+                }
+            })
+            .sum()
+    };
+    // Launch order.
+    let order = if options.orchestrate {
+        let _s = mux_obs::span("engine.schedule");
+        schedule_subgraphs(&dags, &|gi, sg| sg_cost(gi, sg, Pass::Forward).0)
+    } else {
+        dags.iter()
+            .enumerate()
+            .flat_map(|(gi, d)| {
+                d.iter().map(move |sg| crate::schedule::LaunchItem {
+                    dag: gi,
+                    subgraph: sg.id,
+                })
+            })
+            .collect()
+    };
+    // Convert to items, applying case-2 adapter fusion over
+    // adjacent ready adapter branches.
+    let mut cell_items: Vec<Item> = Vec::new();
+    let mut item_of = vec![vec![usize::MAX; 0]; dags.len()];
+    for (gi, d) in dags.iter().enumerate() {
+        item_of[gi] = vec![usize::MAX; d.len()];
+    }
+    let mut i = 0;
+    while i < order.len() {
+        let li = order[i];
+        let sg = &dags[li.dag][li.subgraph];
+        // Horizontal adapter fusion (§3.4.3). Case 1: adapter
+        // branches of *different member tasks within one hTask*
+        // at the same attach point (same priority) fuse into a
+        // grouped kernel. Case 2: adapters of single-task
+        // hTasks in the same bucket fuse across DAGs. Case 3
+        // (across buckets) never shares a cell by construction.
+        let mut group = vec![li];
+        if options.fuse_adapters && sg.is_adapter {
+            let site = |l: &crate::schedule::LaunchItem| AdapterSite {
+                bucket: 0,
+                htask: l.dag,
+                single_task_htask: bucket[l.dag].tasks.len() == 1,
+                priority: dags[l.dag][l.subgraph].priority,
+                feeds_pending_collective: false,
+            };
+            while i + group.len() < order.len() {
+                let nxt = order[i + group.len()];
+                let nsg = &dags[nxt.dag][nxt.subgraph];
+                let case1 = nxt.dag == li.dag
+                    && nsg.is_adapter
+                    && nsg.task != sg.task
+                    && nsg.priority == sg.priority;
+                let case2 = nxt.dag != li.dag
+                    && nsg.is_adapter
+                    && fusible_across_htasks(site(&li), site(&nxt));
+                if case1 || case2 {
+                    group.push(nxt);
+                } else {
+                    break;
+                }
+            }
+        }
+        let idx = cell_items.len();
+        let mut deps = Vec::new();
+        let mut payload = 0.0;
+        let mut fwd_branches = Vec::new();
+        let mut bwd_branches = Vec::new();
+        let mut flops = (0.0, 0.0);
+        let mut label = String::new();
+        for l in &group {
+            let s = &dags[l.dag][l.subgraph];
+            for &dsg in &s.deps {
+                let di = item_of[l.dag][dsg];
+                debug_assert_ne!(di, usize::MAX, "dep not yet issued");
+                if !deps.contains(&di) {
+                    deps.push(di);
+                }
+            }
+            let f = sg_cost(l.dag, s, Pass::Forward);
+            let bw = sg_cost(l.dag, s, Pass::BackwardInputOnly);
+            fwd_branches.push((f.0, f.1));
+            bwd_branches.push((bw.0, bw.1));
+            flops.0 += f.2;
+            flops.1 += bw.2;
+            payload += comm_payload(l.dag, s);
+            item_of[l.dag][l.subgraph] = idx;
+            if !label.is_empty() {
+                label.push('+');
+            }
+            label.push_str(&format!("h{}sg{}", l.dag, l.subgraph));
+        }
+        let (fd, fu) = if group.len() > 1 {
+            let d = fused_latency(&fwd_branches);
+            (
+                d,
+                fwd_branches.iter().map(|(t, u)| t * u).sum::<f64>() / d.max(1e-12),
+            )
+        } else {
+            fwd_branches[0]
+        };
+        let (bd, bu) = if group.len() > 1 {
+            let d = fused_latency(&bwd_branches);
+            (
+                d,
+                bwd_branches.iter().map(|(t, u)| t * u).sum::<f64>() / d.max(1e-12),
+            )
+        } else {
+            bwd_branches[0]
+        };
+        cell_items.push(Item {
+            deps,
+            fwd: (fd, fu.min(1.0), flops.0),
+            bwd: (bd, bu.min(1.0), flops.1),
+            comm_payload: payload,
+            label,
+        });
+        i += group.len();
+    }
+    cell_items
+}
+
 /// One run's executor. Every cell reuses its handle and dependency
 /// buffers instead of allocating per item.
 struct EngineExec<'e, 'c> {
@@ -522,7 +561,7 @@ impl PipelineExec for EngineExec<'_, '_> {
         }
         handles.clear();
         item_spans.clear();
-        for item in &eng.items[bucket][stage] {
+        for item in &eng.cells[bucket][eng.stage_cell[stage]] {
             let (dur, util, flops) = match phase {
                 Phase::Forward => item.fwd,
                 Phase::Backward | Phase::Weight => item.bwd,
@@ -574,7 +613,7 @@ mod tests {
     use super::*;
     use mux_gpu_sim::spec::{GpuSpec, LinkSpec};
     use mux_model::config::ModelConfig;
-    use mux_peft::types::PeftTask;
+    use mux_peft::types::{PeftTask, PeftType};
 
     fn setup(n: usize) -> (TaskRegistry, Cluster) {
         let mut reg = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
@@ -656,7 +695,12 @@ mod tests {
         };
         let fused = mk(true);
         let unfused = mk(false);
-        let items = |e: &MuxEngine<'_>| e.items[0].iter().map(Vec::len).sum::<usize>();
+        let items = |e: &MuxEngine<'_>| {
+            e.stage_cell
+                .iter()
+                .map(|&c| e.cells[0][c].len())
+                .sum::<usize>()
+        };
         assert!(
             items(&fused) < items(&unfused),
             "fusion must merge adapter branches"
@@ -665,6 +709,77 @@ mod tests {
         let tf = fused.run().expect("fits").makespan;
         let tu = unfused.run().expect("fits").makespan;
         assert!(tf <= tu * 1.001, "fused {tf} vs unfused {tu}");
+    }
+
+    /// Field-for-field equality of two cells, floats by bit pattern.
+    fn same_cell(a: &[Item], b: &[Item]) -> bool {
+        let bits = |(d, u, f): (f64, f64, f64)| [d.to_bits(), u.to_bits(), f.to_bits()];
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.deps == y.deps
+                    && bits(x.fwd) == bits(y.fwd)
+                    && bits(x.bwd) == bits(y.bwd)
+                    && x.comm_payload.to_bits() == y.comm_payload.to_bits()
+                    && x.label == y.label
+            })
+    }
+
+    #[test]
+    fn each_stage_runs_the_cell_of_its_own_layer_range() {
+        for (layers, pp) in [(7, 3), (5, 4)] {
+            let ranges = stage_layers(layers, pp);
+            for tp in [1, 2] {
+                for adapter_tuning in [false, true] {
+                    for fuse_adapters in [false, true] {
+                        let mut reg =
+                            TaskRegistry::new(ModelConfig::llama2_7b().with_layers(layers));
+                        for id in 1..=4u32 {
+                            let mut t = PeftTask::lora(id, 8 << (id % 2), 2, 64 << (id % 3));
+                            if adapter_tuning {
+                                t.peft = PeftType::AdapterTuning {
+                                    bottleneck: 32 * id as usize,
+                                };
+                            }
+                            reg.register_task(t).expect("register");
+                        }
+                        let tasks: Vec<&PeftTask> = reg.tasks().collect();
+                        // A two-task hTask beside two single-task ones, so
+                        // both in-cell fusion cases apply.
+                        let bucket = vec![
+                            HTask::from_padded(&tasks[..2], 2),
+                            HTask::from_padded(&tasks[2..3], 2),
+                            HTask::from_padded(&tasks[3..], 2),
+                        ];
+                        let cluster =
+                            Cluster::single_node(GpuSpec::a40(), tp * pp, LinkSpec::nvlink_a40());
+                        let plan = HybridParallelism { tp, pp, dp: 1 };
+                        let options = EngineOptions {
+                            fuse_adapters,
+                            ..EngineOptions::default()
+                        };
+                        let eng = MuxEngine::new(
+                            &reg,
+                            &cluster,
+                            plan,
+                            std::slice::from_ref(&bucket),
+                            options,
+                        );
+                        let case = format!(
+                            "{layers} layers pp{pp} tp{tp} adapter {adapter_tuning} fuse {fuse_adapters}"
+                        );
+                        // Depths (3, 2, 2) and (2, 1, 1, 1): two cells each.
+                        assert_eq!(eng.cells[0].len(), 2, "{case}");
+                        assert!(!same_cell(&eng.cells[0][0], &eng.cells[0][1]), "{case}");
+                        for (s, &range) in ranges.iter().enumerate() {
+                            let own =
+                                build_cell(&reg, &cluster.gpus[0], tp, range, &bucket, &options);
+                            let shared = &eng.cells[0][eng.stage_cell[s]];
+                            assert!(same_cell(shared, &own), "{case}: stage {s}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

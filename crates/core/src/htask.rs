@@ -12,7 +12,7 @@ use mux_peft::types::{PeftTask, TaskId};
 use crate::error::PlanError;
 
 /// A hybrid task: spatially fused PEFT tasks plus their aligned data shape.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HTask {
     /// Member task ids, in fusion order.
     pub tasks: Vec<TaskId>,

@@ -440,16 +440,22 @@ impl IncrementalEstimator {
 ///
 /// The original plan is kept verbatim when it still fits; otherwise the
 /// plan degrades to a pure pipeline over the survivors (the smallest-memory
-/// shape, maximising the chance the re-fused workload still fits). Returns
-/// `None` only when no device survives, in which case the caller must shed.
-pub fn degraded_plan(plan: HybridParallelism, devices: usize) -> Option<HybridParallelism> {
+/// shape, maximising the chance the re-fused workload still fits) with no
+/// more stages than the backbone's `layers`; survivors past that stay idle.
+/// Returns `None` only when no device survives, in which case the caller
+/// must shed.
+pub fn degraded_plan(
+    plan: HybridParallelism,
+    devices: usize,
+    layers: usize,
+) -> Option<HybridParallelism> {
     if devices == 0 {
         return None;
     }
     if plan.num_gpus() <= devices {
         Some(plan)
     } else {
-        Some(HybridParallelism::pipeline(devices))
+        Some(HybridParallelism::pipeline(devices.min(layers)))
     }
 }
 
@@ -545,6 +551,8 @@ pub fn plan_and_run(
     let mut plan_err: Option<PlanError> = None;
     let mut run_err: Option<OomError> = None;
     let packs = PackMemo::default();
+    // Each distinct hTask list run so far, with the last OOM its runs hit.
+    let mut tried: Vec<(Vec<HTask>, Option<OomError>)> = Vec::with_capacity(policies.len());
     for policy in policies {
         let fusion = {
             let _s = mux_obs::span("planner.fusion");
@@ -559,6 +567,13 @@ pub fn plan_and_run(
                 }
             }
         };
+        // Grouping and runs are functions of the hTask list, and a tie
+        // keeps the earlier plan, so a fusion equal to an earlier one can
+        // only repeat its outcome: the OOM its runs last hit, if any.
+        if let Some((_, oom)) = tried.iter().find(|(h, _)| *h == fusion.htasks) {
+            run_err = oom.clone().or(run_err);
+            continue;
+        }
         let grouping = {
             let _s = mux_obs::span("planner.grouping");
             group_htasks(&cm, &fusion.htasks)
@@ -574,12 +589,16 @@ pub fn plan_and_run(
         // only wins when the launch order has independent work to hide it
         // under. Evaluate both launch modes and keep the faster. The build
         // reads neither launch-mode knob, so the first launch builds each
-        // unit's engine and the second reruns it.
-        let launches: &[bool] = if options.overlap_comm {
-            &[true, false]
-        } else {
-            &[false]
+        // unit's engine and the second reruns it. A run reads the launch
+        // mode only to issue collectives, which a stage without tensor
+        // parallelism never does, so at tp = 1 the blocking rerun would
+        // return the same bits and lose the tie.
+        let launches: &[bool] = match (options.overlap_comm, cfg.plan.tp > 1) {
+            (true, true) => &[true, false],
+            (true, false) => &[true],
+            (false, _) => &[false],
         };
+        let mut last_oom = None;
         let mut engines: Vec<MuxEngine<'_>> = Vec::with_capacity(units.len());
         for &overlap in launches {
             mux_obs::incr_counter("planner.candidates", 1);
@@ -604,9 +623,11 @@ pub fn plan_and_run(
                         best = Some((plan.clone(), metrics));
                     }
                 }
-                Err(e) => run_err = Some(e),
+                Err(e) => last_oom = Some(e),
             }
         }
+        run_err = last_oom.clone().or(run_err);
+        tried.push((plan.fusion.htasks, last_oom));
     }
     let Some((plan, metrics)) = best else {
         return Err(plan_err
@@ -1017,14 +1038,28 @@ mod tests {
     fn degraded_plan_shrinks_to_survivors() {
         // A fitting plan is preserved verbatim.
         let p = HybridParallelism::pipeline(2);
-        assert_eq!(degraded_plan(p, 4), Some(p));
-        assert_eq!(degraded_plan(p, 2), Some(p));
+        assert_eq!(degraded_plan(p, 4, 8), Some(p));
+        assert_eq!(degraded_plan(p, 2, 8), Some(p));
         // An oversized plan collapses to a pipeline over the survivors.
         let big = HybridParallelism::pipeline(4);
-        assert_eq!(degraded_plan(big, 3), Some(HybridParallelism::pipeline(3)));
-        assert_eq!(degraded_plan(big, 1), Some(HybridParallelism::single()));
+        assert_eq!(
+            degraded_plan(big, 3, 8),
+            Some(HybridParallelism::pipeline(3))
+        );
+        assert_eq!(degraded_plan(big, 1, 8), Some(HybridParallelism::single()));
+        // ...with no more stages than the backbone has layers.
+        let wide = HybridParallelism {
+            tp: 2,
+            pp: 2,
+            dp: 1,
+        };
+        assert_eq!(
+            degraded_plan(wide, 3, 2),
+            Some(HybridParallelism::pipeline(2))
+        );
+        assert_eq!(degraded_plan(wide, 4, 2), Some(wide));
         // No survivors: the caller must shed.
-        assert_eq!(degraded_plan(big, 0), None);
+        assert_eq!(degraded_plan(big, 0, 8), None);
     }
 
     #[test]
@@ -1035,7 +1070,7 @@ mod tests {
                 .expect("register");
         }
         // Lost one of 4 GPUs: replan onto 3 and run end-to-end.
-        let plan = degraded_plan(HybridParallelism::pipeline(4), 3).expect("survivors");
+        let plan = degraded_plan(HybridParallelism::pipeline(4), 3, 8).expect("survivors");
         let c = cluster(3);
         let rep = plan_and_run(&r, &c, &BTreeMap::new(), &PlannerConfig::muxtune(plan, 4))
             .expect("degraded run succeeds");
