@@ -467,10 +467,10 @@ impl TracedInstance {
     }
 }
 
-/// Resolves an engine-label hTask reference of the instance's plan to the
-/// jobs behind it: `b{bucket}h{dag}` indexes `grouping.buckets[bucket][dag]`,
-/// which names a fused hTask whose member tasks map to jobs via the
-/// instance's task-to-job table.
+/// Resolves an hTask of the instance's traced plan to the jobs behind it:
+/// `href` indexes `grouping.buckets[bucket][htask]`, which names a fused
+/// hTask whose member tasks map to jobs via the instance's task-to-job
+/// table.
 fn jobs_of_htask(inst: &Instance, href: &HTaskRef) -> Vec<JobId> {
     let htask = inst.plan.as_ref().and_then(|plan| {
         let &h = plan.grouping.buckets.get(href.bucket)?.get(href.htask)?;

@@ -127,30 +127,6 @@ pub fn table2_workload(wl: char) -> Vec<(DatasetKind, usize)> {
     sets.into_iter().zip(batch).collect()
 }
 
-/// Registers a Table 2 workload repeated `repeats` times.
-pub fn table2_registry(
-    backbone: &ModelConfig,
-    wl: char,
-    repeats: usize,
-) -> (TaskRegistry, BTreeMap<TaskId, Vec<usize>>) {
-    let spec = table2_workload(wl);
-    let mut reg = TaskRegistry::new(backbone.clone());
-    let mut corpora = BTreeMap::new();
-    let mut id = 1;
-    for r in 0..repeats {
-        for &(ds, mb) in &spec {
-            reg.register_task(PeftTask::lora(id, 16, mb, ds.max_len()))
-                .expect("fresh ids");
-            corpora.insert(
-                id,
-                Corpus::generate(ds, 64, (r * 100 + id as usize) as u64).lengths,
-            );
-            id += 1;
-        }
-    }
-    (reg, corpora)
-}
-
 /// Prints a bench banner.
 pub fn banner(id: &str, what: &str) {
     println!("\n=== {id}: {what} ===");
@@ -769,12 +745,6 @@ mod tests {
         let (reg, corp) = build_workload(&ModelConfig::gpt3_2_7b(), Combo::NonUniform, 6, 4, 1);
         assert_eq!(reg.len(), 6);
         assert_eq!(corp.len(), 6);
-    }
-
-    #[test]
-    fn table2_registry_repeats() {
-        let (reg, _) = table2_registry(&ModelConfig::gpt3_2_7b(), 'A', 4);
-        assert_eq!(reg.len(), 32);
     }
 
     #[test]

@@ -5,15 +5,22 @@
 //! and stall categories are all present and distinct, and each device's
 //! stall lane tiles its idle window to the seconds `otherData.attribution`
 //! reports. The serialized trace and its `.attribution.json` are also
-//! pinned across commits by goldens under `tests/golden/`.
+//! pinned across commits by goldens under `tests/golden/`, as are those of
+//! a multi-hTask run whose ops name several buckets and several hTasks of
+//! one bucket.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::OnceLock;
 
-use mux_bench::harness::{attribution_json, fig14_trace_scenario};
+use mux_bench::harness::{
+    a40_cluster, attribution_json, build_workload, fig14_trace_scenario, Combo,
+};
+use mux_model::config::ModelConfig;
 use mux_obs::fingerprint::fnv1a_64;
-use mux_obs_analysis::{timeline_chrome_trace, StallClass};
+use mux_obs_analysis::{critical_path, timeline_chrome_trace, StallClass};
+use mux_parallel::plan::HybridParallelism;
+use muxtune_core::planner::{plan_and_run, PlannerConfig};
 use serde_json::Value;
 
 /// The Fig-14 run as `report --trace-out` writes it.
@@ -73,6 +80,42 @@ fn fig14_trace_and_attribution_match_goldens() {
     assert_golden(
         "fig14.trace.fnv1a64",
         &format!("{:016x}\n", fig.fingerprint),
+    );
+}
+
+/// Pins hTask identity beyond `b0h0`: 8 LoRA tasks with Non-uniform
+/// corpora on an 8-layer backbone over a 4-stage pipeline, two
+/// micro-batches per hTask, orchestrated, plan into seven buckets, one of
+/// them holding two hTasks. Its trace fingerprint and `.attribution.json`
+/// move when an op's bucket or hTask does, not only when the schedule
+/// does.
+#[test]
+fn multi_htask_trace_and_attribution_match_goldens() {
+    let cluster = a40_cluster(4);
+    let backbone = ModelConfig::llama2_7b().with_layers(8);
+    let (reg, corpora) = build_workload(&backbone, Combo::NonUniform, 8, 4, 42);
+    let cfg = PlannerConfig::muxtune(HybridParallelism::pipeline(4), 2);
+    assert!(cfg.options.orchestrate);
+    let report = plan_and_run(&reg, &cluster, &corpora, &cfg).expect("plans");
+    let (_, ops) = report.plan.run_traced(&reg, &cluster).expect("runs");
+    let buckets = &report.plan.grouping.buckets;
+    assert!(buckets.len() >= 2, "{buckets:?}");
+    assert!(buckets.iter().any(|b| b.len() >= 2), "{buckets:?}");
+    // The critical path the attribution golden summarizes names more than
+    // one bucket, and more than one hTask of a bucket.
+    let (on_path, _) = critical_path(&ops).htask_seconds();
+    assert!(on_path.keys().any(|h| h.bucket > 0), "{on_path:?}");
+    assert!(on_path.keys().any(|h| h.htask > 0), "{on_path:?}");
+    let trace = timeline_chrome_trace(&ops, cluster.num_gpus());
+    let body = serde_json::to_string_pretty(&trace).expect("serializes");
+    let attribution = attribution_json(&ops, cluster.num_gpus());
+    assert_golden(
+        "multi_htask.attribution.json",
+        &serde_json::to_string_pretty(&attribution).expect("serializes"),
+    );
+    assert_golden(
+        "multi_htask.trace.fnv1a64",
+        &format!("{:016x}\n", fnv1a_64(body.as_bytes())),
     );
 }
 

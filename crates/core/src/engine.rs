@@ -8,6 +8,9 @@
 //! baseline/ablation modes) and activation memory tracked against device
 //! capacity.
 
+use std::sync::Arc;
+
+use mux_gpu_sim::label::{CellPos, OpLabel};
 use mux_gpu_sim::metrics::device_metrics;
 use mux_gpu_sim::spec::{CommCtaPolicy, GpuSpec};
 use mux_gpu_sim::timeline::{Cluster, CollectiveKind, OomError, OpHandle, OpRecord, Timeline};
@@ -93,8 +96,8 @@ struct Item {
     bwd: (f64, f64, f64),
     /// Trailing collective payload bytes (0 = none).
     comm_payload: f64,
-    /// Label for traces.
-    label: String,
+    /// The `(hTask, subgraph)` members the item runs, in launch order.
+    members: Arc<[(usize, usize)]>,
 }
 
 /// A fully planned, executable multi-task run.
@@ -447,7 +450,6 @@ fn build_cell(
         let mut fwd_branches = Vec::new();
         let mut bwd_branches = Vec::new();
         let mut flops = (0.0, 0.0);
-        let mut label = String::new();
         for l in &group {
             let s = &dags[l.dag][l.subgraph];
             for &dsg in &s.deps {
@@ -465,10 +467,6 @@ fn build_cell(
             flops.1 += bw.2;
             payload += comm_payload(l.dag, s);
             item_of[l.dag][l.subgraph] = idx;
-            if !label.is_empty() {
-                label.push('+');
-            }
-            label.push_str(&format!("h{}sg{}", l.dag, l.subgraph));
         }
         let (fd, fu) = if group.len() > 1 {
             let d = fused_latency(&fwd_branches);
@@ -493,7 +491,7 @@ fn build_cell(
             fwd: (fd, fu.min(1.0), flops.0),
             bwd: (bd, bu.min(1.0), flops.1),
             comm_payload: payload,
-            label,
+            members: group.iter().map(|l| (l.dag, l.subgraph)).collect(),
         });
         i += group.len();
     }
@@ -559,6 +557,7 @@ impl PipelineExec for EngineExec<'_, '_> {
                 Phase::Weight => {}
             }
         }
+        let at = CellPos::new(bucket, stage, mb, phase);
         handles.clear();
         item_spans.clear();
         for item in &eng.cells[bucket][eng.stage_cell[stage]] {
@@ -580,7 +579,7 @@ impl PipelineExec for EngineExec<'_, '_> {
                     util,
                     flops,
                     item_deps,
-                    format_args!("b{bucket} s{stage} mb{mb} {:?} {}", phase, item.label),
+                    (at, &item.members),
                 ));
             }
             if item.comm_payload > 0.0 && devices.len() > 1 {
@@ -591,16 +590,13 @@ impl PipelineExec for EngineExec<'_, '_> {
                     &handles[first..],
                     *comm_policy,
                     !eng.options.overlap_comm,
-                    format_args!("b{bucket} s{stage} mb{mb} {:?} ar", phase),
+                    OpLabel::AllReduce(at),
                 );
                 handles.push(c);
             }
             item_spans.push((first, handles.len()));
         }
-        tl.join(
-            handles,
-            format_args!("cell b{bucket} s{stage} mb{mb} {phase:?}"),
-        )
+        tl.join(handles, OpLabel::Join(at))
     }
 
     fn p2p_bytes(&self, mb: usize) -> f64 {
@@ -720,7 +716,7 @@ mod tests {
                     && bits(x.fwd) == bits(y.fwd)
                     && bits(x.bwd) == bits(y.bwd)
                     && x.comm_payload.to_bits() == y.comm_payload.to_bits()
-                    && x.label == y.label
+                    && x.members == y.members
             })
     }
 

@@ -155,14 +155,6 @@ impl HTask {
             self.unit_len,
         )
     }
-
-    /// The shape task `idx` (member index) presents to its adapters.
-    pub fn member_shape(&self, idx: usize) -> TokenShape {
-        TokenShape::new(
-            self.tokens_per_task[idx].div_ceil(self.unit_len).max(1),
-            self.unit_len,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -217,6 +209,5 @@ mod tests {
         let a = lora(1, 4, 64);
         let h = HTask::from_padded(&[&a], 2);
         assert_eq!(h.shape(), TokenShape::new(4, 64));
-        assert_eq!(h.member_shape(0), TokenShape::new(4, 64));
     }
 }

@@ -11,7 +11,9 @@ use std::time::Instant;
 use mux_data::align::{
     align_task, unit_len, AlignError, AlignStrategy, AlignedBatch, TaskAlignment, TaskData,
 };
+use mux_gpu_sim::spec::GpuSpec;
 use mux_gpu_sim::timeline::{Cluster, OomError, OpKind, OpRecord};
+use mux_model::config::ModelConfig;
 use mux_obs::fingerprint::Fnv1a;
 use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
@@ -101,9 +103,10 @@ impl Plan {
     /// Runs the plan on `cluster` with tracing on, returning its metrics
     /// (bit for bit those [`plan_and_run`] measured, if it chose the plan)
     /// and operator trace. With orchestration off the per-bucket traces
-    /// are concatenated on a shifted time axis. Compute and collective op
-    /// durations feed the `engine.compute_op_seconds` /
-    /// `engine.collective_seconds` histograms.
+    /// are concatenated on a shifted time axis, each op keeping the bucket
+    /// it ran in. Compute and collective op durations feed the
+    /// `engine.compute_op_seconds` / `engine.collective_seconds`
+    /// histograms.
     ///
     /// # Errors
     /// The OOM that aborted a unit, possible for a plan only estimated.
@@ -116,10 +119,13 @@ impl Plan {
         let (options, units) = self.engine_units(&cm);
         let mut parts: Vec<RunMetrics> = Vec::with_capacity(units.len());
         let mut records: Vec<OpRecord> = Vec::new();
+        let mut buckets_before = 0;
         for unit in &units {
             let eng = MuxEngine::new(registry, cluster, self.parallelism, unit, options);
             let (m, t) = eng.run_traced()?;
-            append_shifted(&mut records, t, parts.iter().map(|p| p.makespan).sum());
+            let t_off = parts.iter().map(|p| p.makespan).sum();
+            append_shifted(&mut records, t, t_off, buckets_before);
+            buckets_before += unit.len();
             parts.push(m);
         }
         for op in records.iter().filter(|op| op.end > op.start) {
@@ -321,21 +327,17 @@ fn task_fingerprint(task: &PeftTask, lens: Option<&Vec<usize>>) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of everything the estimate depends on *besides* membership
-/// and corpora: a change (degraded plan after device loss, shrunk cluster,
-/// different alignment or micro-batch count) invalidates every persisted
-/// range value, so the estimator starts a fresh planner.
-fn context_fingerprint(registry: &TaskRegistry, cluster: &Cluster, cfg: &PlannerConfig) -> u64 {
-    let ctx = format!(
-        "{:?}|{:?}|{}|{:?}|{}|{:?}",
-        cfg.plan,
-        cfg.align,
-        cfg.micro_batches,
-        cluster.gpus.first(),
-        cluster.num_gpus(),
-        registry.backbone()
-    );
-    mux_obs::fingerprint::fnv1a_64(ctx.as_bytes())
+/// Everything the estimate depends on *besides* membership and corpora: a
+/// change (degraded plan after device loss, shrunk cluster, different
+/// alignment or micro-batch count) invalidates every persisted range value,
+/// so the estimator starts a fresh planner.
+struct EstimateContext {
+    plan: HybridParallelism,
+    align: AlignStrategy,
+    micro_batches: usize,
+    num_gpus: usize,
+    gpu: Option<GpuSpec>,
+    backbone: ModelConfig,
 }
 
 /// [`plan_estimate`] with persisted planner state: where [`plan_estimate`]
@@ -352,8 +354,9 @@ fn context_fingerprint(registry: &TaskRegistry, cluster: &Cluster, cfg: &Planner
 ///
 /// One estimator serves one planning context (instance). A context change
 /// — degraded parallelism plan, shrunk cluster, new alignment — is
-/// detected by fingerprint and starts a fresh planner; a fusion policy
-/// other than [`FusionPolicy::Dp`] falls back to [`plan_estimate`].
+/// detected by comparison with the context the planner was built under and
+/// starts a fresh planner; a fusion policy other than [`FusionPolicy::Dp`]
+/// falls back to [`plan_estimate`].
 ///
 /// Each task's alignments persist across replans too, dropped when the
 /// task leaves or its fingerprint (shape or corpus) changes.
@@ -361,7 +364,7 @@ fn context_fingerprint(registry: &TaskRegistry, cluster: &Cluster, cfg: &Planner
 pub struct IncrementalEstimator {
     planner: IncrementalPlanner,
     packs: PackMemo,
-    ctx: Option<u64>,
+    ctx: Option<EstimateContext>,
     /// The most recent successful estimate, while the membership holds.
     cached: Option<(f64, Plan)>,
 }
@@ -391,11 +394,24 @@ impl IncrementalEstimator {
         if cfg.fusion != FusionPolicy::Dp {
             return plan_estimate(registry, cluster, corpora, cfg);
         }
-        let ctx = context_fingerprint(registry, cluster, cfg);
-        if self.ctx != Some(ctx) {
+        // Compared field by field; cloned only when it changed.
+        let holds = self.ctx.as_ref().is_some_and(|c| {
+            (c.plan, c.align, c.micro_batches, c.num_gpus)
+                == (cfg.plan, cfg.align, cfg.micro_batches, cluster.num_gpus())
+                && c.gpu.as_ref() == cluster.gpus.first()
+                && c.backbone == *registry.backbone()
+        });
+        if !holds {
             self.planner = IncrementalPlanner::new();
             self.packs = PackMemo::default();
-            self.ctx = Some(ctx);
+            self.ctx = Some(EstimateContext {
+                plan: cfg.plan,
+                align: cfg.align,
+                micro_batches: cfg.micro_batches,
+                num_gpus: cluster.num_gpus(),
+                gpu: cluster.gpus.first().cloned(),
+                backbone: registry.backbone().clone(),
+            });
             self.cached = None;
         }
         let items: Vec<(PeftTask, u64)> = registry
@@ -459,16 +475,21 @@ pub fn degraded_plan(
     }
 }
 
-/// Appends `records` to `out`, shifting times by `t_off` and dependency
-/// indices by `out`'s current length (per-bucket traces index their own
-/// op lists).
-fn append_shifted(out: &mut Vec<OpRecord>, records: Vec<OpRecord>, t_off: f64) {
+/// Appends one unit's `records` to `out`, shifting times by `t_off`,
+/// dependency indices by `out`'s current length and cell buckets by
+/// `b_off`: each unit's trace indexes its own op list and numbers its own
+/// buckets from 0.
+fn append_shifted(out: &mut Vec<OpRecord>, records: Vec<OpRecord>, t_off: f64, b_off: usize) {
     let base = out.len();
+    let b_off = u32::try_from(b_off).expect("bucket index fits in u32");
     out.extend(records.into_iter().map(|mut r| {
         r.start += t_off;
         r.end += t_off;
-        for d in &mut r.deps {
+        for d in r.deps.iter_mut() {
             *d += base;
+        }
+        if let Some(cell) = r.label.cell_mut() {
+            cell.bucket += b_off;
         }
         r
     }));

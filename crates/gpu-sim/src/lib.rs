@@ -11,12 +11,14 @@
 //! stalls, bubbles, saturation, diminishing batching returns, memory
 //! ceilings — is a function of exactly the quantities modeled here.
 
+pub mod label;
 pub mod metrics;
 pub mod render;
 pub mod serving;
 pub mod spec;
 pub mod timeline;
 
+pub use label::{CellPos, HTaskRef, OpLabel, Phase};
 pub use metrics::{
     device_metrics, fault_impact, utilization_trace, DeviceMetrics, FaultImpact, UtilizationTrace,
 };

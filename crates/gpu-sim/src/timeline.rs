@@ -11,6 +11,7 @@
 use std::fmt;
 use std::ops::Deref;
 
+use crate::label::OpLabel;
 use crate::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
 
 /// A multi-GPU machine (possibly multiple nodes).
@@ -169,7 +170,7 @@ pub struct OpRecord {
     /// Indices (into the timeline's op list) of the operators this one
     /// waited on — the dependency edges needed for stall attribution.
     /// Empty on an [untraced](Timeline::untraced) timeline.
-    pub deps: Vec<usize>,
+    pub deps: Box<[usize]>,
     /// Achieved-utilization proxy in `[0, 1]` (compute ops only).
     pub utilization: f64,
     /// FLOPs performed.
@@ -179,9 +180,9 @@ pub struct OpRecord {
     /// Compute-rate penalty this op imposes on overlapped compute
     /// (comm ops only).
     pub compute_penalty: f64,
-    /// Label for traces. Empty on an [untraced](Timeline::untraced)
-    /// timeline.
-    pub label: String,
+    /// What the operator was, for traces and attribution.
+    /// [`OpLabel::Untraced`] on an [untraced](Timeline::untraced) timeline.
+    pub label: OpLabel,
 }
 
 /// Out-of-memory error from the device memory ledger.
@@ -299,7 +300,7 @@ impl FaultWindows {
 ///
 /// A timeline made by [`Timeline::new`] records every operator's label and
 /// dependency edges for trace export and stall attribution; one made by
-/// [`Timeline::untraced`] keeps neither and renders no label, so its
+/// [`Timeline::untraced`] keeps neither and converts no label, so its
 /// compute, p2p and join records allocate nothing.
 ///
 /// ```
@@ -404,12 +405,12 @@ impl<'a> Timeline<'a> {
         deps.iter().map(|d| self.ops[d.0].end).fold(0.0, f64::max)
     }
 
-    /// Appends `op`, filling in its dependency edges and rendering its
+    /// Appends `op`, filling in its dependency edges and converting its
     /// label only when this timeline is traced.
-    fn push(&mut self, mut op: OpRecord, deps: &[OpHandle], label: impl fmt::Display) -> OpHandle {
+    fn push(&mut self, mut op: OpRecord, deps: &[OpHandle], label: impl Into<OpLabel>) -> OpHandle {
         if self.traced {
             op.deps = deps.iter().map(|d| d.0).collect();
-            op.label = label.to_string();
+            op.label = label.into();
         }
         self.ops.push(op);
         OpHandle(self.ops.len() - 1)
@@ -440,7 +441,7 @@ impl<'a> Timeline<'a> {
         dev: usize,
         work: Work,
         deps: &[OpHandle],
-        label: impl fmt::Display,
+        label: impl Into<OpLabel>,
     ) -> OpHandle {
         assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
         let spec = &self.cluster.gpus[dev];
@@ -469,12 +470,12 @@ impl<'a> Timeline<'a> {
             devices: Devices::new(&[dev]),
             lane: LaneKind::Compute,
             kind: OpKind::Compute,
-            deps: Vec::new(),
+            deps: Box::default(),
             utilization,
             flops: work.flops,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: String::new(),
+            label: OpLabel::default(),
         };
         self.push(op, deps, label)
     }
@@ -489,7 +490,7 @@ impl<'a> Timeline<'a> {
         utilization: f64,
         flops: f64,
         deps: &[OpHandle],
-        label: impl fmt::Display,
+        label: impl Into<OpLabel>,
     ) -> OpHandle {
         assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
         assert!(seconds >= 0.0, "negative duration");
@@ -516,12 +517,12 @@ impl<'a> Timeline<'a> {
             devices: Devices::new(&[dev]),
             lane: LaneKind::Compute,
             kind: OpKind::Compute,
-            deps: Vec::new(),
+            deps: Box::default(),
             utilization: util,
             flops,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: String::new(),
+            label: OpLabel::default(),
         };
         self.push(op, deps, label)
     }
@@ -550,7 +551,7 @@ impl<'a> Timeline<'a> {
         deps: &[OpHandle],
         policy: CommCtaPolicy,
         blocking: bool,
-        label: impl fmt::Display,
+        label: impl Into<OpLabel>,
     ) -> OpHandle {
         assert!(!group.is_empty(), "collective over empty group");
         let mut start = self.deps_ready(deps);
@@ -583,7 +584,7 @@ impl<'a> Timeline<'a> {
             devices: Devices::new(group),
             lane: LaneKind::Comm,
             kind: OpKind::Collective,
-            deps: Vec::new(),
+            deps: Box::default(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: payload_bytes,
@@ -592,7 +593,7 @@ impl<'a> Timeline<'a> {
             } else {
                 policy.compute_penalty
             },
-            label: String::new(),
+            label: OpLabel::default(),
         };
         self.push(op, deps, label)
     }
@@ -611,7 +612,7 @@ impl<'a> Timeline<'a> {
         dst: usize,
         bytes: f64,
         deps: &[OpHandle],
-        label: impl fmt::Display,
+        label: impl Into<OpLabel>,
     ) -> OpHandle {
         let start = self.deps_ready(deps);
         let healthy = self.cluster.link_for(&[src, dst]).p2p_time(bytes);
@@ -623,18 +624,18 @@ impl<'a> Timeline<'a> {
             devices: Devices::new(&[src, dst]),
             lane: LaneKind::Comm,
             kind: OpKind::P2p,
-            deps: Vec::new(),
+            deps: Box::default(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: bytes,
             compute_penalty: 0.0,
-            label: String::new(),
+            label: OpLabel::default(),
         };
         self.push(op, deps, label)
     }
 
     /// A zero-duration synchronization point joining `deps`.
-    pub fn join(&mut self, deps: &[OpHandle], label: impl fmt::Display) -> OpHandle {
+    pub fn join(&mut self, deps: &[OpHandle], label: impl Into<OpLabel>) -> OpHandle {
         let t = self.deps_ready(deps);
         let op = OpRecord {
             start: t,
@@ -642,12 +643,12 @@ impl<'a> Timeline<'a> {
             devices: Devices::new(&[]),
             lane: LaneKind::Compute,
             kind: OpKind::Join,
-            deps: Vec::new(),
+            deps: Box::default(),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: String::new(),
+            label: OpLabel::default(),
         };
         self.push(op, deps, label)
     }

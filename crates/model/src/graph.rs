@@ -102,35 +102,6 @@ impl OpGraph {
             .map(|n| n.template.cost.flops(shape, pass))
             .sum()
     }
-
-    /// Renders the DAG in Graphviz DOT format (adapter nodes colored by
-    /// task tag, communication nodes boxed) — handy for inspecting
-    /// multi-task graphs and subgraph segmentations.
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = format!("digraph {name} {{\n  rankdir=LR;\n");
-        for n in &self.nodes {
-            let shape = if n.template.kind.is_comm() {
-                "box"
-            } else {
-                "ellipse"
-            };
-            let color = match n.tag {
-                0 => "black".to_string(),
-                t => format!("/dark28/{}", (t - 1) % 8 + 1),
-            };
-            out.push_str(&format!(
-                "  n{} [label=\"{}\", shape={shape}, color=\"{color}\"];\n",
-                n.id, n.template.name
-            ));
-        }
-        for n in &self.nodes {
-            for &d in &n.deps {
-                out.push_str(&format!("  n{d} -> n{};\n", n.id));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -185,18 +156,6 @@ mod tests {
         let succ = g.successors();
         assert_eq!(succ[a], vec![b, c]);
         assert!(succ[b].is_empty());
-    }
-
-    #[test]
-    fn dot_export_mentions_every_node_and_edge() {
-        let mut g = OpGraph::new();
-        let a = g.add(gemm("alpha"), vec![], 0);
-        let b = g.add(gemm("beta"), vec![a], 2);
-        let dot = g.to_dot("stage");
-        assert!(dot.starts_with("digraph stage {"));
-        assert!(dot.contains("alpha") && dot.contains("beta"));
-        assert!(dot.contains(&format!("n{a} -> n{b}")));
-        assert!(dot.contains("dark28"), "adapter nodes are colored by task");
     }
 
     #[test]

@@ -38,10 +38,9 @@
 
 use std::collections::BTreeMap;
 
+use mux_gpu_sim::label::HTaskRef;
 use mux_gpu_sim::timeline::{OpKind, OpRecord};
 use serde_json::{Map, Value};
-
-use crate::labels::{htask_refs_in_label, HTaskRef};
 
 const EPS: f64 = 1e-9;
 
@@ -97,7 +96,9 @@ pub struct AttributedStall {
     pub end: f64,
     /// Cause.
     pub class: StallClass,
-    /// hTasks held responsible (empty when no label carries identity).
+    /// hTasks held responsible: those of the engine launch item that
+    /// blocked or ended the gap, or of the items feeding a blocking
+    /// collective. Empty when no such op carries hTask identity.
     pub htasks: Vec<HTaskRef>,
 }
 
@@ -194,7 +195,7 @@ pub struct FaultSpan {
 /// gates `ops[idx]`'s start — the one with the latest end time.
 fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
     let mut visited = vec![false; ops.len()];
-    let mut stack: Vec<usize> = ops[idx].deps.clone();
+    let mut stack: Vec<usize> = ops[idx].deps.to_vec();
     let mut best: Option<usize> = None;
     while let Some(i) = stack.pop() {
         if visited[i] {
@@ -215,17 +216,17 @@ pub(crate) fn run_window(ops: &[OpRecord]) -> f64 {
     ops.iter().map(|o| o.end).fold(0.0, f64::max)
 }
 
-/// Responsible hTasks for a blocking op: its own label's identity, or (for
-/// anonymous collectives) the union over its direct dependencies' labels.
+/// Responsible hTasks for a blocking op: its own hTasks, or (for
+/// collectives, which carry none) the union over its direct dependencies'.
 fn responsible_htasks(ops: &[OpRecord], idx: usize) -> Vec<HTaskRef> {
-    let own = htask_refs_in_label(&ops[idx].label);
+    let own = ops[idx].label.htasks();
     if !own.is_empty() {
         return own;
     }
     let mut merged: Vec<HTaskRef> = ops[idx]
         .deps
         .iter()
-        .flat_map(|&d| htask_refs_in_label(&ops[d].label))
+        .flat_map(|&d| ops[d].label.htasks())
         .collect();
     merged.sort_unstable();
     merged.dedup();
@@ -298,13 +299,13 @@ pub fn attribute_stalls(ops: &[OpRecord], num_devices: usize, window: f64) -> Ve
                         start: g0,
                         end: g1,
                         class: StallClass::PipelineBubble,
-                        htasks: htask_refs_in_label(&ops[bi].label),
+                        htasks: ops[bi].label.htasks(),
                     }),
                     Some(b) if ops[b].end <= g0 + EPS => pieces.push(Piece {
                         start: g0,
                         end: g1,
                         class: StallClass::PipelineBubble,
-                        htasks: htask_refs_in_label(&ops[bi].label),
+                        htasks: ops[bi].label.htasks(),
                     }),
                     Some(b) => {
                         let who = responsible_htasks(ops, b);
@@ -555,11 +556,18 @@ pub fn device_attribution_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mux_gpu_sim::label::{CellPos, OpLabel, Phase};
     use mux_gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
     use mux_gpu_sim::timeline::{Cluster, CollectiveKind, Timeline};
 
     fn cluster(n: usize) -> Cluster {
         Cluster::single_node(GpuSpec::a40(), n, LinkSpec::nvlink_a40())
+    }
+
+    /// A launch item of the forward cell of micro-batch `mb` at `stage` in
+    /// bucket 0, running `(hTask, subgraph)` members.
+    fn item(stage: usize, mb: usize, members: &[(usize, usize)]) -> OpLabel {
+        OpLabel::Item(CellPos::new(0, stage, mb, Phase::Forward), members.into())
     }
 
     fn conservation_holds(ops: &[OpRecord], n: usize) {
@@ -579,8 +587,8 @@ mod tests {
     fn dependency_wait_attributed_to_blocking_compute() {
         let c = cluster(2);
         let mut t = Timeline::new(&c);
-        let a = t.compute_fixed(0, 2.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h1sg0");
-        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], "b0 s1 mb0 Forward h0sg1");
+        let a = t.compute_fixed(0, 2.0, 0.5, 1e9, &[], item(0, 0, &[(1, 0)]));
+        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], item(1, 0, &[(0, 1)]));
         let evs = attribute_stalls(t.ops(), 2, t.finish_time());
         let dep: Vec<_> = evs
             .iter()
@@ -604,8 +612,8 @@ mod tests {
         let mut t = Timeline::new(&c);
         // Device 0 computes long; device 1 finishes fast, then both join an
         // all-reduce. Device 1's pre-collective idle = alignment imbalance.
-        let slow = t.compute_fixed(0, 4.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
-        let fast = t.compute_fixed(1, 1.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg1");
+        let slow = t.compute_fixed(0, 4.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0)]));
+        let fast = t.compute_fixed(1, 1.0, 0.5, 1e9, &[], item(0, 0, &[(0, 1)]));
         let ar = t.collective(
             &[0, 1],
             CollectiveKind::AllReduce,
@@ -613,9 +621,9 @@ mod tests {
             &[slow, fast],
             CommCtaPolicy::sequential(),
             false,
-            "b0 s0 mb0 Forward ar",
+            OpLabel::AllReduce(CellPos::new(0, 0, 0, Phase::Forward)),
         );
-        t.compute_fixed(1, 1.0, 0.5, 1e9, &[ar], "b0 s0 mb1 Forward h0sg1");
+        t.compute_fixed(1, 1.0, 0.5, 1e9, &[ar], item(0, 1, &[(0, 1)]));
         let evs = attribute_stalls(t.ops(), 2, t.finish_time());
         let align: Vec<_> = evs
             .iter()
@@ -635,8 +643,8 @@ mod tests {
     fn drain_tail_is_a_pipeline_bubble() {
         let c = cluster(2);
         let mut t = Timeline::new(&c);
-        t.compute_fixed(0, 5.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
-        t.compute_fixed(1, 1.0, 0.5, 1e9, &[], "b0 s1 mb0 Forward h0sg1");
+        t.compute_fixed(0, 5.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0)]));
+        t.compute_fixed(1, 1.0, 0.5, 1e9, &[], item(1, 0, &[(0, 1)]));
         let evs = attribute_stalls(t.ops(), 2, t.finish_time());
         let tail: Vec<_> = evs.iter().filter(|e| e.device == 1).collect();
         assert_eq!(tail.len(), 1);
@@ -649,9 +657,9 @@ mod tests {
     fn p2p_fed_gap_is_a_pipeline_bubble() {
         let c = cluster(2);
         let mut t = Timeline::new(&c);
-        let a = t.compute_fixed(0, 2.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
+        let a = t.compute_fixed(0, 2.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0)]));
         let s = t.p2p(0, 1, 500e6, &[a], "act-send");
-        t.compute_fixed(1, 2.0, 0.5, 1e9, &[s], "b0 s1 mb0 Forward h0sg0");
+        t.compute_fixed(1, 2.0, 0.5, 1e9, &[s], item(1, 0, &[(0, 0)]));
         let evs = attribute_stalls(t.ops(), 2, t.finish_time());
         assert!(evs
             .iter()
@@ -675,8 +683,8 @@ mod tests {
     fn fault_windows_reclassify_idle_time_and_conserve() {
         let c = cluster(2);
         let mut t = Timeline::new(&c);
-        let a = t.compute_fixed(0, 4.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
-        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], "b0 s1 mb0 Forward h0sg1");
+        let a = t.compute_fixed(0, 4.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0)]));
+        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], item(1, 0, &[(0, 1)]));
         // Device 1 idles over [0, 4]; declare [1, 3] a fault window.
         let faults = [FaultSpan {
             device: 1,
@@ -703,7 +711,7 @@ mod tests {
     fn overlapping_fault_spans_merge_before_carving() {
         let c = cluster(1);
         let mut t = Timeline::new(&c);
-        t.compute_fixed(0, 1.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
+        t.compute_fixed(0, 1.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0)]));
         // Idle tail [1, 5] via an explicit window; two overlapping spans
         // must count once.
         let faults = [
@@ -733,8 +741,8 @@ mod tests {
     fn by_htask_shares_sum_to_attributed_intervals() {
         let c = cluster(2);
         let mut t = Timeline::new(&c);
-        let a = t.compute_fixed(0, 3.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0+h1sg0");
-        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], "b0 s1 mb0 Forward h0sg1");
+        let a = t.compute_fixed(0, 3.0, 0.5, 1e9, &[], item(0, 0, &[(0, 0), (1, 0)]));
+        t.compute_fixed(1, 1.0, 0.5, 1e9, &[a], item(1, 0, &[(0, 1)]));
         let d1 = &device_attribution(t.ops(), 2)[1];
         let share: f64 = d1.by_htask.values().sum();
         // The 3s dependency wait is blamed half on each fused hTask.

@@ -13,10 +13,9 @@
 
 use std::collections::BTreeMap;
 
+use mux_gpu_sim::label::{HTaskRef, OpLabel};
 use mux_gpu_sim::timeline::{OpKind, OpRecord};
 use serde_json::{json, Value};
-
-use crate::labels::{htask_refs_in_label, HTaskRef};
 
 const EPS: f64 = 1e-9;
 
@@ -57,8 +56,8 @@ pub struct CpSegment {
     pub end: f64,
     /// Category.
     pub kind: CpKind,
-    /// Operator label ("(idle)" for stalls).
-    pub label: String,
+    /// What the operator was (the text "(idle)" for stalls).
+    pub label: OpLabel,
     /// Devices involved.
     pub devices: Vec<usize>,
 }
@@ -120,13 +119,13 @@ impl CriticalPath {
     }
 
     /// Time per hTask, splitting fused segments evenly across members.
-    /// Returns `(per_htask, unattributed)`; stalls, collectives, and raw
-    /// labels land in `unattributed`.
+    /// Returns `(per_htask, unattributed)`; stalls, collectives, joins and
+    /// free-text ops land in `unattributed`.
     pub fn htask_seconds(&self) -> (BTreeMap<HTaskRef, f64>, f64) {
         let mut per: BTreeMap<HTaskRef, f64> = BTreeMap::new();
         let mut unattributed = 0.0;
         for s in &self.segments {
-            let refs = htask_refs_in_label(&s.label);
+            let refs = s.label.htasks();
             if refs.is_empty() {
                 unattributed += s.seconds();
             } else {
@@ -156,7 +155,7 @@ impl CriticalPath {
                     "start": s.start,
                     "end": s.end,
                     "kind": s.kind.name(),
-                    "label": s.label.clone(),
+                    "label": s.label.to_string(),
                 })
             })
             .collect();
@@ -339,6 +338,7 @@ pub fn critical_path(ops: &[OpRecord]) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mux_gpu_sim::label::{CellPos, Phase};
     use mux_gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
     use mux_gpu_sim::timeline::{Cluster, CollectiveKind, Timeline};
 
@@ -414,11 +414,14 @@ mod tests {
     }
 
     #[test]
-    fn htask_breakdown_parses_engine_style_labels() {
+    fn htask_breakdown_reads_engine_items() {
         let c = cluster(1);
         let mut t = Timeline::new(&c);
-        t.compute_fixed(0, 1.0, 0.5, 1e9, &[], "b0 s0 mb0 Forward h0sg0");
-        t.compute_fixed(0, 2.0, 0.5, 1e9, &[], "b0 s0 mb1 Forward h0sg1+h1sg1");
+        let item = |mb, members: &[(usize, usize)]| {
+            OpLabel::Item(CellPos::new(0, 0, mb, Phase::Forward), members.into())
+        };
+        t.compute_fixed(0, 1.0, 0.5, 1e9, &[], item(0, &[(0, 0)]));
+        t.compute_fixed(0, 2.0, 0.5, 1e9, &[], item(1, &[(0, 1), (1, 1)]));
         let cp = critical_path(t.ops());
         let (per, unattributed) = cp.htask_seconds();
         let h0 = per[&HTaskRef {

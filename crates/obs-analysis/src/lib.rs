@@ -40,7 +40,6 @@ pub mod baseline;
 pub mod critical_path;
 pub mod fairness;
 pub mod journal;
-mod labels;
 pub mod lifecycle;
 pub mod online;
 pub mod profile;
@@ -56,11 +55,11 @@ pub use baseline::{
 };
 pub use critical_path::{critical_path, CategorySeconds, CpKind, CpSegment, CriticalPath};
 pub use fairness::{dominant_share, jain_index, slo_attainment};
-pub use labels::{htask_refs_in_label, HTaskRef};
 pub use lifecycle::{
     analyze_journal, explain_job, lifecycle_chrome_trace, DecisionRecord, JctDecomposition,
     JobLifecycle, LifecycleAnalysis, Span, Terminal,
 };
+pub use mux_gpu_sim::label::HTaskRef;
 pub use online::{
     Alert, AlertEvent, BurnRateConfig, BurnRateEvaluator, DetectorConfig, EwmaMadDetector,
     Hysteresis, MonitorConfig, OnlineMonitor, Severity,

@@ -165,10 +165,11 @@ pub fn timeline_chrome_trace(ops: &[OpRecord], num_devices: usize) -> Value {
             }
             OpKind::Join => continue,
         };
+        let name = op.label.to_string();
         for &d in &op.devices {
             w.complete(
                 (d as u64, tid),
-                &op.label,
+                &name,
                 cat,
                 secs_to_us(op.start),
                 secs_to_us(op.end - op.start),

@@ -3,11 +3,9 @@
 //! Parallelization strategies on the simulator: Megatron-style tensor-
 //! parallel stage execution (sequential or scheduled launch), pipeline
 //! schedules (GPipe, 1F1B, ZB-H2-style split backward, DualPipe-like
-//! bidirectional) with a generic dependency-resolving pipeline driver, PEFT
-//! data-parallel gradient sync, and hybrid-parallelism plans with the §5.1
-//! grid-search space.
+//! bidirectional) with a generic dependency-resolving pipeline driver, and
+//! hybrid-parallelism plans with the §5.1 grid-search space.
 
-pub mod dp;
 pub mod plan;
 pub mod pp;
 pub mod tp;

@@ -10,18 +10,8 @@
 
 use std::collections::HashMap;
 
+pub use mux_gpu_sim::label::Phase;
 use mux_gpu_sim::timeline::{OpHandle, Timeline};
-
-/// A pipeline compute phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Forward pass of a micro-batch through one stage.
-    Forward,
-    /// Backward pass (input gradients; the whole backward in PEFT).
-    Backward,
-    /// Weight-gradient pass (split-backward schedules; absent in PEFT).
-    Weight,
-}
 
 /// One instruction of a rank's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

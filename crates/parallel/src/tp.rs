@@ -119,13 +119,13 @@ pub fn execute_stage_ordered(
                 &deps,
                 policy,
                 blocking_comm,
-                node.template.name.clone(),
+                node.template.name.as_str(),
             )]
         } else {
             let work = work_for(&node.template.cost, node.template.kind, shape, pass);
             devices
                 .iter()
-                .map(|&dev| tl.compute(dev, work, &deps, node.template.name.clone()))
+                .map(|&dev| tl.compute(dev, work, &deps, node.template.name.as_str()))
                 .collect()
         };
         done[nid] = Some(handles);

@@ -8,12 +8,23 @@
 //!   same stall seconds.
 //! - **Critical-path identity**: the reconstructed critical path tiles
 //!   `[0, finish_time]`, so its length equals the makespan exactly.
+//! - **hTask identity**: a planned run's ops name exactly its plan's
+//!   `(bucket, hTask)` pairs, with orchestration on or off, and stall blame
+//!   and the critical path name no other.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use muxtune::gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
-use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, OpHandle, OpRecord, Timeline};
-use muxtune::obs_analysis::{critical_path, device_attribution, timeline_chrome_trace, StallClass};
+use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, OpHandle, OpKind, OpRecord, Timeline};
+use muxtune::obs_analysis::{
+    critical_path, device_attribution, timeline_chrome_trace, HTaskRef, StallClass,
+};
+use muxtune::prelude::{
+    plan_and_run, FusionPolicy, HybridParallelism, ModelConfig, PeftTask, PlannerConfig,
+    TaskRegistry,
+};
 
 /// A randomized operation script covering every op kind the engine emits:
 /// compute, (blocking or overlapped) collectives, p2p copies, and joins.
@@ -171,5 +182,58 @@ proptest! {
             cursor = s.end;
         }
         prop_assert!((cursor - makespan).abs() <= REL_TOL * makespan.max(1.0));
+    }
+}
+
+/// Four single-task hTasks over tp2 x pp2, in several buckets. With
+/// orchestration off (Fig 16's -OO) each bucket runs as its own engine and
+/// the traces are concatenated; every op must still name the bucket it ran
+/// in, so the compute ops name each of the plan's `(bucket, hTask)` pairs
+/// and nothing else, and so do stall blame and the critical path.
+#[test]
+fn traced_ops_name_exactly_the_plans_htasks() {
+    let mut reg = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
+    for id in 1..=4 {
+        reg.register_task(PeftTask::lora(id, 16, 4, 128))
+            .expect("register");
+    }
+    let cluster = Cluster::single_node(GpuSpec::a40(), 4, LinkSpec::nvlink_a40());
+    for orchestrate in [true, false] {
+        let plan = HybridParallelism {
+            tp: 2,
+            pp: 2,
+            dp: 1,
+        };
+        let mut cfg = PlannerConfig::muxtune(plan, 4);
+        cfg.fusion = FusionPolicy::AllTemporal;
+        cfg.options.orchestrate = orchestrate;
+        let report = plan_and_run(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plans");
+        let buckets = &report.plan.grouping.buckets;
+        assert!(buckets.len() >= 2, "{buckets:?}");
+        let want: BTreeSet<HTaskRef> = buckets
+            .iter()
+            .enumerate()
+            .flat_map(|(bucket, b)| (0..b.len()).map(move |htask| HTaskRef { bucket, htask }))
+            .collect();
+        let (_, ops) = report.plan.run_traced(&reg, &cluster).expect("runs");
+        let named: BTreeSet<HTaskRef> = ops
+            .iter()
+            .filter(|op| op.kind == OpKind::Compute)
+            .flat_map(|op| op.label.htasks())
+            .collect();
+        assert_eq!(named, want, "orchestrate {orchestrate}");
+        let blamed: BTreeSet<HTaskRef> = device_attribution(&ops, cluster.num_gpus())
+            .into_iter()
+            .flat_map(|d| d.by_htask.into_keys())
+            .collect();
+        assert!(
+            !blamed.is_empty() && blamed.is_subset(&want),
+            "orchestrate {orchestrate}: blamed {blamed:?}, plan {want:?}"
+        );
+        let (on_path, _) = critical_path(&ops).htask_seconds();
+        assert!(
+            !on_path.is_empty() && on_path.keys().all(|h| want.contains(h)),
+            "orchestrate {orchestrate}: critical path {on_path:?}, plan {want:?}"
+        );
     }
 }

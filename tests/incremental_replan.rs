@@ -2,7 +2,9 @@
 //! incremental planner must be observationally indistinguishable from
 //! from-scratch estimation. Random op streams — submits (including
 //! memory-infeasible arrivals that force sheds), cancellations, fault
-//! injections and clears, time advances, and forced replans — are replayed
+//! injections and clears, device losses (which shrink an instance's plan
+//! and cluster, so the estimator must start over), time advances, and
+//! forced replans — are replayed
 //! under `Incremental` and `Estimate`; the sealed journals must agree
 //! byte for byte (fingerprint) and every job must land in the same
 //! terminal state at the same time.
@@ -30,6 +32,7 @@ enum Op {
     Slowdown { pick: usize, factor: f64 },
     Outage { pick: usize, failures: u32 },
     ClearFault { pick: usize },
+    LoseDevice { pick: usize, device: usize },
     ForceReplan { pick: usize },
 }
 
@@ -55,6 +58,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(pick, factor)| Op::Slowdown { pick, factor }),
         (0..4usize, 1..3u32).prop_map(|(pick, failures)| Op::Outage { pick, failures }),
         (0..4usize).prop_map(|pick| Op::ClearFault { pick }),
+        (0..4usize, 0..4usize).prop_map(|(pick, device)| Op::LoseDevice { pick, device }),
         (0..4usize).prop_map(|pick| Op::ForceReplan { pick }),
     ]
 }
@@ -110,6 +114,12 @@ fn run(mode: ReplanMode, ops: &[Op]) -> (u64, Vec<(JobId, String, u64)>) {
             }
             Op::ClearFault { pick } => {
                 let _ = svc.clear_fault(pick);
+            }
+            Op::LoseDevice { pick, device } => {
+                let _ = svc.inject_fault(ServiceFault::DeviceLoss {
+                    instance: pick,
+                    device,
+                });
             }
             Op::ForceReplan { pick } => {
                 svc.force_replan(pick);

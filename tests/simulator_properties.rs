@@ -266,7 +266,7 @@ proptest! {
         let cluster = Cluster::single_node(GpuSpec::a40(), case.tp * case.pp, LinkSpec::nvlink_a40());
         let eng = case.engine(&reg, &cluster, overlap);
         let traced: RunBits = eng.run_traced().map(|(m, ops)| {
-            assert!(!ops.is_empty() && ops.iter().all(|o| !o.label.is_empty()));
+            assert!(!ops.is_empty() && ops.iter().all(|o| !o.label.to_string().is_empty()));
             metric_bits(&m)
         });
         prop_assert_eq!(run_bits(&eng), traced);
