@@ -10,8 +10,8 @@
 
 use mux_baselines::runner::{run_system, SystemKind};
 use mux_bench::harness::{a40_cluster, banner, build_workload, row, save_json, x, Combo};
-use mux_cluster::policies::{assign_priorities, replay_priority, Priority};
-use mux_cluster::sim::{replay_fcfs, ClusterShape, ThroughputProfile};
+use mux_cluster::policies::{assign_priorities, Priority};
+use mux_cluster::sim::{replay, ClusterShape, ThroughputProfile};
 use mux_cluster::trace::generate;
 use mux_data::corpus::DatasetKind;
 use mux_model::config::ModelConfig;
@@ -73,10 +73,10 @@ fn priority_and_slo() -> serde_json::Value {
     let profile = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.8, 2.0]).expect("non-empty");
 
     // Plain FCFS with co-location everywhere.
-    let fcfs = replay_fcfs(&trace, shape, &profile).expect("valid shape");
+    let fcfs = replay(&trace, shape, &profile, None, None, &[]).expect("valid shape");
     // Priority-aware: 15% high-priority tasks get dedicated instances.
     let prios = assign_priorities(&trace, 0.15).expect("fraction in range");
-    let pri = replay_priority(&trace, &prios, shape, &profile, None).expect("valid inputs");
+    let pri = replay(&trace, shape, &profile, Some(&prios), None, &[]).expect("valid inputs");
     let solo_high: f64 = {
         let hi: Vec<f64> = trace
             .iter()
@@ -110,7 +110,8 @@ fn priority_and_slo() -> serde_json::Value {
 
     // SLO-aware admission control over an all-low-priority trace.
     let all_low = vec![Priority::Low; trace.len()];
-    let slo = replay_priority(&trace, &all_low, shape, &profile, Some(1.8)).expect("valid inputs");
+    let slo =
+        replay(&trace, shape, &profile, Some(&all_low), Some(1.8), &[]).expect("valid inputs");
     println!(
         "  SLO admission (1.8x): attainment {:.1}%, throughput {:.1}",
         slo.low.slo_attainment * 100.0,

@@ -9,7 +9,7 @@
 use mux_baselines::runner::SystemKind;
 use mux_bench::harness::{a40_cluster, banner, row, save_json, x};
 use mux_cluster::calibrate::{calibrate, reference_throughput, Mix};
-use mux_cluster::sim::{replay_fcfs, ClusterShape};
+use mux_cluster::sim::{replay, ClusterShape};
 use mux_cluster::trace::generate;
 use mux_data::corpus::DatasetKind;
 use mux_model::config::ModelConfig;
@@ -45,7 +45,8 @@ fn main() {
         let mut tput = std::collections::BTreeMap::new();
         for sys in SystemKind::ALL {
             let profile = calibrate(sys, &backbone, &instance, mix, 6, 4, reference);
-            let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape and profile");
+            let rep =
+                replay(&trace, shape, &profile, None, None, &[]).expect("valid shape and profile");
             println!(
                 "  {:<8} cluster throughput {:.2} (rel), mean JCT {:.0} min, queue {:.0} min, profile {:?}",
                 sys.name(),

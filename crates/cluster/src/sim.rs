@@ -1,20 +1,32 @@
-//! Cluster-level scheduling simulation (§5.4, Fig 21b).
+//! Cluster-level scheduling simulation (§5.4 Fig 21b, §6).
 //!
-//! Replays a trace on a fixed pool of GPUs carved into identical instances,
-//! with a first-come-first-served scheduler. Per-instance execution speed
-//! comes from a [`ThroughputProfile`] — aggregate instance throughput as a
-//! function of co-located task count — calibrated from instance-level
-//! engine runs, so cluster results inherit the fidelity of the
-//! discrete-event engine without re-simulating every operator per trace
-//! event.
+//! [`replay`] replays a trace on a fixed pool of GPUs carved into
+//! identical instances, with one fluid event loop. Per-instance execution
+//! speed comes from a [`ThroughputProfile`] — aggregate instance
+//! throughput as a function of co-located task count — calibrated from
+//! instance-level engine runs, so cluster results inherit the fidelity of
+//! the discrete-event engine without re-simulating every operator per
+//! trace event.
+//!
+//! The §6 policies are inputs of the same loop: `High` tasks take
+//! dedicated instances, an SLO factor guards every co-location, and
+//! outage windows freeze instances. First-come-first-served (the paper's
+//! Fig 21b scheduler) is the case with every task `Low`, no SLO and no
+//! outage: whether a task can be placed then depends only on instance
+//! state, so the queue scan places exactly what strict head-of-line
+//! blocking would.
 
 use std::collections::VecDeque;
 
+use mux_obs_analysis::fairness::jain_index;
+
+use crate::policies::Priority;
 use crate::trace::TraceTask;
 
-/// Typed errors for cluster replay and policy entry points — tenant-supplied
-/// shapes and profiles must never panic the replayer (the same
-/// panic-free-planning contract the planner's `PlanError` established).
+/// Typed errors for the cluster replay and its policy inputs —
+/// tenant-supplied traces, shapes and profiles must never panic or hang
+/// the replayer (the same panic-free-planning contract the planner's
+/// `PlanError` established).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
     /// A throughput profile was built with no rates at all.
@@ -30,7 +42,7 @@ pub enum ClusterError {
     /// The profile lets an instance hold zero tasks, so nothing can run.
     ZeroColocation,
     /// The cluster shape carves out zero instances
-    /// (`total_gpus < gpus_per_instance`).
+    /// (`total_gpus < gpus_per_instance`, or `gpus_per_instance` is 0).
     ZeroInstances {
         /// Total GPUs in the offending shape.
         total_gpus: usize,
@@ -46,6 +58,32 @@ pub enum ClusterError {
     },
     /// `high_fraction` fell outside `[0, 1]`.
     HighFractionOutOfRange(f64),
+    /// A task's arrival is negative or not finite (a NaN arrival is never
+    /// reached, so the replay would wait for it forever).
+    InvalidArrival {
+        /// The task.
+        id: u32,
+        /// Its arrival, minutes.
+        arrival_min: f64,
+    },
+    /// A task arrives before the task ahead of it: the replay admits
+    /// arrivals in trace order.
+    UnsortedArrival {
+        /// The task.
+        id: u32,
+        /// Its arrival, minutes.
+        arrival_min: f64,
+        /// The arrival of the task ahead of it, minutes.
+        previous_min: f64,
+    },
+    /// A task's duration is not finite and positive (an infinite one never
+    /// completes).
+    InvalidDuration {
+        /// The task.
+        id: u32,
+        /// Its duration, minutes.
+        duration_min: f64,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -75,6 +113,22 @@ impl std::fmt::Display for ClusterError {
             ClusterError::HighFractionOutOfRange(x) => {
                 write!(f, "high_fraction {x} outside [0, 1]")
             }
+            ClusterError::InvalidArrival { id, arrival_min } => write!(
+                f,
+                "task {id} arrival {arrival_min} min is not finite and non-negative"
+            ),
+            ClusterError::UnsortedArrival {
+                id,
+                arrival_min,
+                previous_min,
+            } => write!(
+                f,
+                "task {id} arrives at {arrival_min} min, before the task ahead of it ({previous_min} min)"
+            ),
+            ClusterError::InvalidDuration { id, duration_min } => write!(
+                f,
+                "task {id} duration {duration_min} min is not finite and positive"
+            ),
         }
     }
 }
@@ -114,8 +168,8 @@ impl ThroughputProfile {
 
     /// Checks the profile can drive a replay: at least one rate, every
     /// rate finite and positive, and room for at least one task. The
-    /// fields are public, so every replay checks what it is handed.
-    pub(crate) fn validate(&self) -> Result<(), ClusterError> {
+    /// fields are public, so [`replay`] checks what it is handed.
+    fn validate(&self) -> Result<(), ClusterError> {
         if self.rate.is_empty() {
             return Err(ClusterError::EmptyProfile);
         }
@@ -174,9 +228,11 @@ pub struct ClusterShape {
 }
 
 impl ClusterShape {
-    /// Number of instances.
+    /// Number of instances (0 when `gpus_per_instance` is 0).
     pub fn instances(&self) -> usize {
-        self.total_gpus / self.gpus_per_instance
+        self.total_gpus
+            .checked_div(self.gpus_per_instance)
+            .unwrap_or(0)
     }
 }
 
@@ -203,6 +259,20 @@ impl InstanceUsage {
     }
 }
 
+/// Outcome of one priority class.
+#[derive(Debug, Clone)]
+pub struct ClassReport {
+    /// Tasks in the class.
+    pub count: usize,
+    /// Mean job completion time, minutes (0 for an empty class).
+    pub mean_jct_min: f64,
+    /// Mean queueing delay, minutes (0 for an empty class).
+    pub mean_queue_min: f64,
+    /// Fraction of tasks finishing within their SLO; NaN when the replay
+    /// set no SLO.
+    pub slo_attainment: f64,
+}
+
 /// Results of one trace replay.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
@@ -219,6 +289,13 @@ pub struct ClusterReport {
     pub completed: usize,
     /// Per-instance busy time / occupancy / completion accounting.
     pub instances: Vec<InstanceUsage>,
+    /// High-priority class outcome (empty under FCFS).
+    pub high: ClassReport,
+    /// Low-priority class outcome (every task under FCFS).
+    pub low: ClassReport,
+    /// Jain fairness of per-task slowdowns (JCT ÷ solo duration) across
+    /// the whole trace: 1 = every task sees the same slowdown.
+    pub jain_slowdown: f64,
 }
 
 impl ClusterReport {
@@ -243,25 +320,61 @@ struct Active {
     remaining: f64,
 }
 
-/// Replays `trace` under FCFS with the given per-instance profile.
-pub fn replay_fcfs(
-    trace: &[TraceTask],
-    shape: ClusterShape,
-    profile: &ThroughputProfile,
-) -> Result<ClusterReport, ClusterError> {
-    replay_fcfs_faulty(trace, shape, profile, &[])
+/// Checks what the event loop relies on: arrivals finite, non-negative and
+/// in order, durations finite and positive.
+fn validate_trace(trace: &[TraceTask]) -> Result<(), ClusterError> {
+    let mut previous_min = 0.0;
+    for t in trace {
+        let (id, arrival_min, duration_min) = (t.id, t.arrival_min, t.duration_min);
+        if !(arrival_min.is_finite() && arrival_min >= 0.0) {
+            return Err(ClusterError::InvalidArrival { id, arrival_min });
+        }
+        if arrival_min < previous_min {
+            return Err(ClusterError::UnsortedArrival {
+                id,
+                arrival_min,
+                previous_min,
+            });
+        }
+        if !(duration_min.is_finite() && duration_min > 0.0) {
+            return Err(ClusterError::InvalidDuration { id, duration_min });
+        }
+        previous_min = arrival_min;
+    }
+    Ok(())
 }
 
-/// Fault-aware FCFS replay: instances freeze inside their [`InstanceOutage`]
-/// windows — in-flight tasks pause (their work is preserved, checkpoint
-/// semantics) and no new work is placed — then resume when the outage
-/// lifts. With an empty outage list this is exactly [`replay_fcfs`].
-pub fn replay_fcfs_faulty(
+/// Replays `trace` on `shape` with one fluid event loop.
+///
+/// * `priorities` (1:1 with the trace; `None` = every task `Low`): a
+///   `High` task takes an *empty* instance and holds it dedicated until it
+///   finishes; a `Low` task joins the least-loaded undedicated instance
+///   with room under the profile's co-location capacity.
+/// * `slo_factor = Some(f)`: a `Low` placement is admitted only if every
+///   co-resident (the newcomer included) is still projected to finish
+///   within `f ×` its solo duration, assuming the new co-location level
+///   persists.
+/// * `outages`: an instance freezes inside each of its windows — in-flight
+///   tasks pause with their work preserved (checkpoint semantics) and
+///   nothing is placed on it — and resumes when the window lifts.
+///
+/// Queued tasks are scanned in arrival order and a task that fits nowhere
+/// waits without blocking the ones behind it. With every task `Low` and
+/// no SLO this is strict FCFS, the Fig 21b scheduler.
+pub fn replay(
     trace: &[TraceTask],
     shape: ClusterShape,
     profile: &ThroughputProfile,
+    priorities: Option<&[Priority]>,
+    slo_factor: Option<f64>,
     outages: &[InstanceOutage],
 ) -> Result<ClusterReport, ClusterError> {
+    if let Some(p) = priorities.filter(|p| p.len() != trace.len()) {
+        return Err(ClusterError::PriorityLengthMismatch {
+            trace: trace.len(),
+            priorities: p.len(),
+        });
+    }
     let n_inst = shape.instances();
     if n_inst == 0 {
         return Err(ClusterError::ZeroInstances {
@@ -270,6 +383,9 @@ pub fn replay_fcfs_faulty(
         });
     }
     profile.validate()?;
+    validate_trace(trace)?;
+    let priority = |idx: usize| priorities.map_or(Priority::Low, |p| p[idx]);
+    let task_rate = |k: usize| profile.aggregate(k) / k as f64;
     let down =
         |ii: usize, now: f64| -> bool { outages.iter().any(|o| o.instance == ii && o.covers(now)) };
     // The next outage boundary (start or end) strictly after `now`: rates
@@ -280,16 +396,36 @@ pub fn replay_fcfs_faulty(
             .iter()
             .flat_map(|o| [o.start_min, o.end_min])
             .filter(|&t| t > now + 1e-12)
-            .fold(None, |best: Option<f64>, t| {
-                Some(best.map_or(t, |b| b.min(t)))
-            })
+            .reduce(f64::min)
     };
+    // An up, undedicated instance with room: the only kind a task of
+    // either class can take.
+    let open = |inst: &[Active], dedicated: bool, ii: usize, now: f64| {
+        !dedicated && inst.len() < profile.max_colocated && !down(ii, now)
+    };
+    let admits = |inst: &[Active], newcomer: &TraceTask, now: f64, start: &[f64]| -> bool {
+        let Some(f) = slo_factor else { return true };
+        let rate = task_rate(inst.len() + 1);
+        // Newcomer's projection.
+        if newcomer.duration_min / rate > f * newcomer.duration_min {
+            return false;
+        }
+        // Co-residents' projections: elapsed so far + remaining at the new
+        // (slower) per-task rate must stay within each task's SLO.
+        inst.iter().all(|a| {
+            let elapsed = now - start[a.idx];
+            elapsed + a.remaining / rate <= f * trace[a.idx].duration_min
+        })
+    };
+
     let mut instances: Vec<Vec<Active>> = vec![Vec::new(); n_inst];
+    // An instance hosting a high-priority task is dedicated to it.
+    let mut dedicated = vec![false; n_inst];
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut next_arrival = 0usize;
     let mut now = 0.0f64;
-    let mut finish = vec![f64::NAN; trace.len()];
     let mut start = vec![f64::NAN; trace.len()];
+    let mut finish = vec![f64::NAN; trace.len()];
     let mut completed = 0usize;
     let mut usage: Vec<InstanceUsage> = (0..n_inst)
         .map(|instance| InstanceUsage {
@@ -300,36 +436,30 @@ pub fn replay_fcfs_faulty(
         })
         .collect();
 
-    let task_rate = |k: usize, profile: &ThroughputProfile| profile.aggregate(k) / k as f64;
-
     while completed < trace.len() {
         // Next event: earliest completion across *up* instances, the next
         // arrival, or the next outage boundary (down instances make no
         // progress, so they produce no completions until they resume).
-        let mut next_completion: Option<(f64, usize)> = None; // (time, instance)
+        let mut next_completion: Option<f64> = None;
         for (ii, inst) in instances.iter().enumerate() {
             if inst.is_empty() || down(ii, now) {
                 continue;
             }
-            let rate = task_rate(inst.len(), profile);
+            let rate = task_rate(inst.len());
             let soonest = inst
                 .iter()
                 .map(|a| a.remaining / rate)
                 .fold(f64::INFINITY, f64::min);
             let t = now + soonest;
-            if next_completion.map(|(bt, _)| t < bt).unwrap_or(true) {
-                next_completion = Some((t, ii));
+            if next_completion.is_none_or(|bt| t < bt) {
+                next_completion = Some(t);
             }
         }
         let arrival_t = trace.get(next_arrival).map(|t| t.arrival_min);
-        let boundary_t = next_boundary(now);
-        let advance_to = [next_completion.map(|(ct, _)| ct), arrival_t, boundary_t]
-            .into_iter()
-            .flatten()
-            .fold(None, |best: Option<f64>, t| {
-                Some(best.map_or(t, |b| b.min(t)))
-            });
-        let Some(advance_to) = advance_to else { break };
+        let events = [next_completion, arrival_t, next_boundary(now)];
+        let Some(advance_to) = events.into_iter().flatten().reduce(f64::min) else {
+            break;
+        };
         // Advance progress on every up instance.
         let dt = advance_to - now;
         for (ii, inst) in instances.iter_mut().enumerate() {
@@ -338,7 +468,7 @@ pub fn replay_fcfs_faulty(
             }
             usage[ii].busy_min += dt;
             usage[ii].occupancy_task_min += inst.len() as f64 * dt;
-            let rate = task_rate(inst.len(), profile);
+            let rate = task_rate(inst.len());
             for a in inst.iter_mut() {
                 a.remaining -= rate * dt;
             }
@@ -347,64 +477,91 @@ pub fn replay_fcfs_faulty(
         // Completions (tolerate float dust).
         for (ii, inst) in instances.iter_mut().enumerate() {
             inst.retain(|a| {
-                if a.remaining <= 1e-9 {
+                let done = a.remaining <= 1e-9;
+                if done {
                     finish[a.idx] = now;
                     completed += 1;
                     usage[ii].completed += 1;
-                    false
-                } else {
-                    true
                 }
+                !done
             });
+            if inst.is_empty() {
+                dedicated[ii] = false;
+            }
         }
         // Arrivals at this instant.
         while next_arrival < trace.len() && trace[next_arrival].arrival_min <= now + 1e-12 {
             queue.push_back(next_arrival);
             next_arrival += 1;
         }
-        // FCFS placement: head of queue goes to the least-loaded *up*
-        // instance with spare co-location capacity; stop at the first that
-        // cannot be placed (strict FCFS, as in the paper).
-        while let Some(&idx) = queue.front() {
-            let slot = instances
-                .iter()
-                .enumerate()
-                .filter(|(ii, inst)| inst.len() < profile.max_colocated && !down(*ii, now))
-                .min_by_key(|(_, inst)| inst.len())
-                .map(|(ii, _)| ii);
-            match slot {
-                Some(ii) => {
-                    queue.pop_front();
-                    start[idx] = now;
-                    instances[ii].push(Active {
-                        idx,
-                        remaining: trace[idx].duration_min,
-                    });
-                }
-                None => break,
-            }
+        // Placement, in arrival order. Once no instance is open no task
+        // fits, so the scan stops instead of walking a saturated queue.
+        let mut qi = 0;
+        while qi < queue.len() && (0..n_inst).any(|ii| open(&instances[ii], dedicated[ii], ii, now))
+        {
+            let idx = queue[qi];
+            let task = &trace[idx];
+            let high = priority(idx) == Priority::High;
+            let slot = if high {
+                (0..n_inst).find(|&ii| instances[ii].is_empty() && !down(ii, now))
+            } else {
+                (0..n_inst)
+                    .filter(|&ii| {
+                        open(&instances[ii], dedicated[ii], ii, now)
+                            && admits(&instances[ii], task, now, &start)
+                    })
+                    .min_by_key(|&ii| instances[ii].len())
+            };
+            let Some(ii) = slot else {
+                qi += 1;
+                continue;
+            };
+            queue.remove(qi);
+            dedicated[ii] = high;
+            start[idx] = now;
+            instances[ii].push(Active {
+                idx,
+                remaining: task.duration_min,
+            });
         }
     }
 
+    let class = |member: &dyn Fn(usize) -> bool| -> ClassReport {
+        let idxs: Vec<usize> = (0..trace.len()).filter(|&i| member(i)).collect();
+        let n = idxs.len().max(1) as f64;
+        let mean = |from: &[f64]| -> f64 {
+            idxs.iter()
+                .map(|&i| from[i] - trace[i].arrival_min)
+                .sum::<f64>()
+                / n
+        };
+        let slo_attainment = slo_factor.map_or(f64::NAN, |f| {
+            idxs.iter()
+                .filter(|&&i| finish[i] - start[i] <= f * trace[i].duration_min + 1e-6)
+                .count() as f64
+                / n
+        });
+        ClassReport {
+            count: idxs.len(),
+            mean_jct_min: mean(&finish),
+            mean_queue_min: mean(&start),
+            slo_attainment,
+        }
+    };
+    let all = class(&|_| true);
     let total_work: f64 = trace.iter().map(|t| t.duration_min).sum();
-    let n = trace.len() as f64;
     Ok(ClusterReport {
         makespan_min: now,
-        throughput: total_work / now,
-        mean_jct_min: trace
-            .iter()
-            .enumerate()
-            .map(|(i, t)| finish[i] - t.arrival_min)
-            .sum::<f64>()
-            / n,
-        mean_queue_min: trace
-            .iter()
-            .enumerate()
-            .map(|(i, t)| start[i] - t.arrival_min)
-            .sum::<f64>()
-            / n,
+        throughput: if now > 0.0 { total_work / now } else { 0.0 },
+        mean_jct_min: all.mean_jct_min,
+        mean_queue_min: all.mean_queue_min,
         completed,
         instances: usage,
+        high: class(&|i| priority(i) == Priority::High),
+        low: class(&|i| priority(i) == Priority::Low),
+        jain_slowdown: jain_index(
+            (0..trace.len()).map(|i| (finish[i] - trace[i].arrival_min) / trace[i].duration_min),
+        ),
     })
 }
 
@@ -412,6 +569,15 @@ pub fn replay_fcfs_faulty(
 mod tests {
     use super::*;
     use crate::trace::generate;
+
+    /// Strict FCFS: every task `Low`, no SLO, no outage.
+    fn fcfs(
+        trace: &[TraceTask],
+        shape: ClusterShape,
+        profile: &ThroughputProfile,
+    ) -> Result<ClusterReport, ClusterError> {
+        replay(trace, shape, profile, None, None, &[])
+    }
 
     fn shape() -> ClusterShape {
         ClusterShape {
@@ -423,7 +589,7 @@ mod tests {
     #[test]
     fn all_tasks_complete() {
         let trace = generate(500, 11, None);
-        let rep = replay_fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
+        let rep = fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
         assert_eq!(rep.completed, 500);
         assert!(rep.makespan_min >= trace.last().expect("non-empty").arrival_min);
     }
@@ -431,10 +597,10 @@ mod tests {
     #[test]
     fn higher_aggregate_rate_raises_cluster_throughput() {
         let trace = generate(800, 13, None);
-        let slow = replay_fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
+        let slow = fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
         // A multiplexing system: 4 co-located tasks run at 2.2x aggregate.
         let mux = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.9, 2.2]).unwrap();
-        let fast = replay_fcfs(&trace, shape(), &mux).unwrap();
+        let fast = fcfs(&trace, shape(), &mux).unwrap();
         assert!(
             fast.throughput > slow.throughput,
             "{} vs {}",
@@ -452,7 +618,7 @@ mod tests {
             total_gpus: 4,
             gpus_per_instance: 4,
         };
-        let rep = replay_fcfs(&trace, one, &ThroughputProfile::single_task(1.0)).unwrap();
+        let rep = fcfs(&trace, one, &ThroughputProfile::single_task(1.0)).unwrap();
         let serial: f64 = trace.iter().map(|t| t.duration_min).sum();
         assert!(
             rep.makespan_min >= serial * 0.999,
@@ -467,7 +633,7 @@ mod tests {
         let mut trace = generate(2, 19, None);
         trace[0].arrival_min = 100.0;
         trace[1].arrival_min = 100.0;
-        let rep = replay_fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
+        let rep = fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
         assert!(rep.makespan_min > 100.0);
         assert!(rep.mean_queue_min < 1e-9, "no queueing with a huge cluster");
     }
@@ -475,7 +641,7 @@ mod tests {
     #[test]
     fn instance_usage_conserves_work_and_completions() {
         let trace = generate(200, 29, None);
-        let rep = replay_fcfs(
+        let rep = fcfs(
             &trace,
             shape(),
             &ThroughputProfile::from_rates(vec![1.0, 1.6, 2.0, 2.3]).unwrap(),
@@ -514,7 +680,7 @@ mod tests {
             total_gpus: 4,
             gpus_per_instance: 4,
         };
-        let rep = replay_fcfs(&trace, one, &ThroughputProfile::single_task(1.0)).unwrap();
+        let rep = fcfs(&trace, one, &ThroughputProfile::single_task(1.0)).unwrap();
         let serial: f64 = trace.iter().map(|t| t.duration_min).sum();
         let u = &rep.instances[0];
         assert!(
@@ -535,8 +701,8 @@ mod tests {
             total_gpus: 8,
             gpus_per_instance: 4,
         };
-        let single = replay_fcfs(&trace, tiny, &ThroughputProfile::single_task(1.0)).unwrap();
-        let shared = replay_fcfs(
+        let single = fcfs(&trace, tiny, &ThroughputProfile::single_task(1.0)).unwrap();
+        let shared = fcfs(
             &trace,
             tiny,
             &ThroughputProfile::from_rates(vec![1.0, 1.6, 2.0, 2.3]).unwrap(),
@@ -564,19 +730,27 @@ mod tests {
             gpus_per_instance: 4,
         };
         assert!(matches!(
-            replay_fcfs(&trace, bad, &ThroughputProfile::single_task(1.0)),
+            fcfs(&trace, bad, &ThroughputProfile::single_task(1.0)),
+            Err(ClusterError::ZeroInstances { .. })
+        ));
+        let zero_width = ClusterShape {
+            total_gpus: 4,
+            gpus_per_instance: 0,
+        };
+        assert!(matches!(
+            fcfs(&trace, zero_width, &ThroughputProfile::single_task(1.0)),
             Err(ClusterError::ZeroInstances { .. })
         ));
         // Profiles that would stall the replay forever (0, NaN, no rate)
         // or return nonsense (negative rate, no room for a task) are typed
-        // errors at both replay entry points, however they were built.
+        // errors with and without priorities, however they were built.
         // (Errors compare by text: a NaN rate never equals itself.)
         let hand = |rate: Vec<f64>, max_colocated| ThroughputProfile {
             rate,
             max_colocated,
         };
         let rate = |rate| ClusterError::InvalidRate { tasks: 1, rate };
-        let prios = vec![crate::policies::Priority::Low; trace.len()];
+        let prios = vec![Priority::Low; trace.len()];
         for (profile, want) in [
             (ThroughputProfile::single_task(0.0), rate(0.0)),
             (hand(vec![0.0], 1), rate(0.0)),
@@ -585,8 +759,8 @@ mod tests {
             (hand(vec![], 1), ClusterError::EmptyProfile),
             (hand(vec![1.0], 0), ClusterError::ZeroColocation),
         ] {
-            let fcfs = replay_fcfs(&trace, shape(), &profile).map(|_| ());
-            let prio = crate::policies::replay_priority(&trace, &prios, shape(), &profile, None);
+            let fcfs = fcfs(&trace, shape(), &profile).map(|_| ());
+            let prio = replay(&trace, shape(), &profile, Some(&prios), None, &[]);
             for got in [fcfs, prio.map(|_| ())] {
                 assert_eq!(got.unwrap_err().to_string(), want.to_string());
             }
@@ -600,15 +774,21 @@ mod tests {
     #[test]
     fn zero_length_outage_matches_fault_free_replay() {
         let trace = generate(200, 31, None);
-        let base = replay_fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
+        let base = fcfs(&trace, shape(), &ThroughputProfile::single_task(1.0)).unwrap();
         let noop = [InstanceOutage {
             instance: 0,
             start_min: 5.0,
             end_min: 5.0,
         }];
-        let faulty =
-            replay_fcfs_faulty(&trace, shape(), &ThroughputProfile::single_task(1.0), &noop)
-                .unwrap();
+        let faulty = replay(
+            &trace,
+            shape(),
+            &ThroughputProfile::single_task(1.0),
+            None,
+            None,
+            &noop,
+        )
+        .unwrap();
         assert_eq!(faulty.completed, base.completed);
         assert!((faulty.makespan_min - base.makespan_min).abs() < 1e-9);
         assert!((faulty.mean_jct_min - base.mean_jct_min).abs() < 1e-9);
@@ -627,13 +807,13 @@ mod tests {
             gpus_per_instance: 4,
         };
         let profile = ThroughputProfile::single_task(1.0);
-        let base = replay_fcfs(&trace, one, &profile).unwrap();
+        let base = fcfs(&trace, one, &profile).unwrap();
         let outage = [InstanceOutage {
             instance: 0,
             start_min: 1.0,
             end_min: 11.0,
         }];
-        let faulty = replay_fcfs_faulty(&trace, one, &profile, &outage).unwrap();
+        let faulty = replay(&trace, one, &profile, None, None, &outage).unwrap();
         assert_eq!(faulty.completed, trace.len(), "no task lost to the outage");
         assert!(
             faulty.makespan_min >= base.makespan_min + 10.0 - 1e-6,
@@ -663,8 +843,8 @@ mod tests {
             start_min: 0.5,
             end_min: 2.5,
         }];
-        let base = replay_fcfs(&trace, two, &profile).unwrap();
-        let faulty = replay_fcfs_faulty(&trace, two, &profile, &outage).unwrap();
+        let base = fcfs(&trace, two, &profile).unwrap();
+        let faulty = replay(&trace, two, &profile, None, None, &outage).unwrap();
         assert_eq!(faulty.completed, 2);
         assert_eq!(
             faulty.instances[0].completed, base.instances[0].completed,
@@ -674,5 +854,61 @@ mod tests {
             (faulty.instances[0].busy_min - base.instances[0].busy_min).abs() < 1e-9,
             "co-tenant busy time unchanged"
         );
+    }
+    #[test]
+    fn bad_trace_values_are_typed_errors_not_hangs() {
+        // A NaN arrival is never reached and an infinite duration never
+        // completes, so either would spin the event loop forever; an
+        // out-of-order arrival would be admitted late. Each is a typed
+        // error naming the task. (Errors compare by text: NaN.)
+        let base = generate(4, 5, None);
+        let profile = ThroughputProfile::single_task(1.0);
+        let arrival = |id, arrival_min| ClusterError::InvalidArrival { id, arrival_min };
+        let duration = |id, duration_min| ClusterError::InvalidDuration { id, duration_min };
+        let unsorted = ClusterError::UnsortedArrival {
+            id: 2,
+            arrival_min: 0.0,
+            previous_min: base[1].arrival_min,
+        };
+        type Edit = fn(&mut TraceTask);
+        let cases: [(usize, Edit, ClusterError); 7] = [
+            (1, |t| t.arrival_min = f64::NAN, arrival(1, f64::NAN)),
+            (
+                1,
+                |t| t.arrival_min = f64::INFINITY,
+                arrival(1, f64::INFINITY),
+            ),
+            (0, |t| t.arrival_min = -1.0, arrival(0, -1.0)),
+            (2, |t| t.arrival_min = 0.0, unsorted),
+            (
+                3,
+                |t| t.duration_min = f64::INFINITY,
+                duration(3, f64::INFINITY),
+            ),
+            (3, |t| t.duration_min = f64::NAN, duration(3, f64::NAN)),
+            (0, |t| t.duration_min = 0.0, duration(0, 0.0)),
+        ];
+        for (at, edit, want) in cases {
+            let mut trace = base.clone();
+            edit(&mut trace[at]);
+            let got = fcfs(&trace, shape(), &profile).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string());
+        }
+    }
+
+    #[test]
+    fn empty_trace_reads_zero_not_nan() {
+        let rep = fcfs(&[], shape(), &ThroughputProfile::single_task(1.0)).unwrap();
+        assert_eq!(rep.completed, 0);
+        for x in [
+            rep.makespan_min,
+            rep.throughput,
+            rep.mean_jct_min,
+            rep.mean_queue_min,
+        ] {
+            assert_eq!(x, 0.0);
+        }
+        assert_eq!(rep.low.count + rep.high.count, 0);
+        assert_eq!(rep.mean_busy_fraction(), 0.0);
     }
 }

@@ -191,46 +191,81 @@ pub struct FaultSpan {
     pub end: f64,
 }
 
-/// The operator (expanding through zero-duration joins) whose completion
-/// gates `ops[idx]`'s start — the one with the latest end time.
-fn blocking_op(ops: &[OpRecord], idx: usize) -> Option<usize> {
-    let mut visited = vec![false; ops.len()];
-    let mut stack: Vec<usize> = ops[idx].deps.to_vec();
-    let mut best: Option<usize> = None;
-    while let Some(i) = stack.pop() {
-        if visited[i] {
-            continue;
-        }
-        visited[i] = true;
-        if ops[i].kind == OpKind::Join {
-            stack.extend_from_slice(&ops[i].deps);
-        } else if best.map(|b| ops[i].end > ops[b].end).unwrap_or(true) {
-            best = Some(i);
+/// The one dependency walk of an attribution pass: from an operator's
+/// dependencies through zero-duration joins to the operators that gate it.
+/// Its marks are allocated once per pass and reset by bumping the epoch,
+/// so no gap allocates an `ops.len()`-sized buffer.
+struct DepWalk<'a> {
+    ops: &'a [OpRecord],
+    mark: Vec<usize>,
+    epoch: usize,
+    stack: Vec<usize>,
+}
+
+impl<'a> DepWalk<'a> {
+    fn new(ops: &'a [OpRecord]) -> Self {
+        Self {
+            ops,
+            mark: vec![0; ops.len()],
+            epoch: 0,
+            stack: Vec::new(),
         }
     }
-    best
+
+    /// Calls `visit` once on every non-join operator `ops[idx]` depends
+    /// on, directly or through joins.
+    fn each(&mut self, idx: usize, mut visit: impl FnMut(usize)) {
+        let ops = self.ops;
+        self.epoch += 1;
+        self.stack.clear();
+        self.stack.extend_from_slice(&ops[idx].deps);
+        while let Some(i) = self.stack.pop() {
+            if self.mark[i] == self.epoch {
+                continue;
+            }
+            self.mark[i] = self.epoch;
+            if ops[i].kind == OpKind::Join {
+                self.stack.extend_from_slice(&ops[i].deps);
+            } else {
+                visit(i);
+            }
+        }
+    }
+
+    /// The operator whose completion gates `ops[idx]`'s start — the one
+    /// with the latest end time.
+    fn blocking_op(&mut self, idx: usize) -> Option<usize> {
+        let ops = self.ops;
+        let mut best: Option<usize> = None;
+        self.each(idx, |i| {
+            if best.is_none_or(|b| ops[i].end > ops[b].end) {
+                best = Some(i);
+            }
+        });
+        best
+    }
+
+    /// Responsible hTasks for a blocking op: its own hTasks, or (for
+    /// collectives and p2p transfers, which carry none) the union over the
+    /// operators it depends on, so a transfer fed by an upstream cell's
+    /// join blames that cell's hTasks.
+    fn responsible_htasks(&mut self, idx: usize) -> Vec<HTaskRef> {
+        let ops = self.ops;
+        let own = ops[idx].label.htasks();
+        if !own.is_empty() {
+            return own;
+        }
+        let mut merged: Vec<HTaskRef> = Vec::new();
+        self.each(idx, |d| merged.extend(ops[d].label.htasks()));
+        merged.sort_unstable();
+        merged.dedup();
+        merged
+    }
 }
 
 /// The whole-run attribution window: the latest op end (the makespan).
 pub(crate) fn run_window(ops: &[OpRecord]) -> f64 {
     ops.iter().map(|o| o.end).fold(0.0, f64::max)
-}
-
-/// Responsible hTasks for a blocking op: its own hTasks, or (for
-/// collectives, which carry none) the union over its direct dependencies'.
-fn responsible_htasks(ops: &[OpRecord], idx: usize) -> Vec<HTaskRef> {
-    let own = ops[idx].label.htasks();
-    if !own.is_empty() {
-        return own;
-    }
-    let mut merged: Vec<HTaskRef> = ops[idx]
-        .deps
-        .iter()
-        .flat_map(|&d| ops[d].label.htasks())
-        .collect();
-    merged.sort_unstable();
-    merged.dedup();
-    merged
 }
 
 /// A pending piece of a gap, before comm-overlap carving.
@@ -246,6 +281,7 @@ struct Piece {
 /// a larger window extends the drain tail, a smaller one truncates it.
 pub fn attribute_stalls(ops: &[OpRecord], num_devices: usize, window: f64) -> Vec<AttributedStall> {
     let mut out = Vec::new();
+    let mut walk = DepWalk::new(ops);
     for dev in 0..num_devices {
         // Compute-lane occupancy: per-device FIFO, so submission order is
         // time order and intervals never overlap.
@@ -290,7 +326,7 @@ pub fn attribute_stalls(ops: &[OpRecord], num_devices: usize, window: f64) -> Ve
                     class: StallClass::PipelineBubble,
                     htasks: Vec::new(),
                 }),
-                Some(bi) => match blocking_op(ops, bi) {
+                Some(bi) => match walk.blocking_op(bi) {
                     // Released by nothing (or by something that finished
                     // before the gap even began): issued late by the
                     // template — a warm-up/drain bubble of the op's own
@@ -308,7 +344,7 @@ pub fn attribute_stalls(ops: &[OpRecord], num_devices: usize, window: f64) -> Ve
                         htasks: ops[bi].label.htasks(),
                     }),
                     Some(b) => {
-                        let who = responsible_htasks(ops, b);
+                        let who = walk.responsible_htasks(b);
                         match ops[b].kind {
                             OpKind::P2p => pieces.push(Piece {
                                 start: g0,
@@ -381,7 +417,7 @@ pub fn attribute_stalls(ops: &[OpRecord], num_devices: usize, window: f64) -> Ve
                             },
                         );
                     }
-                    let mut who = responsible_htasks(ops, ci);
+                    let mut who = walk.responsible_htasks(ci);
                     if who.is_empty() {
                         who = piece.htasks.clone();
                     }

@@ -29,25 +29,28 @@ pub struct RequestConfig {
     pub amplitude: f64,
     /// Diurnal period, seconds.
     pub period_seconds: f64,
-    /// Bounded-Pareto shape for prompt lengths.
+    /// Bounded-Pareto shape for both prompt and output lengths.
     pub pareto_alpha: f64,
-    /// Shortest / longest prompt, tokens.
+    /// Shortest prompt, tokens (the Pareto lower bound).
     pub prompt_min: u64,
     /// Longest prompt, tokens (the Pareto upper bound).
     pub prompt_max: u64,
-    /// Shortest / longest output, tokens.
+    /// Shortest output, tokens (the Pareto lower bound).
     pub output_min: u64,
-    /// Longest output, tokens.
+    /// Longest output, tokens (the Pareto upper bound).
     pub output_max: u64,
     /// Tenant profiles (arrivals split by `rate_weight`).
     pub tenants: Vec<RequestTenant>,
 }
 
 impl RequestConfig {
-    /// The standard serving mix: a chat tenant (short prompts, long
-    /// outputs) and a summarization tenant (long prompts, short outputs)
-    /// sharing one diurnal swing. Rates are scaled so 10⁴ requests span
-    /// a few simulated minutes.
+    /// The standard serving mix: a chat tenant and a summarization tenant
+    /// taking 3:1 of the arrivals over one diurnal swing. The tenants
+    /// differ only in traffic share: every request, whichever tenant it
+    /// goes to, draws its prompt from one bounded-Pareto over 16–4096
+    /// tokens and its output from another over 1–512 tokens (shape 1.5
+    /// for both), so most outputs are a few tokens long. Rates are scaled
+    /// so 10⁴ requests span a few simulated minutes.
     pub fn standard(requests: usize) -> Self {
         Self {
             requests,

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example cluster_trace`
 
 use muxtune::cluster::calibrate::{calibrate, reference_throughput, Mix};
-use muxtune::cluster::sim::{replay_fcfs, ClusterShape};
+use muxtune::cluster::sim::{replay, ClusterShape};
 use muxtune::cluster::trace::{generate, stats};
 use muxtune::prelude::*;
 
@@ -36,7 +36,8 @@ fn main() {
 
     for sys in [SystemKind::MuxTune, SystemKind::Nemo] {
         let profile = calibrate(sys, &backbone, &instance, Mix::NonUniform, 4, 4, reference);
-        let rep = replay_fcfs(&trace, shape, &profile).expect("valid shape and profile");
+        let rep =
+            replay(&trace, shape, &profile, None, None, &[]).expect("valid shape and profile");
         println!(
             "{:<8}: cluster throughput {:.1} (rel. units), mean JCT {:.0} min, mean queueing {:.0} min",
             sys.name(),

@@ -11,6 +11,8 @@
 //! - **hTask identity**: a planned run's ops name exactly its plan's
 //!   `(bucket, hTask)` pairs, with orchestration on or off, and stall blame
 //!   and the critical path name no other.
+//! - **Bubble blame**: in a pipeline-only run, every bubble released by a
+//!   p2p transfer names the hTasks of the upstream cell that fed it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,7 +21,8 @@ use proptest::prelude::*;
 use muxtune::gpu_sim::spec::{CommCtaPolicy, GpuSpec, LinkSpec, Work};
 use muxtune::gpu_sim::timeline::{Cluster, CollectiveKind, OpHandle, OpKind, OpRecord, Timeline};
 use muxtune::obs_analysis::{
-    critical_path, device_attribution, timeline_chrome_trace, HTaskRef, StallClass,
+    attribute_stalls, critical_path, device_attribution, timeline_chrome_trace, HTaskRef,
+    StallClass,
 };
 use muxtune::prelude::{
     plan_and_run, FusionPolicy, HybridParallelism, ModelConfig, PeftTask, PlannerConfig,
@@ -235,5 +238,66 @@ fn traced_ops_name_exactly_the_plans_htasks() {
             !on_path.is_empty() && on_path.keys().all(|h| want.contains(h)),
             "orchestrate {orchestrate}: critical path {on_path:?}, plan {want:?}"
         );
+    }
+}
+
+/// Whether `ops[i]` was released by a p2p transfer: one of its
+/// dependencies, reached through joins, is a transfer that ended as it
+/// started.
+fn released_by_p2p(ops: &[OpRecord], i: usize) -> bool {
+    let mut stack = ops[i].deps.to_vec();
+    while let Some(d) = stack.pop() {
+        match ops[d].kind {
+            OpKind::Join => stack.extend_from_slice(&ops[d].deps),
+            OpKind::P2p if ops[d].end == ops[i].start => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// A pp4 orchestrated run has no collectives, so every stage wait is a
+/// bubble. A transfer carries no hTask and depends only on the upstream
+/// cell's zero-duration join, so blame must reach through that join: every
+/// p2p-released bubble names at least one of the plan's hTasks, and every
+/// device that has bubbles has a non-empty `by_htask`.
+#[test]
+fn p2p_released_bubbles_blame_the_upstream_htasks() {
+    let mut reg = TaskRegistry::new(ModelConfig::llama2_7b().with_layers(8));
+    for id in 1..=4 {
+        reg.register_task(PeftTask::lora(id, 16, 4, 128))
+            .expect("register");
+    }
+    let cluster = Cluster::single_node(GpuSpec::a40(), 4, LinkSpec::nvlink_a40());
+    let cfg = PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4);
+    let report = plan_and_run(&reg, &cluster, &BTreeMap::new(), &cfg).expect("plans");
+    let (_, ops) = report.plan.run_traced(&reg, &cluster).expect("runs");
+    let window = ops.iter().map(|o| o.end).fold(0.0, f64::max);
+    let mut p2p_fed = 0;
+    for s in attribute_stalls(&ops, cluster.num_gpus(), window) {
+        let ender = ops.iter().position(|o| {
+            o.kind == OpKind::Compute && o.devices.contains(&s.device) && o.start == s.end
+        });
+        if s.class == StallClass::PipelineBubble && ender.is_some_and(|i| released_by_p2p(&ops, i))
+        {
+            p2p_fed += 1;
+            assert!(
+                !s.htasks.is_empty(),
+                "p2p-released bubble on device {} at {}..{} names no hTask",
+                s.device,
+                s.start,
+                s.end
+            );
+        }
+    }
+    assert!(p2p_fed > 0, "a pp4 run has p2p-released bubbles");
+    for d in device_attribution(&ops, cluster.num_gpus()) {
+        if d.bubble_seconds > 0.0 {
+            assert!(
+                !d.by_htask.is_empty(),
+                "device {} blames no hTask",
+                d.device
+            );
+        }
     }
 }

@@ -10,8 +10,7 @@
 //! only improve as co-residents leave, so projections are conservative.)
 
 use muxtune::cluster::{
-    assign_priorities, generate, replay_fcfs, replay_priority, ClusterError, ClusterShape,
-    Priority, ThroughputProfile,
+    assign_priorities, generate, replay, ClusterError, ClusterShape, Priority, ThroughputProfile,
 };
 use proptest::prelude::*;
 
@@ -43,7 +42,7 @@ proptest! {
         let trace = generate(n, seed, None);
         let prios = assign_priorities(&trace, high_fraction).expect("valid fraction");
         let profile = ThroughputProfile::from_rates(rates).expect("concave profile");
-        let rep = replay_priority(&trace, &prios, shape(64, 4), &profile, Some(slo_factor))
+        let rep = replay(&trace, shape(64, 4), &profile, Some(&prios), Some(slo_factor), &[])
             .expect("replay succeeds");
         if rep.high.count > 0 {
             prop_assert!(
@@ -76,9 +75,9 @@ proptest! {
         let trace = generate(300, seed, None);
         let prios = assign_priorities(&trace, 0.1).expect("valid fraction");
         let profile = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.8, 2.0]).expect("profile");
-        let mux = replay_priority(&trace, &prios, shape(16, 4), &profile, slo)
+        let mux = replay(&trace, shape(16, 4), &profile, Some(&prios), slo, &[])
             .expect("replay succeeds");
-        let single = replay_fcfs(&trace, shape(16, 4), &ThroughputProfile::single_task(1.0))
+        let single = replay(&trace, shape(16, 4), &ThroughputProfile::single_task(1.0), None, None, &[])
             .expect("fcfs succeeds");
         prop_assert!(
             mux.throughput > single.throughput,
@@ -95,7 +94,7 @@ fn high_priority_service_time_is_solo_duration_under_load() {
     let trace = generate(600, 21, None);
     let prios = assign_priorities(&trace, 0.25).expect("valid fraction");
     let profile = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.8, 2.0]).expect("profile");
-    let rep = replay_priority(&trace, &prios, shape(32, 4), &profile, None).expect("replay");
+    let rep = replay(&trace, shape(32, 4), &profile, Some(&prios), None, &[]).expect("replay");
     let solo_mean: f64 = trace
         .iter()
         .zip(&prios)
@@ -122,9 +121,9 @@ fn priority_fraction_extremes_are_consistent() {
 
     let profile = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.8, 2.0]).expect("profile");
     let low_rep =
-        replay_priority(&trace, &all_low, shape(64, 4), &profile, None).expect("replay low");
+        replay(&trace, shape(64, 4), &profile, Some(&all_low), None, &[]).expect("replay low");
     let high_rep =
-        replay_priority(&trace, &all_high, shape(64, 4), &profile, None).expect("replay high");
+        replay(&trace, shape(64, 4), &profile, Some(&all_high), None, &[]).expect("replay high");
     // Dedication sacrifices throughput for latency; co-location the reverse.
     assert!(low_rep.throughput >= high_rep.throughput);
     assert_eq!(low_rep.high.count, 0);
@@ -146,16 +145,17 @@ fn invalid_policy_inputs_are_typed_errors() {
     let profile = ThroughputProfile::from_rates(vec![1.0, 1.5]).expect("profile");
     let short = vec![Priority::Low; 3];
     assert!(matches!(
-        replay_priority(&trace, &short, shape(8, 4), &profile, None),
+        replay(&trace, shape(8, 4), &profile, Some(&short), None, &[]),
         Err(ClusterError::PriorityLengthMismatch { .. })
     ));
     assert!(matches!(
-        replay_priority(
+        replay(
             &trace,
-            &vec![Priority::Low; trace.len()],
             shape(2, 4),
             &profile,
-            None
+            Some(&vec![Priority::Low; trace.len()]),
+            None,
+            &[]
         ),
         Err(ClusterError::ZeroInstances { .. })
     ));

@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use muxtune::cluster::policies::{assign_priorities, replay_priority, Priority};
-use muxtune::cluster::sim::{ClusterShape, ThroughputProfile};
+use muxtune::cluster::policies::{assign_priorities, Priority};
+use muxtune::cluster::sim::{replay, ClusterShape, ThroughputProfile};
 use muxtune::cluster::trace::generate;
 use muxtune::peft::types::PeftType;
 use muxtune::peft::validation::validate_task;
@@ -106,7 +106,7 @@ fn priority_policy_protects_the_high_class() {
         gpus_per_instance: 4,
     };
     let profile = ThroughputProfile::from_rates(vec![1.0, 1.5, 1.8, 2.0]).expect("non-empty");
-    let rep = replay_priority(&trace, &prios, shape, &profile, None).expect("valid inputs");
+    let rep = replay(&trace, shape, &profile, Some(&prios), None, &[]).expect("valid inputs");
     // High-priority service time == solo duration (dedicated instances).
     let solo: f64 = {
         let hi: Vec<f64> = trace
