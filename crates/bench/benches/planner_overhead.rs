@@ -35,7 +35,8 @@ fn bench_fusion(c: &mut Criterion) {
     let mut g = c.benchmark_group("dp_fusion");
     for m in [8usize, 16, 32] {
         let reg = registry(m);
-        let cm = CostModel::new(&reg, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&reg, &gpu, HybridParallelism::pipeline(4));
         g.bench_function(format!("M={m}"), |b| {
             b.iter(|| {
                 let tasks: Vec<&PeftTask> = reg.tasks().collect();
@@ -53,7 +54,8 @@ fn bench_fusion(c: &mut Criterion) {
 
 fn bench_grouping(c: &mut Criterion) {
     let reg = registry(16);
-    let cm = CostModel::new(&reg, GpuSpec::a40(), HybridParallelism::pipeline(4));
+    let gpu = GpuSpec::a40();
+    let cm = CostModel::new(&reg, &gpu, HybridParallelism::pipeline(4));
     let htasks: Vec<HTask> = reg.tasks().map(|t| HTask::from_padded(&[t], 4)).collect();
     c.bench_function("grouping_16_htasks", |b| {
         b.iter(|| black_box(group_htasks(&cm, &htasks)))

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::LazyLock;
 use std::time::Instant;
 
 use mux_data::corpus::{Corpus, DatasetKind};
@@ -286,8 +287,11 @@ pub fn planner_scale_registry(m: usize) -> TaskRegistry {
     reg
 }
 
+/// The planner-scale device: one spec every planner-scale cost model borrows.
+static PLANNER_SCALE_GPU: LazyLock<GpuSpec> = LazyLock::new(GpuSpec::a40);
+
 fn planner_scale_cost_model(reg: &TaskRegistry) -> CostModel<'_> {
-    CostModel::new(reg, GpuSpec::a40(), HybridParallelism::pipeline(4))
+    CostModel::new(reg, &PLANNER_SCALE_GPU, HybridParallelism::pipeline(4))
 }
 
 /// One timed planner hot-path pass at `m` tasks: cold-planner DP fusion
@@ -404,8 +408,9 @@ pub fn churn_replay_seconds(m: usize, deltas: usize) -> f64 {
             reg.deregister_task(victim).expect("victim registered");
             assert!(inc.remove(victim), "victim is live");
         }
-        // The cost model is rebuilt per delta, exactly as the service's
-        // estimator does — its construction cost is part of a replan.
+        // The cost model borrows the registry, so it is rebuilt after each
+        // delta and its stage-table build is timed with the replan (the
+        // service's estimator builds those tables once per context).
         let cm = planner_scale_cost_model(&reg);
         let plan = inc.plan(&cm, &build).expect("churn stays feasible");
         std::hint::black_box(plan.htasks.len());

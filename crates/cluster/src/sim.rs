@@ -84,6 +84,15 @@ pub enum ClusterError {
         /// Its duration, minutes.
         duration_min: f64,
     },
+    /// An outage window has a bound that is not finite (a window that
+    /// never lifts strands its instance's tasks), starts after it ends, or
+    /// names an instance the shape does not have.
+    InvalidOutage {
+        /// The window.
+        outage: InstanceOutage,
+        /// Instances the shape carves out.
+        instances: usize,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -128,6 +137,12 @@ impl std::fmt::Display for ClusterError {
             ClusterError::InvalidDuration { id, duration_min } => write!(
                 f,
                 "task {id} duration {duration_min} min is not finite and positive"
+            ),
+            ClusterError::InvalidOutage { outage, instances } => write!(
+                f,
+                "outage [{}, {}) min on instance {} needs finite bounds, start <= end \
+                 and one of the shape's {instances} instance(s)",
+                outage.start_min, outage.end_min, outage.instance
             ),
         }
     }
@@ -344,6 +359,23 @@ fn validate_trace(trace: &[TraceTask]) -> Result<(), ClusterError> {
     Ok(())
 }
 
+/// Checks each outage window the event loop steps through: finite bounds
+/// (the loop would otherwise step to `now = ∞`, where `dt = ∞ − ∞` is
+/// NaN), a start no later than its end, and an instance of the shape. A
+/// zero-length window is valid and changes nothing.
+fn validate_outages(outages: &[InstanceOutage], instances: usize) -> Result<(), ClusterError> {
+    let valid = |o: &InstanceOutage| {
+        o.start_min.is_finite()
+            && o.end_min.is_finite()
+            && o.start_min <= o.end_min
+            && o.instance < instances
+    };
+    match outages.iter().find(|o| !valid(o)) {
+        Some(&outage) => Err(ClusterError::InvalidOutage { outage, instances }),
+        None => Ok(()),
+    }
+}
+
 /// Replays `trace` on `shape` with one fluid event loop.
 ///
 /// * `priorities` (1:1 with the trace; `None` = every task `Low`): a
@@ -356,7 +388,9 @@ fn validate_trace(trace: &[TraceTask]) -> Result<(), ClusterError> {
 ///   persists.
 /// * `outages`: an instance freezes inside each of its windows — in-flight
 ///   tasks pause with their work preserved (checkpoint semantics) and
-///   nothing is placed on it — and resumes when the window lifts.
+///   nothing is placed on it — and resumes when the window lifts. Every
+///   window must have finite bounds, start no later than it ends and name
+///   an instance of `shape` ([`ClusterError::InvalidOutage`] otherwise).
 ///
 /// Queued tasks are scanned in arrival order and a task that fits nowhere
 /// waits without blocking the ones behind it. With every task `Low` and
@@ -384,6 +418,7 @@ pub fn replay(
     }
     profile.validate()?;
     validate_trace(trace)?;
+    validate_outages(outages, n_inst)?;
     let priority = |idx: usize| priorities.map_or(Priority::Low, |p| p[idx]);
     let task_rate = |k: usize| profile.aggregate(k) / k as f64;
     let down =
@@ -529,7 +564,11 @@ pub fn replay(
     let class = |member: &dyn Fn(usize) -> bool| -> ClassReport {
         let idxs: Vec<usize> = (0..trace.len()).filter(|&i| member(i)).collect();
         let n = idxs.len().max(1) as f64;
+        // An empty class reads 0.0; the sum of no `f64`s is −0.0.
         let mean = |from: &[f64]| -> f64 {
+            if idxs.is_empty() {
+                return 0.0;
+            }
             idxs.iter()
                 .map(|&i| from[i] - trace[i].arrival_min)
                 .sum::<f64>()
@@ -897,16 +936,57 @@ mod tests {
     }
 
     #[test]
+    fn bad_outages_are_typed_errors_not_hangs() {
+        // A window that never lifts would strand the task on its instance,
+        // and the loop would spin at `now = ∞` on `dt = ∞ − ∞ = NaN`. NaN
+        // bounds, reversed windows and unknown instances are as malformed.
+        let trace = generate(1, 5, None);
+        let one = ClusterShape {
+            total_gpus: 4,
+            gpus_per_instance: 4,
+        };
+        let profile = ThroughputProfile::single_task(1.0);
+        let at = trace[0].arrival_min;
+        let window = |instance, start_min, end_min| InstanceOutage {
+            instance,
+            start_min,
+            end_min,
+        };
+        for outage in [
+            window(0, at + 0.5, f64::INFINITY),
+            window(0, f64::NEG_INFINITY, at + 0.5),
+            window(0, f64::NAN, at + 0.5),
+            window(0, at, f64::NAN),
+            window(0, at + 2.0, at + 1.0),
+            window(1, at, at + 1.0),
+        ] {
+            let got = replay(&trace, one, &profile, None, None, &[outage]).unwrap_err();
+            let want = ClusterError::InvalidOutage {
+                outage,
+                instances: 1,
+            };
+            assert_eq!(got.to_string(), want.to_string());
+        }
+        let zero_length = [window(0, at + 0.5, at + 0.5)];
+        let rep = replay(&trace, one, &profile, None, None, &zero_length).unwrap();
+        assert_eq!(rep.completed, 1);
+    }
+
+    #[test]
     fn empty_trace_reads_zero_not_nan() {
         let rep = fcfs(&[], shape(), &ThroughputProfile::single_task(1.0)).unwrap();
         assert_eq!(rep.completed, 0);
+        // Positive zero: the sum of no `f64`s is −0.0, which `{}` prints
+        // as `-0`.
         for x in [
             rep.makespan_min,
             rep.throughput,
             rep.mean_jct_min,
             rep.mean_queue_min,
+            rep.high.mean_jct_min,
+            rep.low.mean_queue_min,
         ] {
-            assert_eq!(x, 0.0);
+            assert_eq!(x.to_bits(), 0.0f64.to_bits(), "{x:?}");
         }
         assert_eq!(rep.low.count + rep.high.count, 0);
         assert_eq!(rep.mean_busy_fraction(), 0.0);

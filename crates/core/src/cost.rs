@@ -5,6 +5,8 @@
 //! §3.4.2), end-to-end pipeline latency (Eq. 4), and per-stage memory
 //! (Eq. 5, the OOM feasibility check).
 
+use std::borrow::Cow;
+
 use mux_gpu_sim::spec::GpuSpec;
 use mux_model::config::ModelConfig;
 use mux_model::layer::build_stage_graph;
@@ -17,14 +19,14 @@ use mux_peft::types::TaskId;
 
 use crate::htask::HTask;
 
-/// One stage's operators as indices into the model's interned op lists.
+/// One stage's operators as indices into the interned op lists.
 #[derive(Debug, Clone)]
 struct StageOps {
     /// Every non-comm backbone op of the stage, in graph order, as an
-    /// index into [`CostModel::ops`].
+    /// index into [`StageTables::ops`].
     compute: Vec<usize>,
     /// Every BaseOp (adapter attach point) of the stage, in graph order, as
-    /// an index into [`CostModel::base_ops`].
+    /// an index into [`StageTables::base_ops`].
     base_ops: Vec<usize>,
     /// Layer range.
     layers: (usize, usize),
@@ -38,13 +40,17 @@ fn intern<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
     })
 }
 
-/// The Eq. 3–5 cost model for one instance.
-pub struct CostModel<'a> {
-    registry: &'a TaskRegistry,
-    gpu: GpuSpec,
-    /// Parallelism plan (dp is unused by the cost model; latency is per
-    /// replica).
-    pub plan: HybridParallelism,
+/// Every stage's operators of one backbone under one parallelism plan,
+/// interned. The tables read nothing but the backbone configuration and the
+/// plan, so one build serves every hTask and every membership priced under
+/// them: [`CostModel::new`] builds its own, and the incremental estimator
+/// builds one per planning context and prices every estimate in that
+/// context with it.
+#[derive(Debug, Clone)]
+pub(crate) struct StageTables {
+    /// The parallelism plan the stages were cut and sharded under (dp is
+    /// unused by the cost model; latency is per replica).
+    plan: HybridParallelism,
     /// Distinct `(kind, cost)` non-comm backbone ops over all stages (TP-
     /// sharded costs). Stages repeat the same per-layer op list, so an
     /// hTask prices each distinct op once, not once per layer and stage.
@@ -54,10 +60,11 @@ pub struct CostModel<'a> {
     stages: Vec<StageOps>,
 }
 
-impl<'a> CostModel<'a> {
-    /// Builds the model, interning every stage's operators.
-    pub fn new(registry: &'a TaskRegistry, gpu: GpuSpec, plan: HybridParallelism) -> Self {
-        let cfg = registry.backbone();
+impl StageTables {
+    /// Builds `cfg`'s stage graphs under `plan` and interns their operators,
+    /// counting the build as `stage_tables_built` work on the caller's span.
+    pub(crate) fn new(cfg: &ModelConfig, plan: HybridParallelism) -> Self {
+        mux_obs::profile::work("stage_tables_built", 1);
         let (mut ops, mut base_ops) = (Vec::new(), Vec::new());
         let stages = stage_layers(cfg.num_layers, plan.pp)
             .into_iter()
@@ -82,12 +89,49 @@ impl<'a> CostModel<'a> {
             })
             .collect();
         Self {
-            registry,
-            gpu,
             plan,
             ops,
             base_ops,
             stages,
+        }
+    }
+
+    /// The parallelism plan the tables were built under.
+    pub(crate) fn plan(&self) -> HybridParallelism {
+        self.plan
+    }
+}
+
+/// The Eq. 3–5 cost model for one instance.
+pub struct CostModel<'a> {
+    registry: &'a TaskRegistry,
+    gpu: &'a GpuSpec,
+    /// Built by [`CostModel::new`], or borrowed from a planning context.
+    tables: Cow<'a, StageTables>,
+}
+
+impl<'a> CostModel<'a> {
+    /// Builds the model with stage tables of its own.
+    pub fn new(registry: &'a TaskRegistry, gpu: &'a GpuSpec, plan: HybridParallelism) -> Self {
+        let tables = StageTables::new(registry.backbone(), plan);
+        Self {
+            registry,
+            gpu,
+            tables: Cow::Owned(tables),
+        }
+    }
+
+    /// The model over `tables`, which must have been built from
+    /// `registry`'s backbone.
+    pub(crate) fn with_tables(
+        registry: &'a TaskRegistry,
+        gpu: &'a GpuSpec,
+        tables: &'a StageTables,
+    ) -> Self {
+        Self {
+            registry,
+            gpu,
+            tables: Cow::Borrowed(tables),
         }
     }
 
@@ -98,7 +142,7 @@ impl<'a> CostModel<'a> {
 
     /// Number of pipeline stages `S`.
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.tables.stages.len()
     }
 
     /// Eq. 3: latency of one micro-batch of `h` through each stage.
@@ -113,13 +157,15 @@ impl<'a> CostModel<'a> {
     /// per-stage walk over its operator graph.
     pub fn stage_latencies(&self, h: &HTask, pass: Pass) -> Vec<f64> {
         let op_time: Vec<f64> = self
+            .tables
             .ops
             .iter()
-            .map(|(kind, cost)| htask_op_time(&self.gpu, *kind, cost, h, None, pass).0)
+            .map(|(kind, cost)| htask_op_time(self.gpu, *kind, cost, h, None, pass).0)
             .collect();
         let cfg = self.registry.backbone();
         let members = member_tasks(self.registry, h);
         let adapter_time: Vec<f64> = self
+            .tables
             .base_ops
             .iter()
             .map(|&(kind, k, n)| {
@@ -129,7 +175,7 @@ impl<'a> CostModel<'a> {
                     let mut t_a = 0.0;
                     let mut util: f64 = 0.0;
                     for (op, _, cost) in task.adapter_costs(cfg, kind, k, n) {
-                        let (t, u, _) = htask_op_time(&self.gpu, op, &cost, h, Some(idx), pass);
+                        let (t, u, _) = htask_op_time(self.gpu, op, &cost, h, Some(idx), pass);
                         t_a += t;
                         util = util.max(u);
                     }
@@ -139,7 +185,8 @@ impl<'a> CostModel<'a> {
                 weighted.max(max_single)
             })
             .collect();
-        self.stages
+        self.tables
+            .stages
             .iter()
             .map(|stage| {
                 let mut lat: f64 = stage.compute.iter().map(|&i| op_time[i]).sum();
@@ -172,10 +219,11 @@ impl<'a> CostModel<'a> {
     /// `in_flight` micro-batch activations resident (1F1B holds ≤ S).
     pub fn stage_memory(&self, s: usize, htasks: &[HTask], in_flight: usize) -> u64 {
         let cfg = self.registry.backbone();
-        let stage = &self.stages[s];
+        let stage = &self.tables.stages[s];
         let layers = stage.layers.1 - stage.layers.0;
+        let tp = self.tables.plan.tp as u64;
         // Backbone shard: parameters are split across S stages and TP ranks.
-        let m_b = cfg.param_bytes() / (self.num_stages() as u64 * self.plan.tp as u64);
+        let m_b = cfg.param_bytes() / (self.num_stages() as u64 * tp);
         // Per-task persistent state (adapter grads + optimizer moments),
         // sharded the same way.
         let m_g: u64 = htasks
@@ -183,8 +231,7 @@ impl<'a> CostModel<'a> {
             .flat_map(|h| h.tasks.iter())
             .map(|&tid| {
                 let t = self.registry.task(tid).expect("registered");
-                task_state_bytes(t.adapter_params(cfg))
-                    / (self.num_stages() as u64 * self.plan.tp as u64)
+                task_state_bytes(t.adapter_params(cfg)) / (self.num_stages() as u64 * tp)
             })
             .sum();
         // Activations: every co-located hTask holds `in_flight` micro-batch
@@ -207,7 +254,7 @@ impl<'a> CostModel<'a> {
 
     /// The GPU spec the model evaluates against.
     pub fn gpu(&self) -> &GpuSpec {
-        &self.gpu
+        self.gpu
     }
 
     /// Builds an exact O(1)-per-query memory-feasibility prober for
@@ -222,7 +269,7 @@ impl<'a> CostModel<'a> {
     /// feasible ones.
     pub fn padded_prober(&self, sorted: &[&mux_peft::types::PeftTask]) -> PaddedRangeProber<'a> {
         let cfg = self.registry.backbone();
-        let shards = self.num_stages() as u64 * self.plan.tp as u64;
+        let shards = self.num_stages() as u64 * self.tables.plan.tp as u64;
         let mut state_prefix = Vec::with_capacity(sorted.len() + 1);
         let mut mb_prefix = Vec::with_capacity(sorted.len() + 1);
         state_prefix.push(0u64);
@@ -240,6 +287,7 @@ impl<'a> CostModel<'a> {
             mb_prefix,
             seq_max: RangeMax::new(&sorted.iter().map(|t| t.seq_len).collect::<Vec<_>>()),
             stage_layer_counts: self
+                .tables
                 .stages
                 .iter()
                 .map(|s| s.layers.1 - s.layers.0)
@@ -268,7 +316,7 @@ impl<'a> CostModel<'a> {
         'grow: while k < upper {
             for s in 0..self.num_stages() {
                 let static_bytes = self.stage_memory(s, &all, 0);
-                let layers = self.stages[s].layers.1 - self.stages[s].layers.0;
+                let layers = self.tables.stages[s].layers.1 - self.tables.stages[s].layers.0;
                 let max_cell: u64 = buckets
                     .iter()
                     .map(|b| {
@@ -431,7 +479,8 @@ mod tests {
         // Spatial batching improves utilization: 2 tasks fused cost less
         // than 2x one task (Fig 9's motivation).
         let (r, plan) = setup(2, HybridParallelism::pipeline(4));
-        let cm = CostModel::new(&r, GpuSpec::a40(), plan);
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, plan);
         let one = htask_of(&r, &[1], 4);
         let two = htask_of(&r, &[1, 2], 4);
         let l1 = cm.stage_latency(0, &one, Pass::Forward);
@@ -443,7 +492,8 @@ mod tests {
     #[test]
     fn pipeline_latency_scales_with_micro_batches() {
         let (r, plan) = setup(1, HybridParallelism::pipeline(4));
-        let cm = CostModel::new(&r, GpuSpec::a40(), plan);
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, plan);
         let h4 = htask_of(&r, &[1], 4);
         let h8 = htask_of(&r, &[1], 8);
         let l4 = cm.pipeline_latency(&h4);
@@ -454,8 +504,9 @@ mod tests {
     #[test]
     fn memory_splits_backbone_across_stages() {
         let (r, _) = setup(1, HybridParallelism::pipeline(4));
-        let cm4 = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
-        let cm2 = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(2));
+        let gpu = GpuSpec::a40();
+        let cm4 = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
+        let cm2 = CostModel::new(&r, &gpu, HybridParallelism::pipeline(2));
         let h = htask_of(&r, &[1], 4);
         let m4 = cm4.stage_memory(0, std::slice::from_ref(&h), 4);
         let m2 = cm2.stage_memory(0, &[h], 2);
@@ -469,7 +520,8 @@ mod tests {
             r.register_task(PeftTask::lora(i + 1, 16, 32, 256))
                 .expect("register");
         }
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let small = htask_of(&r, &[1], 4);
         assert!(cm.fits_memory(std::slice::from_ref(&small), 4));
         let ids: Vec<TaskId> = (1..=64).collect();
@@ -498,7 +550,8 @@ mod tests {
             r.register_task(PeftTask::lora(i as TaskId + 1, 16, mb, seq))
                 .expect("register");
         }
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(2));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(2));
         let sorted: Vec<&PeftTask> = r.tasks().collect();
         let prober = cm.padded_prober(&sorted);
         let s = cm.num_stages();
@@ -523,7 +576,8 @@ mod tests {
             .expect("register");
         r.register_task(PeftTask::lora(2, 512, 4, 128))
             .expect("register");
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::single());
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::single());
         let small_only = htask_of(&r, &[1], 4);
         let fused = htask_of(&r, &[1, 2], 4);
         let l_small = cm.stage_latency(0, &small_only, Pass::Forward);

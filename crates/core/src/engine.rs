@@ -799,7 +799,8 @@ mod tests {
         // model's activation term and the engine's measured peak-activation
         // delta double.
         let (reg, cluster) = setup(1);
-        let cm = crate::cost::CostModel::new(&reg, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = crate::cost::CostModel::new(&reg, &gpu, HybridParallelism::pipeline(4));
         let peak_act = |mb: usize| -> (u64, u64) {
             let t = reg.tasks().next().expect("task").clone();
             let mut r2 = TaskRegistry::new(reg.backbone().clone());

@@ -721,7 +721,8 @@ mod tests {
     }
 
     fn run(r: &TaskRegistry, policy: FusionPolicy, mbs: usize) -> FusionPlan {
-        let cm = CostModel::new(r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         fuse_tasks(
             &cm,
@@ -817,7 +818,8 @@ mod tests {
             r.register_task(PeftTask::lora(i + 1, 16, 8, 256))
                 .expect("register");
         }
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let all = HTask::from_padded(&tasks, 4);
         assert!(
@@ -847,7 +849,8 @@ mod tests {
         let mut r = TaskRegistry::new(ModelConfig::llama2_7b());
         r.register_task(PeftTask::lora(1, 16, 4096, 256))
             .expect("register");
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let err = fuse_tasks(
             &cm,
@@ -862,7 +865,8 @@ mod tests {
     #[test]
     fn empty_task_set_is_an_error() {
         let r = setup(&[(1, 64)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let err = fuse_tasks(
             &cm,
             &[],
@@ -880,7 +884,8 @@ mod tests {
     #[test]
     fn incremental_first_plan_matches_scratch_bitwise() {
         let r = setup(&[(4, 64), (2, 128), (8, 64), (4, 128), (2, 256), (8, 128)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let build = RangeBuild::Padded { micro_batches: 4 };
         let scratch = fuse_tasks(&cm, &tasks, FusionPolicy::Dp, &build).expect("feasible");
@@ -897,7 +902,8 @@ mod tests {
     #[test]
     fn warm_planner_noop_replan_builds_zero_ranges() {
         let r = setup(&[(4, 64), (2, 128), (8, 64), (4, 128)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let build = RangeBuild::Padded { micro_batches: 4 };
         let mut inc = IncrementalPlanner::new();
         inc.sync(&items(&r));
@@ -921,7 +927,8 @@ mod tests {
     #[test]
     fn delta_reuses_ranges_not_crossing_the_position() {
         let mut r = setup(&[(4, 64), (2, 128), (8, 64), (4, 128), (2, 256), (8, 128)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let build = RangeBuild::Padded { micro_batches: 4 };
         let mut inc = IncrementalPlanner::new();
         inc.sync(&items(&r));
@@ -931,7 +938,8 @@ mod tests {
 
         r.register_task(PeftTask::lora(7, 16, 2, 64))
             .expect("register");
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         assert_eq!(inc.sync(&items(&r)), 1);
         let plan = inc.plan(&cm, &build).expect("feasible");
         let warm = inc.stats();
@@ -951,7 +959,8 @@ mod tests {
     #[test]
     fn incremental_remove_to_empty_then_refill() {
         let r = setup(&[(4, 64), (2, 128)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let build = RangeBuild::Padded { micro_batches: 4 };
         let mut inc = IncrementalPlanner::new();
         inc.sync(&items(&r));
@@ -974,7 +983,8 @@ mod tests {
         let mut r = TaskRegistry::new(ModelConfig::llama2_7b());
         r.register_task(PeftTask::lora(1, 16, 4096, 256))
             .expect("register");
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let build = RangeBuild::Padded { micro_batches: 4 };
         let mut inc = IncrementalPlanner::new();
         inc.sync(&items(&r));
@@ -985,7 +995,8 @@ mod tests {
     #[test]
     fn changed_fingerprint_reinserts_the_task() {
         let r = setup(&[(4, 64), (2, 128), (8, 64)]);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let build = RangeBuild::Padded { micro_batches: 4 };
         let mut inc = IncrementalPlanner::new();
         inc.sync(&items(&r));
@@ -1012,7 +1023,8 @@ mod tests {
             vec![(8, 128), (1, 64), (4, 64), (2, 256)],
         ] {
             let r = setup(&shapes);
-            let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+            let gpu = GpuSpec::a40();
+            let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
             let tasks: Vec<&PeftTask> = r.tasks().collect();
             let build = RangeBuild::Padded { micro_batches: 4 };
             let new = fuse_tasks(&cm, &tasks, FusionPolicy::Dp, &build).expect("feasible");

@@ -217,7 +217,8 @@ mod tests {
     fn grouping_covers_all_htasks() {
         let r = setup(&[(2, 64), (4, 64), (8, 128), (2, 256)]);
         let hts = single_htasks(&r, 4);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let g = group_htasks(&cm, &hts);
         let mut all: Vec<usize> = g.buckets.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -228,7 +229,8 @@ mod tests {
     fn buckets_sorted_descending_by_load() {
         let r = setup(&[(1, 64), (16, 256), (2, 64), (8, 256)]);
         let hts = single_htasks(&r, 4);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let g = group_htasks(&cm, &hts);
         let lat = first_stage_latencies(&cm, &hts);
         let loads: Vec<f64> = g
@@ -248,7 +250,8 @@ mod tests {
     fn single_htask_groups_trivially() {
         let r = setup(&[(4, 128)]);
         let hts = single_htasks(&r, 4);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let g = group_htasks(&cm, &hts);
         assert_eq!(g.buckets, vec![vec![0]]);
         assert!(g.estimated > 0.0);

@@ -19,7 +19,7 @@ use mux_parallel::plan::HybridParallelism;
 use mux_peft::registry::TaskRegistry;
 use mux_peft::types::{PeftTask, PeftType, TaskId};
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, StageTables};
 use crate::engine::{EngineOptions, MuxEngine, RunMetrics};
 use crate::error::PlanError;
 use crate::fusion::{
@@ -115,7 +115,7 @@ impl Plan {
         registry: &TaskRegistry,
         cluster: &Cluster,
     ) -> Result<(RunMetrics, Vec<OpRecord>), OomError> {
-        let cm = CostModel::new(registry, cluster.gpus[0].clone(), self.parallelism);
+        let cm = CostModel::new(registry, &cluster.gpus[0], self.parallelism);
         let (options, units) = self.engine_units(&cm);
         let mut parts: Vec<RunMetrics> = Vec::with_capacity(units.len());
         let mut records: Vec<OpRecord> = Vec::new();
@@ -172,7 +172,7 @@ pub fn plan_estimate(
     cfg: &PlannerConfig,
 ) -> Result<(f64, Plan), PlanError> {
     let _total_span = mux_obs::span("planner.estimate");
-    let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
+    let cm = CostModel::new(registry, &cluster.gpus[0], cfg.plan);
     let tasks: Vec<&PeftTask> = registry.tasks().collect();
     if tasks.is_empty() {
         return Err(PlanError::NoTasks);
@@ -332,12 +332,15 @@ fn task_fingerprint(task: &PeftTask, lens: Option<&Vec<usize>>) -> u64 {
 /// alignment or micro-batch count) invalidates every persisted range value,
 /// so the estimator starts a fresh planner.
 struct EstimateContext {
-    plan: HybridParallelism,
     align: AlignStrategy,
     micro_batches: usize,
     num_gpus: usize,
     gpu: Option<GpuSpec>,
     backbone: ModelConfig,
+    /// The backbone's stage tables under the context's parallelism plan,
+    /// built when the context is set and priced with by every estimate in
+    /// it.
+    tables: StageTables,
 }
 
 /// [`plan_estimate`] with persisted planner state: where [`plan_estimate`]
@@ -356,7 +359,9 @@ struct EstimateContext {
 /// — degraded parallelism plan, shrunk cluster, new alignment — is
 /// detected by comparison with the context the planner was built under and
 /// starts a fresh planner; a fusion policy other than [`FusionPolicy::Dp`]
-/// falls back to [`plan_estimate`].
+/// falls back to [`plan_estimate`]. The cost model's stage tables read only
+/// the backbone and the parallelism plan, so they are built once per
+/// context, not once per estimate.
 ///
 /// Each task's alignments persist across replans too, dropped when the
 /// task leaves or its fingerprint (shape or corpus) changes.
@@ -394,9 +399,16 @@ impl IncrementalEstimator {
         if cfg.fusion != FusionPolicy::Dp {
             return plan_estimate(registry, cluster, corpora, cfg);
         }
+        let items: Vec<(PeftTask, u64)> = registry
+            .tasks()
+            .map(|t| (t.clone(), task_fingerprint(t, corpora.get(&t.id))))
+            .collect();
+        if items.is_empty() {
+            return Err(PlanError::NoTasks);
+        }
         // Compared field by field; cloned only when it changed.
         let holds = self.ctx.as_ref().is_some_and(|c| {
-            (c.plan, c.align, c.micro_batches, c.num_gpus)
+            (c.tables.plan(), c.align, c.micro_batches, c.num_gpus)
                 == (cfg.plan, cfg.align, cfg.micro_batches, cluster.num_gpus())
                 && c.gpu.as_ref() == cluster.gpus.first()
                 && c.backbone == *registry.backbone()
@@ -405,21 +417,14 @@ impl IncrementalEstimator {
             self.planner = IncrementalPlanner::new();
             self.packs = PackMemo::default();
             self.ctx = Some(EstimateContext {
-                plan: cfg.plan,
                 align: cfg.align,
                 micro_batches: cfg.micro_batches,
                 num_gpus: cluster.num_gpus(),
                 gpu: cluster.gpus.first().cloned(),
                 backbone: registry.backbone().clone(),
+                tables: StageTables::new(registry.backbone(), cfg.plan),
             });
             self.cached = None;
-        }
-        let items: Vec<(PeftTask, u64)> = registry
-            .tasks()
-            .map(|t| (t.clone(), task_fingerprint(t, corpora.get(&t.id))))
-            .collect();
-        if items.is_empty() {
-            return Err(PlanError::NoTasks);
         }
         self.packs.sync(&items);
         if self.planner.sync(&items) == 0 {
@@ -436,7 +441,8 @@ impl IncrementalEstimator {
         } else {
             self.cached = None;
         }
-        let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
+        let tables = &self.ctx.as_ref().expect("the context was set above").tables;
+        let cm = CostModel::with_tables(registry, &cluster.gpus[0], tables);
         let before = self.planner.stats().ranges_built;
         let fusion = with_range_build(corpora, cfg, &self.packs, |build| {
             self.planner.plan(&cm, build)
@@ -547,7 +553,7 @@ pub fn plan_and_run(
 ) -> Result<MuxTuneReport, PlanError> {
     let _total_span = mux_obs::span("planner.total");
     let t0 = Instant::now();
-    let cm = CostModel::new(registry, cluster.gpus[0].clone(), cfg.plan);
+    let cm = CostModel::new(registry, &cluster.gpus[0], cfg.plan);
     let tasks: Vec<&PeftTask> = registry.tasks().collect();
     if tasks.is_empty() {
         return Err(PlanError::NoTasks);
@@ -906,7 +912,7 @@ mod tests {
             let (scratch, _) = plan_estimate(r, &c, &corp, &cfg).expect("scratch");
             assert_eq!(got.to_bits(), scratch.to_bits(), "{got} vs {scratch}");
             // The seed DP shares no code with the planner.
-            let cm = CostModel::new(r, c.gpus[0].clone(), cfg.plan);
+            let cm = CostModel::new(r, &c.gpus[0], cfg.plan);
             let tasks: Vec<&PeftTask> = r.tasks().collect();
             let seed = with_range_build(&corp, &cfg, &PackMemo::default(), |build| {
                 fuse_dp_seed(&cm, &tasks, build)
@@ -930,6 +936,72 @@ mod tests {
         r.register_task(PeftTask::lora(5, 16, 4, 256))
             .expect("register");
         check(&r);
+    }
+
+    /// Field-for-field equality of two plans, floats by bit pattern.
+    fn assert_same_plan(a: &Plan, b: &Plan) {
+        assert_eq!(a.fusion.htasks.len(), b.fusion.htasks.len());
+        for (x, y) in a.fusion.htasks.iter().zip(&b.fusion.htasks) {
+            assert_same_htask(x, y);
+        }
+        assert_eq!(a.fusion.predicted.to_bits(), b.fusion.predicted.to_bits());
+        assert_eq!(a.grouping.buckets, b.grouping.buckets);
+        assert_eq!(
+            a.grouping.estimated.to_bits(),
+            b.grouping.estimated.to_bits()
+        );
+        assert_eq!(a.parallelism, b.parallelism);
+        assert_eq!(format!("{:?}", a.options), format!("{:?}", b.options));
+    }
+
+    #[test]
+    fn estimator_builds_stage_tables_once_per_context() {
+        const ROOT: &str = "test.estimator_contexts";
+        let c = cluster(4);
+        let pp4 = PlannerConfig::muxtune(HybridParallelism::pipeline(4), 4);
+        let pp2 = PlannerConfig::muxtune(HybridParallelism::pipeline(2), 4);
+        let mut gpt = TaskRegistry::new(ModelConfig::gpt3_2_7b().with_layers(8));
+        for i in 1..=3 {
+            gpt.register_task(PeftTask::lora(i, 8, 2, 64 << (i % 3)))
+                .expect("register");
+        }
+        // Profiling is process-wide; counting only the builds under this
+        // test's own root span keeps other tests' cost models out.
+        let _profiling = mux_obs::profile::profiling_scope();
+        {
+            let _root = mux_obs::span(ROOT);
+            let mut inc = IncrementalEstimator::new();
+            let mut check = |r: &TaskRegistry, cfg: &PlannerConfig| {
+                let corp = corpora(r, DatasetKind::OpenBookQa);
+                let (got, plan) = inc.estimate(r, &c, &corp, cfg).expect("estimate");
+                let (cold, cold_plan) = plan_estimate(r, &c, &corp, cfg).expect("cold");
+                assert_eq!(got.to_bits(), cold.to_bits(), "{got} vs {cold}");
+                assert_same_plan(&plan, &cold_plan);
+            };
+            // pp4 → pp2 on one backbone, then another backbone; each
+            // context sees an arrival, a departure and a no-op replan.
+            for (mut r, cfg) in [
+                (registry(3, 128), &pp4),
+                (registry(3, 128), &pp2),
+                (gpt, &pp4),
+            ] {
+                check(&r, cfg);
+                r.register_task(PeftTask::lora(9, 32, 2, 256))
+                    .expect("register");
+                check(&r, cfg);
+                r.deregister_task(1).expect("registered");
+                check(&r, cfg);
+                check(&r, cfg);
+            }
+        }
+        let mut builds = 0;
+        let snap = mux_obs::profile::snapshot_profile();
+        mux_obs::profile::for_each_path(&snap, |path, node| {
+            if path == [ROOT, "planner.estimate_incremental"] {
+                builds += node.work.get("stage_tables_built").copied().unwrap_or(0);
+            }
+        });
+        assert_eq!(builds, 3, "one table build per context, not per estimate");
     }
 
     fn run_metrics(makespan: f64, util: f64, mfu: f64, tokens: u64) -> RunMetrics {

@@ -143,7 +143,7 @@ fn interned_stage_latencies_match_the_per_stage_walk_bitwise() {
         for &pp in pps {
             for tp in [1, 2] {
                 let plan = HybridParallelism { tp, pp, dp: 1 };
-                let cm = CostModel::new(&registry, gpu.clone(), plan);
+                let cm = CostModel::new(&registry, &gpu, plan);
                 for h in &hts {
                     for pass in [Pass::Forward, Pass::BackwardInputOnly] {
                         let got = cm.stage_latencies(h, pass);

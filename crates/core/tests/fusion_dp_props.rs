@@ -143,7 +143,8 @@ fn assert_matches_scratch(
     corpora: &BTreeMap<TaskId, Vec<usize>>,
     inc: &mut IncrementalPlanner,
 ) -> Result<(), TestCaseError> {
-    let cm = CostModel::new(r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+    let gpu = GpuSpec::a40();
+    let cm = CostModel::new(r, &gpu, HybridParallelism::pipeline(4));
     let custom = corpus_build(corpora);
     let build = if corpora.is_empty() {
         RangeBuild::Padded { micro_batches: MBS }
@@ -229,7 +230,8 @@ proptest! {
     #[test]
     fn dp_matches_exhaustive_enumeration(shapes in shape_strategy()) {
         let r = registry(&shapes);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let sorted = sort_by_tokens(&tasks);
         let brute = brute_force_optimum(&cm, &sorted);
@@ -290,7 +292,8 @@ proptest! {
     #[test]
     fn value_table_dp_is_bitwise_identical_to_seed(shapes in shape_strategy()) {
         let r = registry(&shapes);
-        let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = r.tasks().collect();
         let corpora: BTreeMap<TaskId, Vec<usize>> = r
             .tasks()

@@ -142,7 +142,7 @@ fn reference(
     corpora: &BTreeMap<TaskId, Vec<usize>>,
     cfg: &PlannerConfig,
 ) -> Result<Chosen, PlanError> {
-    let cm = CostModel::new(reg, cluster.gpus[0].clone(), cfg.plan);
+    let cm = CostModel::new(reg, &cluster.gpus[0], cfg.plan);
     let tasks: Vec<&PeftTask> = reg.tasks().collect();
     let custom = |members: &[&PeftTask]| -> Result<HTask, PlanError> {
         if !members.iter().all(|t| corpora.contains_key(&t.id)) {

@@ -166,7 +166,8 @@ fn grouping_workload() {
         .tasks()
         .map(|t| muxtune::core::HTask::from_padded(&[t], 4))
         .collect();
-    let cm = CostModel::new(&r, GpuSpec::a40(), HybridParallelism::pipeline(4));
+    let gpu = GpuSpec::a40();
+    let cm = CostModel::new(&r, &gpu, HybridParallelism::pipeline(4));
     let g = group_htasks(&cm, &htasks);
     assert!(!g.buckets.is_empty());
 }

@@ -220,7 +220,8 @@ proptest! {
         for (i, &(mb, seq)) in shapes.iter().enumerate() {
             reg.register_task(PeftTask::lora(i as TaskId + 1, 16, mb, seq)).unwrap();
         }
-        let cm = CostModel::new(&reg, GpuSpec::a40(), HybridParallelism::pipeline(4));
+        let gpu = GpuSpec::a40();
+        let cm = CostModel::new(&reg, &gpu, HybridParallelism::pipeline(4));
         let tasks: Vec<&PeftTask> = reg.tasks().collect();
         let plan = fuse_tasks(
             &cm,

@@ -12,34 +12,37 @@
 //!   relative to best-effort admission under the same policy (it turns
 //!   guaranteed violators into up-front rejections).
 //!
-//! Regenerate the golden after an *intentional* generator change with:
-//! `MUX_BLESS=1 cargo test --test workload_differential`
+//! A second golden pins what the default (Incremental) replay of that
+//! trace journals under each policy, by journal fingerprint.
+//!
+//! Regenerate the goldens after an *intentional* generator or replay
+//! change with: `MUX_BLESS=1 cargo test --test workload_differential`
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use muxtune::api::POLICY_NAMES;
+use muxtune::api::{ReplanMode, POLICY_NAMES};
 use muxtune::chaos::verify_journal;
-use muxtune::workload::{generate, replay_trace_by_name, Admission, ReplayOptions, TraceConfig};
+use muxtune::workload::{
+    generate, replay_trace_by_name, Admission, ReplayOptions, Trace, TraceConfig,
+};
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/workload_trace_seed42.jsonl")
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
-/// The seed-42 standard trace is pinned bit-for-bit: any change to the
-/// generator's arithmetic, iteration order, or JSONL encoding shows up
-/// as a diff here before it silently invalidates archived traces.
-#[test]
-fn golden_workload_trace_is_stable() {
-    let trace = generate(42, &TraceConfig::standard(300));
-    let body = trace.to_jsonl();
-
-    let path = golden_path();
+/// Compares `body` with golden `name`, or rewrites the golden under
+/// `MUX_BLESS`. Returns the golden's text.
+fn assert_golden(name: &str, body: &str) -> String {
+    let path = golden_path(name);
     if std::env::var_os("MUX_BLESS").is_some() {
         fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        fs::write(&path, &body).expect("write golden");
+        fs::write(&path, body).expect("write golden");
         eprintln!("blessed {}", path.display());
-        return;
+        return body.to_string();
     }
     let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -49,13 +52,42 @@ fn golden_workload_trace_is_stable() {
     });
     assert_eq!(
         golden, body,
-        "seed-42 trace drifted (MUX_BLESS=1 to accept an intentional change)"
+        "{name} drifted (MUX_BLESS=1 to accept an intentional change)"
     );
+    golden
+}
+
+/// The seed-42 standard trace is pinned bit-for-bit: any change to the
+/// generator's arithmetic, iteration order, or JSONL encoding shows up
+/// as a diff here before it silently invalidates archived traces.
+#[test]
+fn golden_workload_trace_is_stable() {
+    let trace = generate(42, &TraceConfig::standard(300));
+    let golden = assert_golden("workload_trace_seed42.jsonl", &trace.to_jsonl());
 
     // The golden must itself round-trip through the loader.
-    let parsed = muxtune::workload::Trace::from_jsonl(&golden).expect("golden parses");
+    let parsed = Trace::from_jsonl(&golden).expect("golden parses");
     assert_eq!(parsed.fingerprint(), trace.fingerprint());
     assert_eq!(parsed.jobs.len(), 300);
+}
+
+/// The default replay of the golden trace, pinned per policy by journal
+/// fingerprint: a planner, pricing or service change that moves any replay
+/// decision or journaled float shows up here. (CI's Incremental-vs-Estimate
+/// diff checks that the two replan modes agree on one commit; this checks
+/// that the default does not drift across commits.)
+#[test]
+fn golden_trace_incremental_replays_are_stable() {
+    let body = fs::read_to_string(golden_path("workload_trace_seed42.jsonl")).expect("trace");
+    let trace = Trace::from_jsonl(&body).expect("golden trace parses");
+    let opts = ReplayOptions::default();
+    assert_eq!(opts.replan_mode, ReplanMode::Incremental);
+    let mut lines = String::new();
+    for policy in POLICY_NAMES {
+        let r = replay_trace_by_name(&trace, policy, &opts).expect("replay");
+        writeln!(lines, "{policy} {:016x}", r.journal_fingerprint).expect("String write");
+    }
+    assert_golden("workload_replay_seed42.fnv1a64", &lines);
 }
 
 fn differential(jobs: usize) {
