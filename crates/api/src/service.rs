@@ -712,13 +712,31 @@ impl FineTuneService {
         Ok(())
     }
 
+    /// Refuses a backbone with fewer layers than the configured plan has
+    /// pipeline stages: no split gives every stage a layer. A backbone
+    /// with a live instance passed this check when its first job came; an
+    /// unknown one passes here and is rejected at dispatch.
+    fn fits_pipeline(&self, backbone: &str) -> Result<(), String> {
+        if self.by_backbone.contains_key(backbone) {
+            return Ok(());
+        }
+        let pp = self.cfg.plan.pp;
+        match self.backbone_config(backbone) {
+            Some(cfg) if cfg.num_layers < pp => Err(format!(
+                "backbone {backbone:?} has {} layers, fewer than the plan's {pp} pipeline stages",
+                cfg.num_layers
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Submits a job; returns its handle. Invalid specs are rejected
     /// immediately (see [`Job::reject_reason`]); otherwise dispatch is
     /// attempted at once and the job queues FCFS when no instance fits.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.next_job);
         self.next_job += 1;
-        let verdict = Self::validate(&spec);
+        let verdict = Self::validate(&spec).and_then(|()| self.fits_pipeline(&spec.backbone));
         self.journal.push(
             self.tick,
             self.now,
@@ -3539,6 +3557,34 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn a_backbone_shallower_than_the_pipeline_is_rejected_at_admission() {
+        // pp4 over a 2-layer backbone: no split gives every stage a layer.
+        for mode in [
+            ReplanMode::Simulate,
+            ReplanMode::Estimate,
+            ReplanMode::Incremental,
+        ] {
+            let mut cfg = ServiceConfig::a40_pool(16);
+            cfg.backbone_layers = Some(2);
+            cfg.replan_mode = mode;
+            let mut svc = FineTuneService::new(cfg);
+            let id = svc.submit(spec(100_000));
+            let job = svc.job(id).unwrap();
+            assert_eq!(job.state, JobState::Rejected, "{mode:?}");
+            let reason = job.reject_reason.as_deref().expect("carries a reason");
+            assert!(
+                reason.contains("2 layers") && reason.contains("4 pipeline stages"),
+                "{mode:?}: {reason:?}"
+            );
+            assert_eq!(svc.instance_count(), 0, "{mode:?}");
+            svc.run_to_completion();
+            svc.seal_journal();
+            let replayed = svc.journal().verify().expect("sealed journal verifies");
+            assert_eq!(replayed.jobs[&id.0], "rejected", "{mode:?}");
+        }
     }
 
     #[test]

@@ -312,8 +312,7 @@ impl<'a> MuxEngine<'a> {
                 0.0
             },
         };
-        let records = trace.then(|| tl.ops().to_vec());
-        Ok((metrics, records))
+        Ok((metrics, trace.then(|| tl.into_ops())))
     }
 }
 
@@ -505,7 +504,8 @@ struct EngineExec<'e, 'c> {
     oom: Option<OomError>,
     comm_policy: CommCtaPolicy,
     stage_devices: Vec<Vec<usize>>,
-    /// Every handle the current cell issued, item by item.
+    /// Every handle the current cell issued, item by item: one per rank
+    /// for a traced run's compute group, one per group otherwise.
     handles: Vec<OpHandle>,
     /// The `(start, end)` range of `handles` each item of the current cell
     /// issued.
@@ -572,16 +572,19 @@ impl PipelineExec for EngineExec<'_, '_> {
                 item_deps.extend_from_slice(&handles[lo..hi]);
             }
             let first = handles.len();
-            for &dev in devices {
-                handles.push(tl.compute_fixed(
-                    dev,
-                    dur,
-                    util,
-                    flops,
-                    item_deps,
-                    (at, &item.members),
-                ));
-            }
+            // A stage's ranks stay in lockstep: every compute op and
+            // collective of the stage goes to all of them with the same
+            // deps, and p2p copies touch no lane. So one pricing serves
+            // every rank.
+            tl.compute_group(
+                devices,
+                dur,
+                util,
+                flops,
+                item_deps,
+                (at, &item.members),
+                handles,
+            );
             if item.comm_payload > 0.0 && devices.len() > 1 {
                 let c = tl.collective(
                     devices,

@@ -42,8 +42,8 @@ impl fmt::Display for HTaskRef {
 
 /// The pipeline cell an engine op belongs to: one pass of one micro-batch
 /// of a bucket through one stage. Indices are 32-bit so that an engine
-/// label, and with it every [`OpRecord`](crate::timeline::OpRecord), stays
-/// small: record size shows directly in untraced simulation time.
+/// label, and with it every [`OpRecord`](crate::timeline::OpRecord) of a
+/// traced run, stays small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellPos {
     /// Template bucket index.
@@ -86,11 +86,8 @@ impl fmt::Display for CellPos {
 }
 
 /// What an operator was. Renders as trace text through [`fmt::Display`].
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpLabel {
-    /// No label: what an untraced timeline keeps. Renders empty.
-    #[default]
-    Untraced,
     /// Free text from a submitter without engine structure.
     Text(String),
     /// A compute op of an engine launch item, with the `(hTask index
@@ -109,7 +106,7 @@ impl OpLabel {
     /// are concatenated by renumbering their buckets); `None` otherwise.
     pub fn cell_mut(&mut self) -> Option<&mut CellPos> {
         match self {
-            OpLabel::Text(_) | OpLabel::Untraced => None,
+            OpLabel::Text(_) => None,
             OpLabel::Item(at, _) | OpLabel::AllReduce(at) | OpLabel::Join(at) => Some(at),
         }
     }
@@ -135,7 +132,6 @@ impl fmt::Display for OpLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OpLabel::Text(text) => f.write_str(text),
-            OpLabel::Untraced => Ok(()),
             OpLabel::Item(at, members) => {
                 write!(f, "{at} ")?;
                 for (i, (htask, subgraph)) in members.iter().enumerate() {
@@ -196,6 +192,5 @@ mod tests {
         // it reads like.
         let text = OpLabel::from("b0 s1 mb2 Forward h0sg3");
         assert!(ar.htasks().is_empty() && join.htasks().is_empty() && text.htasks().is_empty());
-        assert_eq!(OpLabel::default().to_string(), "");
     }
 }

@@ -25,40 +25,37 @@ pub struct DeviceMetrics {
 
 /// Computes [`DeviceMetrics`] for every device over `[0, window]`
 /// (pass `timeline.finish_time()` as the window for end-to-end runs).
+///
+/// Folds the lane usage each device booked as its operators landed, so a
+/// traced and an untraced timeline of the same submissions give the same
+/// bits.
 pub fn device_metrics(tl: &Timeline<'_>, window: f64) -> Vec<DeviceMetrics> {
-    let n = tl.cluster().num_gpus();
-    let mut out: Vec<DeviceMetrics> = (0..n)
-        .map(|device| DeviceMetrics {
-            device,
-            busy_fraction: 0.0,
-            avg_utilization: 0.0,
-            flops: 0.0,
-            link_busy_fraction: 0.0,
-            comm_bytes: 0.0,
+    tl.usage()
+        .iter()
+        .enumerate()
+        .map(|(device, usage)| {
+            let mut m = DeviceMetrics {
+                device,
+                busy_fraction: 0.0,
+                avg_utilization: 0.0,
+                flops: 0.0,
+                link_busy_fraction: 0.0,
+                comm_bytes: 0.0,
+            };
+            if window > 0.0 {
+                for &(dur, weighted) in &usage.compute {
+                    m.busy_fraction += dur / window;
+                    m.avg_utilization += weighted / window;
+                }
+                for &dur in &usage.comm {
+                    m.link_busy_fraction += dur / window;
+                }
+                m.flops = usage.flops;
+                m.comm_bytes = usage.comm_bytes;
+            }
+            m
         })
-        .collect();
-    if window <= 0.0 {
-        return out;
-    }
-    for op in tl.ops() {
-        let dur = op.end - op.start;
-        match op.lane {
-            LaneKind::Compute => {
-                for &d in &op.devices {
-                    out[d].busy_fraction += dur / window;
-                    out[d].avg_utilization += dur * op.utilization / window;
-                    out[d].flops += op.flops;
-                }
-            }
-            LaneKind::Comm => {
-                for &d in &op.devices {
-                    out[d].link_busy_fraction += dur / window;
-                    out[d].comm_bytes += op.comm_bytes;
-                }
-            }
-        }
-    }
-    out
+        .collect()
 }
 
 /// A sampled utilization trace for one device: `compute[i]` / `comm[i]` are
@@ -76,7 +73,9 @@ pub struct UtilizationTrace {
     pub comm: Vec<f64>,
 }
 
-/// Samples a device's utilization over time (Figs 3d / 18 style traces).
+/// Samples a device's utilization over time (Figs 3d / 18 style traces)
+/// from a traced timeline's records; an untraced timeline keeps none, so
+/// its trace reads all zeros.
 pub fn utilization_trace(
     tl: &Timeline<'_>,
     device: usize,

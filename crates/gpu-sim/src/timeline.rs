@@ -169,7 +169,6 @@ pub struct OpRecord {
     pub kind: OpKind,
     /// Indices (into the timeline's op list) of the operators this one
     /// waited on — the dependency edges needed for stall attribution.
-    /// Empty on an [untraced](Timeline::untraced) timeline.
     pub deps: Box<[usize]>,
     /// Achieved-utilization proxy in `[0, 1]` (compute ops only).
     pub utilization: f64,
@@ -181,7 +180,6 @@ pub struct OpRecord {
     /// (comm ops only).
     pub compute_penalty: f64,
     /// What the operator was, for traces and attribution.
-    /// [`OpLabel::Untraced`] on an [untraced](Timeline::untraced) timeline.
     pub label: OpLabel,
 }
 
@@ -296,12 +294,30 @@ impl FaultWindows {
     }
 }
 
+/// One device's lane usage, appended as operators land: what
+/// [`device_metrics`](crate::metrics::device_metrics) folds, on traced and
+/// untraced timelines alike.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneUsage {
+    /// `(duration, duration × utilization)` of each compute op on the
+    /// device, in submission order.
+    pub(crate) compute: Vec<(f64, f64)>,
+    /// Duration of each collective or p2p copy the device took part in.
+    pub(crate) comm: Vec<f64>,
+    /// Running FLOP sum of the device's compute ops.
+    pub(crate) flops: f64,
+    /// Running payload-byte sum of the device's comm ops.
+    pub(crate) comm_bytes: f64,
+}
+
 /// The execution timeline of one simulated run.
 ///
-/// A timeline made by [`Timeline::new`] records every operator's label and
-/// dependency edges for trace export and stall attribution; one made by
-/// [`Timeline::untraced`] keeps neither and converts no label, so its
-/// compute, p2p and join records allocate nothing.
+/// Every timeline keeps each handle's end time, the running makespan and
+/// each device's lane usage, which is all that [`Timeline::finish_time`]
+/// and [`device_metrics`](crate::metrics::device_metrics) read. One made by
+/// [`Timeline::new`] also keeps an [`OpRecord`] per operator, with its
+/// label and dependency edges, for trace export and stall attribution; one
+/// made by [`Timeline::untraced`] keeps no record and converts no label.
 ///
 /// ```
 /// use mux_gpu_sim::spec::{GpuSpec, LinkSpec, Work};
@@ -318,6 +334,13 @@ pub struct Timeline<'a> {
     cluster: &'a Cluster,
     compute_free: Vec<f64>,
     comm_free: Vec<f64>,
+    /// End time of every handle, indexed by [`OpHandle`].
+    ends: Vec<f64>,
+    /// Latest end time so far: the makespan.
+    makespan: f64,
+    /// Per-device lane usage.
+    usage: Vec<LaneUsage>,
+    /// Every operator's record, indexed by [`OpHandle`] (traced only).
     ops: Vec<OpRecord>,
     mem: Vec<MemLedger>,
     /// Per-device `(start, end, penalty)` comm intervals with nonzero
@@ -330,19 +353,27 @@ pub struct Timeline<'a> {
     fault_delay: f64,
     /// Operators whose duration a fault window stretched.
     perturbed_ops: usize,
-    /// Whether op records keep their labels and dependency edges.
+    /// Whether operators keep records.
     traced: bool,
 }
 
+/// A traced record's dependency edges.
+fn edges(deps: &[OpHandle]) -> Box<[usize]> {
+    deps.iter().map(|d| d.0).collect()
+}
+
 impl<'a> Timeline<'a> {
-    /// Creates an empty timeline over a cluster that records every
-    /// operator's label and dependency edges.
+    /// Creates an empty timeline over a cluster that keeps a record of
+    /// every operator, with its label and dependency edges.
     pub fn new(cluster: &'a Cluster) -> Self {
         let n = cluster.num_gpus();
         Self {
             cluster,
             compute_free: vec![0.0; n],
             comm_free: vec![0.0; n],
+            ends: Vec::new(),
+            makespan: 0.0,
+            usage: vec![LaneUsage::default(); n],
             ops: Vec::new(),
             mem: vec![MemLedger::default(); n],
             comm_intervals: vec![Vec::new(); n],
@@ -353,9 +384,12 @@ impl<'a> Timeline<'a> {
         }
     }
 
-    /// Creates an empty timeline whose op records keep no label and no
-    /// dependency edges. Times, utilization, memory and fault accounting
-    /// are bit-identical to a [`Timeline::new`] run of the same submissions.
+    /// Creates an empty timeline that keeps no operator records, so
+    /// [`Timeline::ops`] stays empty and a
+    /// [`compute_group`](Timeline::compute_group) yields one handle.
+    /// Times, [`device_metrics`](crate::metrics::device_metrics), memory
+    /// and fault accounting are bit-identical to a [`Timeline::new`] run of
+    /// the same submissions.
     pub fn untraced(cluster: &'a Cluster) -> Self {
         Self {
             traced: false,
@@ -389,12 +423,13 @@ impl<'a> Timeline<'a> {
         self.perturbed_ops
     }
 
-    /// Applies the fault multiplier `f` to a base duration, recording the
-    /// perturbation. Returns the stretched duration.
-    fn perturb(&mut self, base: f64, f: f64) -> f64 {
+    /// Applies the fault multiplier `f` to a base duration shared by `ops`
+    /// operators, recording the perturbation of each. Returns the stretched
+    /// duration.
+    fn perturb(&mut self, base: f64, f: f64, ops: usize) -> f64 {
         if f > 1.0 && base > 0.0 {
-            self.fault_delay += base * (f - 1.0);
-            self.perturbed_ops += 1;
+            self.fault_delay += base * (f - 1.0) * ops as f64;
+            self.perturbed_ops += ops;
             base * f
         } else {
             base
@@ -402,18 +437,33 @@ impl<'a> Timeline<'a> {
     }
 
     fn deps_ready(&self, deps: &[OpHandle]) -> f64 {
-        deps.iter().map(|d| self.ops[d.0].end).fold(0.0, f64::max)
+        deps.iter().map(|d| self.ends[d.0]).fold(0.0, f64::max)
     }
 
-    /// Appends `op`, filling in its dependency edges and converting its
-    /// label only when this timeline is traced.
-    fn push(&mut self, mut op: OpRecord, deps: &[OpHandle], label: impl Into<OpLabel>) -> OpHandle {
+    /// Lands one operator ending at `end`, keeping `record()` when this
+    /// timeline is traced.
+    fn land(&mut self, end: f64, record: impl FnOnce() -> OpRecord) -> OpHandle {
         if self.traced {
-            op.deps = deps.iter().map(|d| d.0).collect();
-            op.label = label.into();
+            self.ops.push(record());
         }
-        self.ops.push(op);
-        OpHandle(self.ops.len() - 1)
+        self.makespan = self.makespan.max(end);
+        self.ends.push(end);
+        OpHandle(self.ends.len() - 1)
+    }
+
+    /// Books a comm op of `dur` seconds carrying `bytes` on `dev`'s usage.
+    fn use_comm(&mut self, dev: usize, dur: f64, bytes: f64) {
+        let usage = &mut self.usage[dev];
+        usage.comm.push(dur);
+        usage.comm_bytes += bytes;
+    }
+
+    /// Whether devices `a` and `b` have received the same lane submissions
+    /// so far, as far as their free times and latest comm interval show.
+    fn lockstep(&self, a: usize, b: usize) -> bool {
+        self.compute_free[a] == self.compute_free[b]
+            && self.comm_free[a] == self.comm_free[b]
+            && self.comm_intervals[a].last() == self.comm_intervals[b].last()
     }
 
     /// Sum of comm time on `dev` overlapping `[start, end)`, weighted by
@@ -435,7 +485,8 @@ impl<'a> Timeline<'a> {
         weighted
     }
 
-    /// Submits a compute operator on `dev`'s compute lane.
+    /// Submits a compute operator on `dev`'s compute lane, costed from the
+    /// device spec (see [`Timeline::compute_fixed`]).
     pub fn compute(
         &mut self,
         dev: usize,
@@ -445,44 +496,14 @@ impl<'a> Timeline<'a> {
     ) -> OpHandle {
         assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
         let spec = &self.cluster.gpus[dev];
-        let start = self.compute_free[dev].max(self.deps_ready(deps));
-        let healthy = spec.compute_time(work, 1.0);
-        let slow = self.faults.compute_factor(dev, start);
-        let base = self.perturb(healthy, slow);
-        // One fixpoint iteration of contention stretching: during overlap
-        // with a comm kernel of penalty p, compute progresses at rate
-        // (1 - p), so the overlapped work takes o * p / (1 - p) longer.
-        let overlap_weighted = self.comm_contention(dev, start, start + base);
-        let stretch = if overlap_weighted > 0.0 {
-            // Cap the effective penalty at 60% to keep the approximation
-            // stable even under pathological full-overlap stacking.
-            let p = (overlap_weighted / base).min(0.6);
-            base * p / (1.0 - p)
-        } else {
-            0.0
-        };
-        let end = start + base + stretch;
-        self.compute_free[dev] = end;
-        let utilization = spec.op_utilization(work) * base / (base + stretch);
-        let op = OpRecord {
-            start,
-            end,
-            devices: Devices::new(&[dev]),
-            lane: LaneKind::Compute,
-            kind: OpKind::Compute,
-            deps: Box::default(),
-            utilization,
-            flops: work.flops,
-            comm_bytes: 0.0,
-            compute_penalty: 0.0,
-            label: OpLabel::default(),
-        };
-        self.push(op, deps, label)
+        let (seconds, utilization) = (spec.compute_time(work, 1.0), spec.op_utilization(work));
+        self.compute_fixed(dev, seconds, utilization, work.flops, deps, label)
     }
 
     /// Submits pre-costed compute work: an operator (or fused subgraph)
     /// whose duration and achieved utilization were computed by the caller.
     /// Still subject to CTA-contention stretching from overlapping comm.
+    /// The one-rank case of [`Timeline::compute_group`].
     pub fn compute_fixed(
         &mut self,
         dev: usize,
@@ -492,39 +513,112 @@ impl<'a> Timeline<'a> {
         deps: &[OpHandle],
         label: impl Into<OpLabel>,
     ) -> OpHandle {
-        assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
+        OpHandle(self.submit_group(&[dev], seconds, utilization, flops, deps, label))
+    }
+
+    /// Submits one tensor-parallel kernel on every rank of `ranks`, priced
+    /// once, and appends its handles to `handles`: one per rank on a traced
+    /// timeline, whose records are field for field those of a
+    /// [`compute_fixed`](Timeline::compute_fixed) call per rank, and a
+    /// single one on an untraced timeline.
+    ///
+    /// The ranks must be in lockstep: each has received the same compute
+    /// submissions and collectives so far, as a stage's ranks do when every
+    /// op is issued to all of them with the same dependencies (checked in
+    /// debug builds). A fault window prices the group at its worst rank's
+    /// factor and counts one perturbed operator per rank.
+    ///
+    /// # Panics
+    /// If `ranks` is empty, a rank is out of range or `seconds` is
+    /// negative.
+    #[allow(clippy::too_many_arguments)]
+    pub fn compute_group(
+        &mut self,
+        ranks: &[usize],
+        seconds: f64,
+        utilization: f64,
+        flops: f64,
+        deps: &[OpHandle],
+        label: impl Into<OpLabel>,
+        handles: &mut Vec<OpHandle>,
+    ) {
+        let first = self.submit_group(ranks, seconds, utilization, flops, deps, label);
+        handles.extend((first..self.ends.len()).map(OpHandle));
+    }
+
+    /// [`Timeline::compute_group`]'s body; returns the first new handle's
+    /// index.
+    fn submit_group(
+        &mut self,
+        ranks: &[usize],
+        seconds: f64,
+        utilization: f64,
+        flops: f64,
+        deps: &[OpHandle],
+        label: impl Into<OpLabel>,
+    ) -> usize {
+        let &lead = ranks.first().expect("compute group over no ranks");
+        for &dev in ranks {
+            assert!(dev < self.cluster.num_gpus(), "device {dev} out of range");
+        }
         assert!(seconds >= 0.0, "negative duration");
-        let start = self.compute_free[dev].max(self.deps_ready(deps));
-        let slow = self.faults.compute_factor(dev, start);
-        let seconds = self.perturb(seconds, slow);
-        let overlap_weighted = self.comm_contention(dev, start, start + seconds);
+        debug_assert!(
+            ranks.iter().all(|&r| self.lockstep(lead, r)),
+            "compute group {ranks:?} is not in lockstep"
+        );
+        let start = self.compute_free[lead].max(self.deps_ready(deps));
+        let slow = ranks
+            .iter()
+            .map(|&dev| self.faults.compute_factor(dev, start))
+            .fold(1.0, f64::max);
+        let seconds = self.perturb(seconds, slow, ranks.len());
+        // One fixpoint iteration of contention stretching: during overlap
+        // with a comm kernel of penalty p, compute progresses at rate
+        // (1 - p), so the overlapped work takes o * p / (1 - p) longer.
+        let overlap_weighted = self.comm_contention(lead, start, start + seconds);
         let stretch = if overlap_weighted > 0.0 && seconds > 0.0 {
+            // Cap the effective penalty at 60% to keep the approximation
+            // stable even under pathological full-overlap stacking.
             let p = (overlap_weighted / seconds).min(0.6);
             seconds * p / (1.0 - p)
         } else {
             0.0
         };
         let end = start + seconds + stretch;
-        self.compute_free[dev] = end;
         let util = if seconds + stretch > 0.0 {
             utilization * seconds / (seconds + stretch)
         } else {
             utilization
         };
-        let op = OpRecord {
-            start,
-            end,
-            devices: Devices::new(&[dev]),
-            lane: LaneKind::Compute,
-            kind: OpKind::Compute,
-            deps: Box::default(),
-            utilization: util,
-            flops,
-            comm_bytes: 0.0,
-            compute_penalty: 0.0,
-            label: OpLabel::default(),
+        for &dev in ranks {
+            self.compute_free[dev] = end;
+            let usage = &mut self.usage[dev];
+            usage.compute.push((end - start, (end - start) * util));
+            usage.flops += flops;
+        }
+        let first = self.ends.len();
+        let handles = if self.traced {
+            let (deps, label) = (edges(deps), label.into());
+            self.ops.extend(ranks.iter().map(|&dev| OpRecord {
+                start,
+                end,
+                devices: Devices::new(&[dev]),
+                lane: LaneKind::Compute,
+                kind: OpKind::Compute,
+                deps: deps.clone(),
+                utilization: util,
+                flops,
+                comm_bytes: 0.0,
+                compute_penalty: 0.0,
+                label: label.clone(),
+            }));
+            ranks.len()
+        } else {
+            1
         };
-        self.push(op, deps, label)
+        self.makespan = self.makespan.max(end);
+        self.ends.resize(first + handles, end);
+        first
     }
 
     /// Collective kinds.
@@ -568,7 +662,7 @@ impl<'a> Timeline<'a> {
             base
         };
         let degrade = self.faults.link_factor(group, start);
-        let dur = self.perturb(dur, degrade);
+        let dur = self.perturb(dur, degrade, 1);
         let end = start + dur;
         for &g in group {
             self.comm_free[g] = end;
@@ -577,14 +671,15 @@ impl<'a> Timeline<'a> {
             } else if policy.compute_penalty > 0.0 && end > start {
                 self.comm_intervals[g].push((start, end, policy.compute_penalty));
             }
+            self.use_comm(g, end - start, payload_bytes);
         }
-        let op = OpRecord {
+        self.land(end, || OpRecord {
             start,
             end,
             devices: Devices::new(group),
             lane: LaneKind::Comm,
             kind: OpKind::Collective,
-            deps: Box::default(),
+            deps: edges(deps),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: payload_bytes,
@@ -593,9 +688,8 @@ impl<'a> Timeline<'a> {
             } else {
                 policy.compute_penalty
             },
-            label: OpLabel::default(),
-        };
-        self.push(op, deps, label)
+            label: label.into(),
+        })
     }
 
     /// Submits a point-to-point transfer from `src` to `dst` (pipeline
@@ -617,40 +711,41 @@ impl<'a> Timeline<'a> {
         let start = self.deps_ready(deps);
         let healthy = self.cluster.link_for(&[src, dst]).p2p_time(bytes);
         let degrade = self.faults.link_factor(&[src, dst], start);
-        let end = start + self.perturb(healthy, degrade);
-        let op = OpRecord {
+        let end = start + self.perturb(healthy, degrade, 1);
+        for dev in [src, dst] {
+            self.use_comm(dev, end - start, bytes);
+        }
+        self.land(end, || OpRecord {
             start,
             end,
             devices: Devices::new(&[src, dst]),
             lane: LaneKind::Comm,
             kind: OpKind::P2p,
-            deps: Box::default(),
+            deps: edges(deps),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: bytes,
             compute_penalty: 0.0,
-            label: OpLabel::default(),
-        };
-        self.push(op, deps, label)
+            label: label.into(),
+        })
     }
 
     /// A zero-duration synchronization point joining `deps`.
     pub fn join(&mut self, deps: &[OpHandle], label: impl Into<OpLabel>) -> OpHandle {
         let t = self.deps_ready(deps);
-        let op = OpRecord {
+        self.land(t, || OpRecord {
             start: t,
             end: t,
             devices: Devices::new(&[]),
             lane: LaneKind::Compute,
             kind: OpKind::Join,
-            deps: Box::default(),
+            deps: edges(deps),
             utilization: 0.0,
             flops: 0.0,
             comm_bytes: 0.0,
             compute_penalty: 0.0,
-            label: OpLabel::default(),
-        };
-        self.push(op, deps, label)
+            label: label.into(),
+        })
     }
 
     /// Allocates `bytes` on `dev`, failing with [`OomError`] past capacity.
@@ -688,17 +783,29 @@ impl<'a> Timeline<'a> {
 
     /// Completion time of an op.
     pub fn end_of(&self, h: OpHandle) -> f64 {
-        self.ops[h.0].end
+        self.ends[h.0]
     }
 
     /// Latest completion time across all ops (makespan).
     pub fn finish_time(&self) -> f64 {
-        self.ops.iter().map(|o| o.end).fold(0.0, f64::max)
+        self.makespan
     }
 
-    /// All op records.
+    /// Each device's lane usage, indexed by device.
+    pub(crate) fn usage(&self) -> &[LaneUsage] {
+        &self.usage
+    }
+
+    /// All op records, in submission order. Empty on an
+    /// [untraced](Timeline::untraced) timeline.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops
+    }
+
+    /// Consumes the timeline and moves its op records out (empty on an
+    /// [untraced](Timeline::untraced) timeline).
+    pub fn into_ops(self) -> Vec<OpRecord> {
+        self.ops
     }
 }
 
@@ -969,6 +1076,51 @@ mod tests {
         // A transfer not touching device 1 is unaffected — but in a 2-GPU
         // cluster every pair touches it, so check the factor floor instead.
         assert!(faulty.fault_delay_seconds() > 0.0);
+    }
+
+    #[test]
+    fn a_group_yields_a_handle_per_rank_only_when_traced() {
+        let c = cluster(4);
+        let mut traced = Timeline::new(&c);
+        let mut untraced = Timeline::untraced(&c);
+        for (tl, count) in [(&mut traced, 4), (&mut untraced, 1)] {
+            let mut handles = Vec::new();
+            tl.compute_group(&[0, 1, 2, 3], 1e-3, 0.5, 1e9, &[], "g", &mut handles);
+            assert_eq!(handles.len(), count);
+            assert!(handles.iter().all(|&h| tl.end_of(h) == 1e-3));
+        }
+        assert_eq!(traced.ops().len(), 4);
+        assert!(untraced.ops().is_empty());
+    }
+
+    #[test]
+    fn a_slowdown_on_one_rank_stretches_its_whole_group() {
+        let c = cluster(2);
+        let mut t = Timeline::new(&c);
+        t.set_faults(FaultWindows {
+            compute_slow: vec![FaultWindow {
+                device: Some(1),
+                start: 0.0,
+                end: 1e-3,
+                factor: 2.0,
+            }],
+            link_degrade: vec![],
+        });
+        let mut first = Vec::new();
+        t.compute_group(&[0, 1], 1e-3, 0.5, 1e9, &[], "slow", &mut first);
+        for &h in &first {
+            let op = &t.ops()[h.0];
+            assert_eq!((op.start, op.end), (0.0, 2e-3), "{op:?}");
+        }
+        assert_eq!(t.perturbed_ops(), 2, "one perturbed op per rank");
+        assert_eq!(t.fault_delay_seconds(), 2e-3);
+        // The ranks stay in lockstep: the next op starts together, after
+        // the window.
+        let mut next = Vec::new();
+        t.compute_group(&[0, 1], 1e-3, 0.5, 1e9, &first, "fast", &mut next);
+        for &h in &next {
+            assert_eq!((t.ops()[h.0].start, t.end_of(h)), (2e-3, 3e-3));
+        }
     }
 
     #[test]

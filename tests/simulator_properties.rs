@@ -238,7 +238,7 @@ impl EngineCase {
 
 fn engine_case() -> impl Strategy<Value = EngineCase> {
     (
-        prop::sample::select(vec![1usize, 2]),
+        prop::sample::select(vec![1usize, 2, 4]),
         prop::sample::select(vec![1usize, 2, 4]),
         1usize..=4,
         any::<bool>(),
