@@ -97,3 +97,31 @@ fn watch_output_matches_golden() {
         "report --watch 25 drifted from its golden (MUX_BLESS=1 to accept)"
     );
 }
+
+/// `report --replay` of a journal line nested 50 000 arrays deep: the
+/// reader stops at its nesting limit, so the run exits 1 naming the
+/// corrupt journal instead of overflowing its stack and dying from a
+/// signal.
+#[test]
+fn replay_of_a_deeply_nested_journal_exits_1_with_a_typed_error() {
+    let dir = empty_dir("report_cli_deep_journal");
+    let depth = 50_000;
+    let line = format!(
+        "{{\"seq\":0,\"tick\":0,\"now\":0.0,\"event\":\"x\",\"p\":{}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(dir.join("deep.jsonl"), line).expect("write journal");
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--replay", "deep.jsonl"])
+        .current_dir(&dir)
+        .output()
+        .expect("run report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "killed by a signal? {stderr}");
+    assert!(
+        stderr.contains("deep.jsonl: corrupt journal: line 1: invalid JSON")
+            && stderr.contains("recursion limit exceeded"),
+        "{stderr}"
+    );
+}

@@ -11,11 +11,12 @@
 //! [`parse_jsonl`]. The key set per event kind is pinned by the
 //! `journal_line.schema.json` golden.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
-use serde_json::{escape_into, Map, Number, Value};
+use serde_json::{escape_into, float_into, Lexer, Map, Number, Token, Value};
 
 /// What happened. One variant per service state transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,27 +273,6 @@ pub struct DecisionCandidate {
     pub priority: u8,
     /// Candidate's arrival time, seconds (the deterministic tiebreak).
     pub arrival: f64,
-}
-
-impl DecisionCandidate {
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let get = |k: &str| v.get(k).ok_or_else(|| format!("candidate missing {k:?}"));
-        Ok(Self {
-            id: get("id")?.as_u64().ok_or("candidate id not u64")?,
-            tenant: get("tenant")?
-                .as_str()
-                .ok_or("candidate tenant not a string")?
-                .to_string(),
-            score: get("score")?.as_f64().ok_or("candidate score not f64")?,
-            priority: get("priority")?
-                .as_u64()
-                .and_then(|p| u8::try_from(p).ok())
-                .ok_or("candidate priority not u8")?,
-            arrival: get("arrival")?
-                .as_f64()
-                .ok_or("candidate arrival not f64")?,
-        })
-    }
 }
 
 impl EventKind {
@@ -564,220 +544,26 @@ impl JournalEvent {
         }
         w.finish();
     }
-
-    /// Parses one JSONL line back into an event.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let obj = v.as_object().ok_or("journal line is not an object")?;
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            obj.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing/invalid field {k:?}"))
-        };
-        let get_f64 = |k: &str| -> Result<f64, String> {
-            obj.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing/invalid field {k:?}"))
-        };
-        let get_str = |k: &str| -> Result<String, String> {
-            obj.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing/invalid field {k:?}"))
-        };
-        let seq = get_u64("seq")?;
-        let tick = get_u64("tick")?;
-        let now = get_f64("now")?;
-        let event = get_str("event")?;
-        let kind = match event.as_str() {
-            "submit" => EventKind::Submit {
-                job: get_u64("job")?,
-                // Journals written before tenants existed have no field;
-                // they replay into the default tenant.
-                tenant: obj
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .unwrap_or("default")
-                    .to_string(),
-                backbone: get_str("backbone")?,
-                total_tokens: get_u64("total_tokens")?,
-                slo_seconds: obj.get("slo_seconds").and_then(Value::as_f64),
-            },
-            "reject" => EventKind::Reject {
-                job: get_u64("job")?,
-                reason: get_str("reason")?,
-            },
-            "dispatch" => EventKind::Dispatch {
-                job: get_u64("job")?,
-                instance: get_u64("instance")? as usize,
-            },
-            "replan" => EventKind::Replan {
-                instance: get_u64("instance")? as usize,
-                epoch: get_u64("epoch")?,
-                tasks: get_u64("tasks")? as usize,
-            },
-            "shed" => EventKind::Shed {
-                job: get_u64("job")?,
-                instance: get_u64("instance")? as usize,
-                reason: get_str("reason")?,
-            },
-            "complete" => EventKind::Complete {
-                job: get_u64("job")?,
-            },
-            "alert_fired" => EventKind::AlertFired {
-                rule: get_str("rule")?,
-                severity: get_str("severity")?,
-                job: get_u64("job")?,
-                window: get_u64("window")? as usize,
-                value: get_f64("value")?,
-                threshold: get_f64("threshold")?,
-            },
-            "alert_cleared" => EventKind::AlertCleared {
-                rule: get_str("rule")?,
-                job: get_u64("job")?,
-            },
-            "fault_injected" => EventKind::FaultInjected {
-                kind: get_str("kind")?,
-                instance: get_u64("instance")? as usize,
-                device: obj
-                    .get("device")
-                    .and_then(Value::as_u64)
-                    .map(|d| d as usize),
-                magnitude: get_f64("magnitude")?,
-            },
-            "fault_cleared" => EventKind::FaultCleared {
-                kind: get_str("kind")?,
-                instance: get_u64("instance")? as usize,
-            },
-            "recover_retry" => EventKind::RecoverRetry {
-                instance: get_u64("instance")? as usize,
-                attempt: get_u64("attempt")?,
-                backoff_seconds: get_f64("backoff_seconds")?,
-            },
-            "recover_restart" => EventKind::RecoverRestart {
-                job: get_u64("job")?,
-                instance: get_u64("instance")? as usize,
-                checkpoint_tokens: get_f64("checkpoint_tokens")?,
-            },
-            "recover_replan" => EventKind::RecoverReplan {
-                instance: get_u64("instance")? as usize,
-                devices_left: get_u64("devices_left")? as usize,
-                epoch: get_u64("epoch")?,
-            },
-            "recover_shed" => EventKind::RecoverShed {
-                job: get_u64("job")?,
-                instance: get_u64("instance")? as usize,
-                reason: get_str("reason")?,
-            },
-            "decision" => EventKind::Decision {
-                policy: get_str("policy")?,
-                action: get_str("action")?,
-                score_kind: get_str("score_kind")?,
-                chosen: get_u64("chosen")?,
-                job: obj.get("job").and_then(Value::as_u64),
-                instance: obj
-                    .get("instance")
-                    .and_then(Value::as_u64)
-                    .map(|i| i as usize),
-                considered: get_u64("considered")? as usize,
-                candidates: obj
-                    .get("candidates")
-                    .and_then(Value::as_array)
-                    .ok_or("decision missing candidates array")?
-                    .iter()
-                    .map(DecisionCandidate::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            "final" => {
-                let jobs_obj = obj
-                    .get("jobs")
-                    .and_then(Value::as_object)
-                    .ok_or("final record missing jobs map")?;
-                let mut jobs = BTreeMap::new();
-                for (k, v) in jobs_obj {
-                    let job: u64 = k.parse().map_err(|_| format!("bad job id {k:?}"))?;
-                    let state = v.as_str().ok_or("job state is not a string")?;
-                    jobs.insert(job, state.to_string());
-                }
-                let alerts_arr = obj
-                    .get("alerts")
-                    .and_then(Value::as_array)
-                    .ok_or("final record missing alerts array")?;
-                let mut alerts = BTreeSet::new();
-                for a in alerts_arr {
-                    let rule = a
-                        .get("rule")
-                        .and_then(Value::as_str)
-                        .ok_or("alert missing rule")?;
-                    let job = a
-                        .get("job")
-                        .and_then(Value::as_u64)
-                        .ok_or("alert missing job")?;
-                    alerts.insert((rule.to_string(), job));
-                }
-                EventKind::Final { jobs, alerts }
-            }
-            "request_arrive" => EventKind::RequestArrive {
-                request: get_u64("request")?,
-                tenant: get_str("tenant")?,
-                prompt_tokens: get_u64("prompt_tokens")?,
-                output_tokens: get_u64("output_tokens")?,
-            },
-            "request_prefill" => EventKind::RequestPrefill {
-                request: get_u64("request")?,
-                ttft_seconds: get_f64("ttft_seconds")?,
-            },
-            "request_complete" => EventKind::RequestComplete {
-                request: get_u64("request")?,
-                decode_tokens: get_u64("decode_tokens")?,
-                latency_seconds: get_f64("latency_seconds")?,
-            },
-            "request_reject" => EventKind::RequestReject {
-                request: get_u64("request")?,
-                reason: get_str("reason")?,
-            },
-            "request_timeout" => EventKind::RequestTimeout {
-                request: get_u64("request")?,
-                waited_seconds: get_f64("waited_seconds")?,
-            },
-            "serving_preempt" => EventKind::ServingPreempt {
-                instance: get_u64("instance")? as usize,
-            },
-            "serving_resume" => EventKind::ServingResume {
-                instance: get_u64("instance")? as usize,
-            },
-            // Unknown kinds (journals written by newer builds) are carried
-            // verbatim and replay as no-ops, so older readers still verify
-            // the job/alert state they do understand.
-            other => EventKind::Opaque {
-                name: other.to_string(),
-                payload: obj
-                    .iter()
-                    .filter(|(k, _)| !matches!(k.as_str(), "seq" | "tick" | "now" | "event"))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            },
-        };
-        Ok(JournalEvent {
-            seq,
-            tick,
-            now,
-            kind,
-        })
-    }
 }
 
 /// Parses a JSONL journal into its events, validating that sequence
 /// numbers are the contiguous run 0..n (any splice or dropped line breaks
 /// this). Blank lines are skipped; every error names its 1-based line.
+///
+/// Each line is read in one pass straight into its [`JournalEvent`], on
+/// `serde_json`'s own [`Lexer`]: the member values are held as tokens
+/// borrowed from the line and checked once it ends, in a fixed field
+/// order, with a key's last member winning. Arrays and objects nest at
+/// most 128 deep; a deeper line is an `invalid JSON` error.
 pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
     let mut events: Vec<JournalEvent> = Vec::new();
+    // One member buffer for every line.
+    let mut members = Members::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v =
-            serde_json::from_str(line).map_err(|e| format!("line {}: invalid JSON: {e}", i + 1))?;
-        let ev = JournalEvent::from_json(&v).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let ev = read_line(line, &mut members).map_err(|e| format!("line {}: {e}", i + 1))?;
         if ev.seq != events.len() as u64 {
             return Err(format!(
                 "line {}: sequence gap: expected seq {}, found {}",
@@ -789,6 +575,370 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
         events.push(ev);
     }
     Ok(events)
+}
+
+/// A member value as a typed field reads it, borrowed from the line.
+enum Tok<'a> {
+    Num(Number),
+    Str(Cow<'a, str>),
+    /// A `candidates` array, decoded in place: every candidate, or the
+    /// first one's error.
+    Candidates(Result<Vec<DecisionCandidate>, String>),
+    /// `null`, a boolean, or an array or object no typed field reads.
+    Other,
+}
+
+impl<'a> Tok<'a> {
+    /// Reads the rest of the member value `first` began.
+    fn read(lx: &mut Lexer<'a>, first: Token<'a>) -> Result<Self, serde_json::Error> {
+        Ok(match first {
+            Token::Number(n) => Tok::Num(n),
+            Token::String(s) => Tok::Str(s),
+            first => {
+                lx.value_from(first)?;
+                Tok::Other
+            }
+        })
+    }
+
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Tok::Num(n) => n.as_u64(),
+            _ => None,
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Tok::Num(n) => Some(n.as_f64()),
+            _ => None,
+        }
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Tok::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// One object's members in text order. A key's last member wins, as a
+/// `Map` insert let it.
+#[derive(Default)]
+struct Members<'a>(Vec<(Cow<'a, str>, Tok<'a>)>);
+
+impl<'a> Members<'a> {
+    /// Reads the members of the object `lx` just opened. With
+    /// `candidates`, a `candidates` array is decoded in place.
+    fn read(&mut self, lx: &mut Lexer<'a>, candidates: bool) -> Result<(), serde_json::Error> {
+        self.0.clear();
+        while !lx.close(b'}') {
+            let key = lx.key()?;
+            let tok = match lx.token()? {
+                Token::Array if candidates && key == "candidates" => {
+                    Tok::Candidates(read_candidates(lx)?)
+                }
+                first => Tok::read(lx, first)?,
+            };
+            self.0.push((key, tok));
+            lx.item_end(b'}')?;
+        }
+        Ok(())
+    }
+
+    fn get(&self, key: &str) -> Option<&Tok<'a>> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, t)| t)
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Tok::as_u64)
+            .ok_or_else(|| format!("missing/invalid field {key:?}"))
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Tok::as_f64)
+            .ok_or_else(|| format!("missing/invalid field {key:?}"))
+    }
+
+    fn str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Tok::as_str)
+            .ok_or_else(|| format!("missing/invalid field {key:?}"))
+    }
+
+    fn string(&self, key: &str) -> Result<String, String> {
+        self.str(key).map(str::to_string)
+    }
+
+    /// One candidate from its object's members, checked in field order.
+    fn candidate(&self) -> Result<DecisionCandidate, String> {
+        let get = |k: &str| {
+            self.get(k)
+                .ok_or_else(|| format!("candidate missing {k:?}"))
+        };
+        Ok(DecisionCandidate {
+            id: get("id")?.as_u64().ok_or("candidate id not u64")?,
+            tenant: get("tenant")?
+                .as_str()
+                .ok_or("candidate tenant not a string")?
+                .to_string(),
+            score: get("score")?.as_f64().ok_or("candidate score not f64")?,
+            priority: get("priority")?
+                .as_u64()
+                .and_then(|p| u8::try_from(p).ok())
+                .ok_or("candidate priority not u8")?,
+            arrival: get("arrival")?
+                .as_f64()
+                .ok_or("candidate arrival not f64")?,
+        })
+    }
+
+    /// Moves out the last `candidates` member's decode.
+    fn take_candidates(&mut self) -> Result<Vec<DecisionCandidate>, String> {
+        let last = self.0.iter_mut().rev().find(|(k, _)| k == "candidates");
+        match last.map(|(_, t)| std::mem::replace(t, Tok::Other)) {
+            Some(Tok::Candidates(decoded)) => decoded,
+            _ => Err("decision missing candidates array".into()),
+        }
+    }
+}
+
+/// Reads one line straight into its event. The lexer's tokens are held
+/// per member in `m` until the line ends, then checked field by field in
+/// a fixed order, so a line's first error does not depend on the order of
+/// its members, and a key's last member wins. Only `final` and unknown
+/// kinds, whose payloads are maps and arbitrary values, read the line
+/// again as a `Value` tree.
+fn read_line<'a>(line: &'a str, m: &mut Members<'a>) -> Result<JournalEvent, String> {
+    let is_object = lex_line(line, m).map_err(|e| format!("invalid JSON: {e}"))?;
+    if !is_object {
+        return Err("journal line is not an object".into());
+    }
+    let seq = m.u64("seq")?;
+    let tick = m.u64("tick")?;
+    let now = m.f64("now")?;
+    let kind = match m.str("event")? {
+        "submit" => EventKind::Submit {
+            job: m.u64("job")?,
+            // Journals written before tenants existed have no field;
+            // they replay into the default tenant.
+            tenant: m
+                .get("tenant")
+                .and_then(Tok::as_str)
+                .unwrap_or("default")
+                .to_string(),
+            backbone: m.string("backbone")?,
+            total_tokens: m.u64("total_tokens")?,
+            slo_seconds: m.get("slo_seconds").and_then(Tok::as_f64),
+        },
+        "reject" => EventKind::Reject {
+            job: m.u64("job")?,
+            reason: m.string("reason")?,
+        },
+        "dispatch" => EventKind::Dispatch {
+            job: m.u64("job")?,
+            instance: m.u64("instance")? as usize,
+        },
+        "replan" => EventKind::Replan {
+            instance: m.u64("instance")? as usize,
+            epoch: m.u64("epoch")?,
+            tasks: m.u64("tasks")? as usize,
+        },
+        "shed" => EventKind::Shed {
+            job: m.u64("job")?,
+            instance: m.u64("instance")? as usize,
+            reason: m.string("reason")?,
+        },
+        "complete" => EventKind::Complete { job: m.u64("job")? },
+        "alert_fired" => EventKind::AlertFired {
+            rule: m.string("rule")?,
+            severity: m.string("severity")?,
+            job: m.u64("job")?,
+            window: m.u64("window")? as usize,
+            value: m.f64("value")?,
+            threshold: m.f64("threshold")?,
+        },
+        "alert_cleared" => EventKind::AlertCleared {
+            rule: m.string("rule")?,
+            job: m.u64("job")?,
+        },
+        "fault_injected" => EventKind::FaultInjected {
+            kind: m.string("kind")?,
+            instance: m.u64("instance")? as usize,
+            device: m.get("device").and_then(Tok::as_u64).map(|d| d as usize),
+            magnitude: m.f64("magnitude")?,
+        },
+        "fault_cleared" => EventKind::FaultCleared {
+            kind: m.string("kind")?,
+            instance: m.u64("instance")? as usize,
+        },
+        "recover_retry" => EventKind::RecoverRetry {
+            instance: m.u64("instance")? as usize,
+            attempt: m.u64("attempt")?,
+            backoff_seconds: m.f64("backoff_seconds")?,
+        },
+        "recover_restart" => EventKind::RecoverRestart {
+            job: m.u64("job")?,
+            instance: m.u64("instance")? as usize,
+            checkpoint_tokens: m.f64("checkpoint_tokens")?,
+        },
+        "recover_replan" => EventKind::RecoverReplan {
+            instance: m.u64("instance")? as usize,
+            devices_left: m.u64("devices_left")? as usize,
+            epoch: m.u64("epoch")?,
+        },
+        "recover_shed" => EventKind::RecoverShed {
+            job: m.u64("job")?,
+            instance: m.u64("instance")? as usize,
+            reason: m.string("reason")?,
+        },
+        "decision" => EventKind::Decision {
+            policy: m.string("policy")?,
+            action: m.string("action")?,
+            score_kind: m.string("score_kind")?,
+            chosen: m.u64("chosen")?,
+            job: m.get("job").and_then(Tok::as_u64),
+            instance: m.get("instance").and_then(Tok::as_u64).map(|i| i as usize),
+            considered: m.u64("considered")? as usize,
+            candidates: m.take_candidates()?,
+        },
+        "final" => final_record(&tree(line)?)?,
+        "request_arrive" => EventKind::RequestArrive {
+            request: m.u64("request")?,
+            tenant: m.string("tenant")?,
+            prompt_tokens: m.u64("prompt_tokens")?,
+            output_tokens: m.u64("output_tokens")?,
+        },
+        "request_prefill" => EventKind::RequestPrefill {
+            request: m.u64("request")?,
+            ttft_seconds: m.f64("ttft_seconds")?,
+        },
+        "request_complete" => EventKind::RequestComplete {
+            request: m.u64("request")?,
+            decode_tokens: m.u64("decode_tokens")?,
+            latency_seconds: m.f64("latency_seconds")?,
+        },
+        "request_reject" => EventKind::RequestReject {
+            request: m.u64("request")?,
+            reason: m.string("reason")?,
+        },
+        "request_timeout" => EventKind::RequestTimeout {
+            request: m.u64("request")?,
+            waited_seconds: m.f64("waited_seconds")?,
+        },
+        "serving_preempt" => EventKind::ServingPreempt {
+            instance: m.u64("instance")? as usize,
+        },
+        "serving_resume" => EventKind::ServingResume {
+            instance: m.u64("instance")? as usize,
+        },
+        // Unknown kinds (journals written by newer builds) are carried
+        // verbatim and replay as no-ops, so older readers still verify
+        // the job/alert state they do understand.
+        other => EventKind::Opaque {
+            name: other.to_string(),
+            payload: tree(line)?
+                .into_iter()
+                .filter(|(k, _)| !ENVELOPE.contains(&k.as_str()))
+                .collect(),
+        },
+    };
+    Ok(JournalEvent {
+        seq,
+        tick,
+        now,
+        kind,
+    })
+}
+
+/// Lexes the whole line, holding an object's members in `m`; `Ok(false)`
+/// when the line is JSON but no object.
+fn lex_line<'a>(line: &'a str, m: &mut Members<'a>) -> Result<bool, serde_json::Error> {
+    let mut lx = Lexer::new(line);
+    let is_object = match lx.token()? {
+        Token::Object => {
+            m.read(&mut lx, true)?;
+            true
+        }
+        first => {
+            lx.value_from(first)?;
+            false
+        }
+    };
+    lx.end()?;
+    Ok(is_object)
+}
+
+/// Decodes the `candidates` array `lx` just opened: every candidate, or
+/// the first one's error.
+fn read_candidates(
+    lx: &mut Lexer<'_>,
+) -> Result<Result<Vec<DecisionCandidate>, String>, serde_json::Error> {
+    let mut decoded = Ok(Vec::new());
+    let mut fields = Members::default();
+    while !lx.close(b']') {
+        let candidate = match lx.token()? {
+            Token::Object => {
+                fields.read(lx, false)?;
+                fields.candidate()
+            }
+            // Not an object: it has no `id`.
+            first => {
+                lx.value_from(first)?;
+                Err("candidate missing \"id\"".to_string())
+            }
+        };
+        if let Ok(list) = &mut decoded {
+            match candidate {
+                Ok(c) => list.push(c),
+                Err(e) => decoded = Err(e),
+            }
+        }
+        lx.item_end(b']')?;
+    }
+    Ok(decoded)
+}
+
+/// The line as a `Value` tree's top-level map.
+fn tree(line: &str) -> Result<Map, String> {
+    match serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))? {
+        Value::Object(map) => Ok(map),
+        _ => Err("journal line is not an object".into()),
+    }
+}
+
+/// The `final` record's job map and alert set.
+fn final_record(obj: &Map) -> Result<EventKind, String> {
+    let jobs_obj = obj
+        .get("jobs")
+        .and_then(Value::as_object)
+        .ok_or("final record missing jobs map")?;
+    let mut jobs = BTreeMap::new();
+    for (k, v) in jobs_obj {
+        let job: u64 = k.parse().map_err(|_| format!("bad job id {k:?}"))?;
+        let state = v.as_str().ok_or("job state is not a string")?;
+        jobs.insert(job, state.to_string());
+    }
+    let alerts_arr = obj
+        .get("alerts")
+        .and_then(Value::as_array)
+        .ok_or("final record missing alerts array")?;
+    let mut alerts = BTreeSet::new();
+    for a in alerts_arr {
+        let rule = a
+            .get("rule")
+            .and_then(Value::as_str)
+            .ok_or("alert missing rule")?;
+        let job = a
+            .get("job")
+            .and_then(Value::as_u64)
+            .ok_or("alert missing job")?;
+        alerts.insert((rule.to_string(), job));
+    }
+    Ok(EventKind::Final { jobs, alerts })
 }
 
 /// The members every line carries besides its payload, in key order.
@@ -921,13 +1071,24 @@ fn write_array<T>(
     out.push(']');
 }
 
-fn write_u64(out: &mut String, v: u64) {
-    write!(out, "{v}").expect("writing to a String cannot fail");
+/// Writes `v` in decimal, as `{v}` prints it.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 /// Writes `v` exactly as `serde_json` prints a float.
 fn write_f64(out: &mut String, v: f64) {
-    write!(out, "{}", Number::Float(v)).expect("writing to a String cannot fail");
+    float_into(v, out).expect("writing to a String cannot fail");
 }
 
 /// Orders `a` and `b` as their decimal strings compare (`"10"` < `"2"`):
@@ -970,5 +1131,79 @@ mod tests {
             "blank lines are skipped but still counted"
         );
         assert!(parse_jsonl("\n\n").unwrap().is_empty());
+        assert_eq!(
+            parse_jsonl("[1]\n").unwrap_err(),
+            "line 1: journal line is not an object"
+        );
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let depth = 50_000;
+        let line = format!(
+            "{{\"seq\":0,\"tick\":0,\"now\":0.0,\"event\":\"x\",\"p\":{}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = parse_jsonl(&line).unwrap_err();
+        assert!(err.starts_with("line 1: invalid JSON"), "{err}");
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+    }
+
+    /// Splitmix64 draws: random values for the number-format pins.
+    fn random_u64s(n: usize) -> impl Iterator<Item = u64> {
+        let mut x: u64 = 0x6a09_e667_f3bc_c908;
+        (0..n).map(move |_| {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+    }
+
+    #[test]
+    fn write_u64_prints_as_display_does() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        // Random values at every magnitude, not only near 2^64.
+        values.extend(random_u64s(5_000).map(|v| v >> (v % 64)));
+        for v in values {
+            let mut s = String::from("x");
+            write_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn write_f64_prints_as_the_shims_number_does() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            999_999_999_999_999.0,
+            999_999_999_999_999.5,
+            1e15,
+            1e15 + 2.0,
+            -999_999_999_999_999.0,
+            -1e15,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in edges
+            .into_iter()
+            .chain(random_u64s(5_000).map(f64::from_bits))
+        {
+            let mut s = String::from("x");
+            write_f64(&mut s, v);
+            assert_eq!(s, format!("x{}", Number::Float(v)), "{:#x}", v.to_bits());
+        }
     }
 }

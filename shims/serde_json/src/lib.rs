@@ -4,11 +4,13 @@
 //! small, std-only JSON implementation that is API-compatible with the
 //! subset of `serde_json` the repo uses: the dynamic [`Value`] tree, the
 //! [`json!`] literal macro, [`to_string`] / [`to_string_pretty`], and
-//! [`from_str`] — plus [`escape_into`], the writer's string escaper, for
-//! code that writes JSON text without building a `Value`. There is no
-//! `Serialize`/`Deserialize` trait machinery — structured output goes
-//! through `Value` explicitly.
+//! [`from_str`] — plus the pieces under them, for code that reads or
+//! writes JSON text without building a `Value`: [`Lexer`], the parser's
+//! pull lexer, and [`escape_into`] and [`float_into`], the writer's string
+//! escaper and float format. There is no `Serialize`/`Deserialize` trait
+//! machinery — structured output goes through `Value` explicitly.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -38,6 +40,15 @@ impl Number {
             Number::Float(v) => v,
         }
     }
+
+    /// The value as a `u64`, if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Number::Int(v) if v >= 0 => Some(v as u64),
+            Number::UInt(v) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Number {
@@ -45,19 +56,23 @@ impl fmt::Display for Number {
         match *self {
             Number::Int(v) => write!(f, "{v}"),
             Number::UInt(v) => write!(f, "{v}"),
-            Number::Float(v) => {
-                if v.is_finite() {
-                    if v == v.trunc() && v.abs() < 1e15 {
-                        write!(f, "{v:.1}")
-                    } else {
-                        write!(f, "{v}")
-                    }
-                } else {
-                    // JSON has no NaN/inf; serde_json errors here, we emit null.
-                    write!(f, "null")
-                }
-            }
+            Number::Float(v) => float_into(v, f),
         }
+    }
+}
+
+/// Writes `v` as the writer prints a float: `{v:.1}` when integral and
+/// `|v| < 1e15`, `{v}` otherwise, `null` when not finite (JSON has no
+/// NaN or infinity; serde_json errors here, this shim emits `null`).
+/// [`Number`]'s `Display` is this; a writer that appends to a `String`
+/// calls it directly, with one formatting layer instead of two.
+pub fn float_into(v: f64, out: &mut impl fmt::Write) -> fmt::Result {
+    if !v.is_finite() {
+        out.write_str("null")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{v:.1}")
+    } else {
+        write!(out, "{v}")
     }
 }
 
@@ -90,8 +105,7 @@ impl Value {
     /// Borrow as `u64` if an unsigned integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(Number::Int(v)) if *v >= 0 => Some(*v as u64),
-            Value::Number(Number::UInt(v)) => Some(*v),
+            Value::Number(n) => n.as_u64(),
             _ => None,
         }
     }
@@ -332,7 +346,8 @@ impl fmt::Display for Value {
     }
 }
 
-/// Serialization error (infallible for `Value`, kept for API parity).
+/// A parse error, naming the byte it was found at. (Serializing a
+/// `Value` cannot fail; its `Result` is kept for API parity.)
 #[derive(Debug)]
 pub struct Error(String);
 
@@ -356,18 +371,72 @@ pub fn to_string_pretty(v: &Value) -> Result<String, Error> {
     Ok(s)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// How deep arrays and objects may nest.
+const MAX_DEPTH: usize = 128;
+
+/// One step of a [`Lexer`]: a whole scalar, or the opening bracket of an
+/// array or object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number: an `i64` if it is one, else a `u64`, else an `f64`.
+    Number(Number),
+    /// A string, borrowed from the text when it has no escapes.
+    String(Cow<'a, str>),
+    /// `[`: read elements until [`Lexer::close`]`(b']')`.
+    Array,
+    /// `{`: read members until [`Lexer::close`]`(b'}')`.
+    Object,
 }
 
-impl<'a> Parser<'a> {
+/// The JSON grammar as a pull lexer over one document. [`from_str`]
+/// builds its [`Value`] tree from these steps; a reader that wants typed
+/// values takes the same steps and keeps what it needs, with the same
+/// errors at the same bytes.
+///
+/// Arrays and objects nest at most 128 deep, `serde_json`'s default
+/// recursion limit; a deeper document is an [`Error`], not a stack
+/// overflow. An object is read as:
+///
+/// ```
+/// # use serde_json::{Lexer, Token};
+/// let mut lx = Lexer::new(r#"{"a": [1, 2]}"#);
+/// assert_eq!(lx.token().unwrap(), Token::Object);
+/// while !lx.close(b'}') {
+///     let key = lx.key().unwrap();
+///     let first = lx.token().unwrap();
+///     let value = lx.value_from(first).unwrap();
+///     assert_eq!((&*key, value), ("a", serde_json::json!([1, 2])));
+///     lx.item_end(b'}').unwrap();
+/// }
+/// lx.end().unwrap();
+/// ```
+pub struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> Error {
         Error(format!("{msg} at byte {}", self.pos))
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -377,7 +446,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), Error> {
@@ -389,23 +458,112 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, t: Token<'a>) -> Result<Token<'a>, Error> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(t)
         } else {
             Err(self.err("invalid literal"))
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// Reads the next value's first step: a scalar whole, or an opening
+    /// bracket, which counts against the nesting limit.
+    pub fn token(&mut self) -> Result<Token<'a>, Error> {
+        self.skip_ws();
+        match self.peek().ok_or_else(|| self.err("unexpected eof"))? {
+            b'n' => self.literal("null", Token::Null),
+            b't' => self.literal("true", Token::Bool(true)),
+            b'f' => self.literal("false", Token::Bool(false)),
+            b'"' => Ok(Token::String(self.string()?)),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                self.pos += 1;
+                Ok(if open == b'[' {
+                    Token::Array
+                } else {
+                    Token::Object
+                })
+            }
+            _ => Ok(Token::Number(self.number()?)),
+        }
+    }
+
+    /// Skips whitespace and, if the next byte is `close` (`]` or `}`),
+    /// reads it and reports the container closed.
+    pub fn close(&mut self, close: u8) -> bool {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Reads an object member's key and the `:` after it.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, Error> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':', "expected :")?;
+        Ok(key)
+    }
+
+    /// Reads what follows an element or member: a `,`, or the container's
+    /// `close` byte, which is left for [`Lexer::close`]. A `,` before the
+    /// close is accepted (lenient reader, strict writer).
+    pub fn item_end(&mut self, close: u8) -> Result<(), Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(b) if b == close => Ok(()),
+            _ => Err(self.err(if close == b']' {
+                "expected , or ]"
+            } else {
+                "expected , or }"
+            })),
+        }
+    }
+
+    /// Checks that only whitespace follows the document's value.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing garbage"))
+        }
+    }
+
+    /// Reads a string, borrowed from the text when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.eat(b'"', "expected string")?;
-        let mut s = String::new();
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        // The run up to the next `"` or `\`: the whole string when it has
+        // no escapes. Both are ASCII, so the run holds whole scalars.
+        let run = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| start + n);
+        if bytes.get(run) == Some(&b'"') {
+            self.pos = run + 1;
+            return Ok(Cow::Borrowed(&self.src[start..run]));
+        }
+        let mut s = String::from(&self.src[start..run]);
+        self.pos = run;
         loop {
             match self.peek().ok_or_else(|| self.err("unterminated string"))? {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(Cow::Owned(s));
                 }
                 b'\\' => {
                     self.pos += 1;
@@ -421,8 +579,7 @@ impl<'a> Parser<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
+                            let hex = bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("bad \\u"))?;
                             let code = u32::from_str_radix(
@@ -440,22 +597,18 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     // Copy the run up to the next `"` or `\` in one go.
-                    // Both are ASCII, so the run holds whole scalars and
-                    // only it needs validating.
-                    let run = self.bytes[self.pos..]
+                    let run = bytes[self.pos..]
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(&self.bytes[self.pos..], |n| {
-                            &self.bytes[self.pos..self.pos + n]
-                        });
-                    s.push_str(std::str::from_utf8(run).map_err(|_| self.err("invalid utf-8"))?);
-                    self.pos += run.len();
+                        .map_or(bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         let mut is_float = false;
         while let Some(b) = self.peek() {
@@ -468,84 +621,59 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::Int(i)));
+                return Ok(Number::Int(i));
             }
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::UInt(u)));
+                return Ok(Number::UInt(u));
             }
         }
         text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
+            .map(Number::Float)
             .map_err(|_| self.err("invalid number"))
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected eof"))? {
-            b'n' => self.eat_lit("null", Value::Null),
-            b't' => self.eat_lit("true", Value::Bool(true)),
-            b'f' => self.eat_lit("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.parse_string()?)),
-            b'[' => {
-                self.pos += 1;
+    fn value(&mut self) -> Result<Value, Error> {
+        let first = self.token()?;
+        self.value_from(first)
+    }
+
+    /// Reads the rest of the value `first` began, as a tree.
+    pub fn value_from(&mut self, first: Token<'a>) -> Result<Value, Error> {
+        Ok(match first {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Number(n) => Value::Number(n),
+            Token::String(s) => Value::String(s.into_owned()),
+            Token::Array => {
                 let mut items = Vec::new();
-                loop {
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {}
-                        _ => return Err(self.err("expected , or ]")),
-                    }
+                while !self.close(b']') {
+                    items.push(self.value()?);
+                    self.item_end(b']')?;
                 }
+                Value::Array(items)
             }
-            b'{' => {
-                self.pos += 1;
+            Token::Object => {
                 let mut map = Map::new();
-                loop {
-                    self.skip_ws();
-                    if self.peek() == Some(b'}') {
-                        self.pos += 1;
-                        return Ok(Value::Object(map));
-                    }
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':', "expected :")?;
-                    let val = self.parse_value()?;
+                while !self.close(b'}') {
+                    let key = self.key()?.into_owned();
+                    let val = self.value()?;
                     map.insert(key, val);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {}
-                        _ => return Err(self.err("expected , or }")),
-                    }
+                    self.item_end(b'}')?;
                 }
+                Value::Object(map)
             }
-            _ => self.parse_number(),
-        }
+        })
     }
 }
 
 /// Parses a JSON document into a [`Value`].
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage"));
-    }
+    let mut lx = Lexer::new(s);
+    let v = lx.value()?;
+    lx.end()?;
     Ok(v)
 }
 
@@ -688,6 +816,97 @@ mod tests {
         assert!(from_str("{\"a\": }").is_err());
         assert!(from_str("[1, 2,] trailing").is_err());
         assert!(from_str("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n - 1) + "{}" + &"}".repeat(n - 1);
+        assert!(from_str(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str(&objects(MAX_DEPTH)).is_ok());
+        // The error names the first bracket past the limit.
+        for (deep, at) in [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+        ] {
+            assert_eq!(
+                from_str(&deep).unwrap_err().to_string(),
+                format!("json error: recursion limit exceeded at byte {at}")
+            );
+        }
+        // Far past the limit is the same error, not a stack overflow.
+        assert_eq!(
+            from_str(&arrays(50_000)).unwrap_err().to_string(),
+            format!("json error: recursion limit exceeded at byte {MAX_DEPTH}")
+        );
+        // Depth counts the containers open at once, not those seen.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str(&wide).is_ok());
+    }
+
+    #[test]
+    fn lexer_borrows_strings_without_escapes() {
+        let mut lx = Lexer::new(r#" "plain é" "esc\naped" 7 -1 18446744073709551615 1e0"#);
+        assert!(matches!(
+            lx.token().unwrap(),
+            Token::String(Cow::Borrowed("plain é"))
+        ));
+        assert!(matches!(lx.token().unwrap(), Token::String(Cow::Owned(s)) if s == "esc\naped"));
+        assert_eq!(lx.token().unwrap(), Token::Number(Number::Int(7)));
+        assert_eq!(lx.token().unwrap(), Token::Number(Number::Int(-1)));
+        assert_eq!(lx.token().unwrap(), Token::Number(Number::UInt(u64::MAX)));
+        assert_eq!(lx.token().unwrap(), Token::Number(Number::Float(1.0)));
+        lx.end().unwrap();
+        assert_eq!(Number::Int(-1).as_u64(), None);
+        assert_eq!(Number::Float(1.0).as_u64(), None);
+    }
+
+    /// `float_into` against the format `Number`'s `Display` had when it
+    /// nested a second `write!`: byte for byte, on edge values and on
+    /// random bit patterns.
+    #[test]
+    fn float_format_is_unchanged() {
+        fn nested(v: f64) -> String {
+            if v.is_finite() {
+                if v == v.trunc() && v.abs() < 1e15 {
+                    format!("{v:.1}")
+                } else {
+                    format!("{v}")
+                }
+            } else {
+                "null".into()
+            }
+        }
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            -5e-324,
+            999_999_999_999_999.0,
+            1e15,
+            1e15 + 2.0,
+            -1e15,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let random = (0..10_000).map(|_| {
+            // splitmix64
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            f64::from_bits(z ^ (z >> 31))
+        });
+        for v in edges.into_iter().chain(random) {
+            let mut s = String::new();
+            float_into(v, &mut s).unwrap();
+            assert_eq!(s, nested(v), "{:#x}", v.to_bits());
+            assert_eq!(Number::Float(v).to_string(), s);
+        }
     }
 
     #[test]
