@@ -220,11 +220,12 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn SchedulingPolicy>> {
     }
 }
 
-/// Total-ordered f64 wrapper so policy keys can use lexicographic tuples.
-/// `total_cmp` puts NaN above every number, which for a min-argmin means
-/// corrupt keys lose ties instead of poisoning the ordering.
+/// Total-ordered f64 wrapper so policy keys and event times can use
+/// lexicographic tuples. `total_cmp` puts NaN above every number, which
+/// for a min-argmin means corrupt keys lose ties instead of poisoning the
+/// ordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
+pub(crate) struct OrdF64(pub(crate) f64);
 
 impl Eq for OrdF64 {}
 

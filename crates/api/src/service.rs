@@ -32,6 +32,7 @@ use serde_json::{json, Map, Value};
 
 use crate::job::{Job, JobId, JobSpec, JobState};
 use crate::journal::{DecisionCandidate, EventKind, Journal, ReplayState};
+use crate::policy::OrdF64;
 use crate::serving::{self, RequestSpec, ServingConfig, ServingRuntime};
 
 /// Dispatch policies: *where* a job runs (§3.1 mentions budget-based
@@ -252,7 +253,7 @@ struct OutageState {
     attempt: u32,
     /// Retries needed before the comm layer recovers.
     failures: u32,
-    /// Injection token; resume events with a stale token are discarded.
+    /// Injection token; retry events with a stale token are discarded.
     token: u64,
 }
 
@@ -279,7 +280,7 @@ struct Instance {
     /// Whether the serving policy holds the backbone right now: training
     /// rates gate to 0 exactly like an outage (temporal multiplexing).
     serving_preempted: bool,
-    /// Monotonic outage-injection counter (staleness check for resumes).
+    /// Monotonic outage-injection counter (staleness check for retries).
     outage_token: u64,
     /// Degraded plan after device loss (None = the service-wide plan).
     plan_override: Option<HybridParallelism>,
@@ -306,59 +307,24 @@ struct Instance {
     traced: OnceLock<Option<TracedInstance>>,
 }
 
-/// A scheduled "some job finishes" event: under the rates of `epoch`, the
-/// job behind `task` on `instance` completes at absolute time `at`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CompletionEvent {
-    at: f64,
-    instance: usize,
-    task: TaskId,
-    epoch: u64,
-}
-
-impl Eq for CompletionEvent {}
-
-impl PartialOrd for CompletionEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CompletionEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .total_cmp(&other.at)
-            .then_with(|| self.instance.cmp(&other.instance))
-            .then_with(|| self.task.cmp(&other.task))
-    }
-}
-
-/// A scheduled comm-retry event: at absolute time `at`, instance
-/// `instance` attempts the next retry of outage `token`. Kept on its own
-/// heap (not `completions`) so epoch bumps during an outage can never
-/// orphan the resume and freeze the instance forever.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ResumeEvent {
-    at: f64,
-    instance: usize,
-    token: u64,
-}
-
-impl Eq for ResumeEvent {}
-
-impl PartialOrd for ResumeEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ResumeEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .total_cmp(&other.at)
-            .then_with(|| self.instance.cmp(&other.instance))
-            .then_with(|| self.token.cmp(&other.token))
-    }
+/// A timed service event, keyed on the heap by its due time. Events
+/// fire by time, then class (a retry before a completion: it restores
+/// rates the completion may depend on), then instance and id. Both
+/// kinds go stale lazily and are discarded when they reach the heap's
+/// top: a completion once its instance re-prices (a new epoch), a retry
+/// once its outage clears or is replaced (a new token), so an epoch bump
+/// during an outage never orphans the retry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timed {
+    /// Instance `instance` attempts the next retry of outage `token`.
+    Retry { instance: usize, token: u64 },
+    /// Under the rates of `epoch`, the job behind `task` on `instance`
+    /// completes.
+    Completion {
+        instance: usize,
+        task: TaskId,
+        epoch: u64,
+    },
 }
 
 /// What the readers print of one traced run of a non-empty instance (see
@@ -531,12 +497,10 @@ pub struct FineTuneService {
     by_backbone: BTreeMap<String, Vec<usize>>,
     jobs: BTreeMap<JobId, Job>,
     queue: VecDeque<JobId>,
-    /// Min-heap of pending completion events (lazily invalidated by each
-    /// instance's epoch): `advance` jumps straight to the next event
-    /// instead of re-scanning every running task per tick.
-    completions: BinaryHeap<Reverse<CompletionEvent>>,
-    /// Min-heap of pending comm-retry events (see [`ResumeEvent`]).
-    resumes: BinaryHeap<Reverse<ResumeEvent>>,
+    /// Min-heap of timed events by due time (see [`Timed`]):
+    /// `advance_to` jumps straight from event to event instead of
+    /// re-scanning every running task per tick.
+    events: BinaryHeap<Reverse<(OrdF64, Timed)>>,
     /// Running fault/recovery totals.
     fault_stats: FaultStats,
     next_job: u64,
@@ -605,8 +569,7 @@ impl FineTuneService {
             by_backbone: BTreeMap::new(),
             jobs: BTreeMap::new(),
             queue: VecDeque::new(),
-            completions: BinaryHeap::new(),
-            resumes: BinaryHeap::new(),
+            events: BinaryHeap::new(),
             fault_stats: FaultStats::default(),
             next_job: 1,
             now: 0.0,
@@ -848,8 +811,7 @@ impl FineTuneService {
                                 serving_preempted: self
                                     .serving
                                     .as_ref()
-                                    .map(|s| s.preempted())
-                                    .unwrap_or(false),
+                                    .is_some_and(ServingRuntime::preempted),
                                 outage_token: 0,
                                 plan_override: None,
                                 cluster_override: None,
@@ -986,7 +948,7 @@ impl FineTuneService {
         let mut best: Option<(f64, TaskId)> = None;
         for (&tid, &rate) in &inst.rates {
             // Zero-rate tasks (instance in outage) never complete on their
-            // own; the resume event re-prices them back onto the heap.
+            // own; the retry that clears the outage re-prices them.
             if rate <= 0.0 {
                 continue;
             }
@@ -997,12 +959,23 @@ impl FineTuneService {
             }
         }
         if let Some((left, task)) = best {
-            self.completions.push(Reverse(CompletionEvent {
-                at: self.now + left,
-                instance: i,
-                task,
-                epoch: inst.epoch,
-            }));
+            let epoch = inst.epoch;
+            self.schedule(
+                self.now + left,
+                Timed::Completion {
+                    instance: i,
+                    task,
+                    epoch,
+                },
+            );
+        }
+    }
+
+    /// Schedules `event` at absolute time `at`. An event at +∞ or NaN
+    /// could never fire, so it is not scheduled.
+    fn schedule(&mut self, at: f64, event: Timed) {
+        if at < f64::INFINITY {
+            self.events.push(Reverse((OrdF64(at), event)));
         }
     }
 
@@ -1233,64 +1206,53 @@ impl FineTuneService {
             .unwrap_or_default()
     }
 
-    /// The earliest still-valid completion event, discarding stale ones.
-    fn peek_completion(&mut self) -> Option<CompletionEvent> {
-        while let Some(&Reverse(ev)) = self.completions.peek() {
-            if self.instances[ev.instance].epoch == ev.epoch {
-                return Some(ev);
-            }
-            self.completions.pop();
-        }
-        None
-    }
-
-    /// The earliest still-valid resume (comm-retry) event, discarding
-    /// entries whose outage token went stale.
-    fn peek_resume(&mut self) -> Option<ResumeEvent> {
-        while let Some(&Reverse(ev)) = self.resumes.peek() {
-            let live = self.instances[ev.instance]
-                .outage
-                .map(|o| o.token == ev.token)
-                .unwrap_or(false);
+    /// The earliest live heap event, discarding stale ones off the top.
+    fn peek_live(&mut self) -> Option<(f64, Timed)> {
+        while let Some(&Reverse((OrdF64(at), event))) = self.events.peek() {
+            let live = match event {
+                Timed::Retry { instance, token } => self.instances[instance]
+                    .outage
+                    .is_some_and(|o| o.token == token),
+                Timed::Completion {
+                    instance, epoch, ..
+                } => self.instances[instance].epoch == epoch,
+            };
             if live {
-                return Some(ev);
+                return Some((at, event));
             }
-            self.resumes.pop();
+            self.events.pop();
         }
         None
     }
 
-    /// Seconds until the next event (completion or comm retry) fires.
-    /// `None` when nothing is scheduled. External drivers (the workload
-    /// trace replayer) use this to jump straight to the next state change
-    /// instead of polling in fixed steps.
-    pub fn next_event_in(&mut self) -> Option<f64> {
-        let now = self.now;
-        let c = self.peek_completion().map(|ev| ev.at);
-        let r = self.peek_resume().map(|ev| ev.at);
-        [c, r]
+    /// When the next event fires, absolute seconds: the earliest live
+    /// heap event or serving event, never before `now` (a serving event
+    /// already due fires at `now`). `None` when nothing is scheduled.
+    /// External drivers (the workload trace replayer) step with
+    /// [`Self::advance_to`] on it instead of polling in fixed steps.
+    pub fn next_event_at(&mut self) -> Option<f64> {
+        let timed = self.peek_live().map(|(at, _)| at);
+        let serving = self
+            .serving
+            .as_ref()
+            .and_then(ServingRuntime::next_event_at);
+        [timed, serving]
             .into_iter()
             .flatten()
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            })
-            .map(|at| (at - now).max(0.0))
+            .reduce(f64::min)
+            .map(|at| at.max(self.now))
     }
 
-    /// Fires retry `token` on instance `i`: journals the attempt, and
-    /// either clears the fault (the comm layer recovered) or schedules
-    /// the next retry after exponential backoff.
-    fn handle_retry(&mut self, i: usize, token: u64) {
-        let (attempt, failures) = {
-            let Some(outage) = self.instances[i].outage.as_mut() else {
-                return;
-            };
-            if outage.token != token {
-                return;
-            }
-            outage.attempt += 1;
-            (outage.attempt, outage.failures)
-        };
+    /// Fires the live retry of instance `i`'s outage: journals the
+    /// attempt, and either clears the fault (the comm layer recovered) or
+    /// schedules the next retry after exponential backoff.
+    fn handle_retry(&mut self, i: usize) {
+        let outage = self.instances[i]
+            .outage
+            .as_mut()
+            .expect("a live retry has an outage");
+        outage.attempt += 1;
+        let (attempt, failures, token) = (outage.attempt, outage.failures, outage.token);
         let backoff = self.cfg.retry.backoff(attempt);
         self.journal.push(
             self.tick,
@@ -1320,11 +1282,7 @@ impl FineTuneService {
             self.reprice(i);
         } else {
             let next = self.cfg.retry.backoff(attempt + 1);
-            self.resumes.push(Reverse(ResumeEvent {
-                at: self.now + next,
-                instance: i,
-                token,
-            }));
+            self.schedule(self.now + next, Timed::Retry { instance: i, token });
         }
     }
 
@@ -1360,53 +1318,55 @@ impl FineTuneService {
         }
     }
 
-    /// Advances simulated time by `dt` seconds, progressing every running
-    /// job and retiring completions (which may unblock queued jobs).
-    ///
-    /// Event-driven: time jumps from completion to completion off the
-    /// event heap; between events progress accrues lazily (no per-tick
-    /// scan of the running set). Non-positive or non-finite `dt` is a
-    /// no-op.
-    pub fn advance(&mut self, dt: f64) {
-        // NaN compares false, so a NaN `dt` is a no-op too.
-        if dt.is_nan() || dt <= 0.0 {
+    /// Advances simulated time to absolute `t`, firing every live event
+    /// due at or before `t` in time order: comm retries and training
+    /// completions off the event heap, interleaved with the serving
+    /// runtime's arrivals, prefill and decode ends and queue timeouts
+    /// (training first on equal times). Between events progress accrues
+    /// lazily, with no scan of the running set. An event due exactly at
+    /// `now` fires and the clock stays. A non-finite `t`, or one before
+    /// `now`, is a no-op.
+    pub fn advance_to(&mut self, t: f64) {
+        if !(t.is_finite() && t >= self.now) {
             return;
         }
         let _span = mux_obs::span("service.advance");
-        let end = self.now + dt;
         loop {
-            let next_c = self.peek_completion().map(|ev| ev.at);
-            let next_r = self.peek_resume().map(|ev| ev.at);
-            let take_resume = match (next_c, next_r) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                // On ties the retry fires first: it restores rates the
-                // completion may depend on.
-                (Some(c), Some(r)) => r <= c,
-            };
-            if take_resume {
-                let ev = self.peek_resume().expect("just peeked");
-                if ev.at.is_nan() || ev.at > end {
-                    break;
+            let timed = self.peek_live().filter(|&(at, _)| at <= t);
+            let serving = self
+                .serving
+                .as_ref()
+                .and_then(ServingRuntime::next_event_at)
+                .filter(|&at| at <= t);
+            match (timed, serving) {
+                (Some((at, event)), serving) if serving.is_none_or(|s| at <= s) => {
+                    self.events.pop();
+                    self.now = at.max(self.now);
+                    match event {
+                        Timed::Retry { instance, .. } => self.handle_retry(instance),
+                        Timed::Completion { instance, task, .. } => {
+                            self.materialize(instance);
+                            self.retire_completed(instance, task);
+                            self.replan(instance);
+                            self.dispatch_queued();
+                        }
+                    }
                 }
-                self.resumes.pop();
-                self.now = ev.at.max(self.now);
-                self.handle_retry(ev.instance, ev.token);
-            } else {
-                let ev = self.peek_completion().expect("just peeked");
-                if ev.at.is_nan() || ev.at > end {
-                    break;
+                (timed, Some(_)) => {
+                    // Serving events before the next training event
+                    // (training first on equal times) share one headroom.
+                    let before = timed.map_or(f64::INFINITY, |(at, _)| at);
+                    self.fire_serving(|s| s <= t && s < before);
                 }
-                self.completions.pop();
-                self.now = ev.at.max(self.now);
-                self.materialize(ev.instance);
-                self.retire_completed(ev.instance, ev.task);
-                self.replan(ev.instance);
-                self.dispatch_queued();
+                _ => break,
             }
         }
-        self.now = end;
+        self.now = t;
+    }
+
+    /// Advances simulated time by `dt` seconds: `advance_to(now + dt)`.
+    pub fn advance(&mut self, dt: f64) {
+        self.advance_to(self.now + dt);
     }
 
     /// Turns on streaming monitoring: per-job throughput-drop and
@@ -1522,18 +1482,20 @@ impl FineTuneService {
     }
 
     /// Advances one observation tick: bumps the tick counter, advances
-    /// simulated time by `dt`, then samples every running job through the
-    /// monitor's detectors.
+    /// simulated time by `dt` (every event due fires, serving events
+    /// included), takes the per-tick sharing decision, then samples every
+    /// running job through the monitor's detectors.
     pub fn tick(&mut self, dt: f64) {
         let _span = mux_obs::span("service.tick");
         self.tick += 1;
         self.advance(dt);
-        self.serving_step();
+        self.share_backbone();
         self.sample_and_detect(dt);
     }
 
     /// Enables inference serving on the shared backbone. Requests are fed
-    /// with [`Self::submit_requests`]; the policy runs inside every
+    /// with [`Self::submit_requests`] and fire inside [`Self::advance_to`]
+    /// at their own times; the sharing policy decides once per
     /// [`Self::tick`]. Replaces any previous serving runtime.
     pub fn enable_serving(&mut self, cfg: ServingConfig) {
         self.serving = Some(ServingRuntime::new(cfg));
@@ -1558,43 +1520,51 @@ impl FineTuneService {
         self.serving.as_ref().map(|s| s.idle()).unwrap_or(true)
     }
 
-    /// One serving step, run inside every tick after `advance`: processes
-    /// request events up to `self.now`, then lets the policy decide
-    /// whether serving holds the backbone for the next tick (temporal
-    /// preemption) or co-batches in the Eq. 7 slot headroom (spatial).
-    ///
-    /// With serving enabled but no requests in the system this is
-    /// observably a no-op — no journal events, no rate changes — so an
-    /// empty-stream run is bitwise identical to a serving-disabled run
-    /// (the differential gate in `tests/serving_props.rs`).
-    fn serving_step(&mut self) {
-        let Some(mut srv) = self.serving.take() else {
-            return;
-        };
+    /// Fires the serving events whose times pass `due`, priced with the
+    /// Eq. 7 slot headroom (free co-location slots over all slots) live
+    /// now; no training event fires among them to change it.
+    fn fire_serving(&mut self, due: impl Fn(f64) -> bool) {
         let cap = self.slot_capacity();
         let headroom = if cap == 0 {
             1.0
         } else {
             self.slots_free() as f64 / cap as f64
         };
-        srv.set_headroom(headroom);
-        srv.step(self.now, self.tick, &mut self.journal);
-        let want = srv.wants_backbone(self.now);
-        if want != srv.preempted() {
-            srv.set_preempted(want);
-            for i in 0..self.instances.len() {
-                self.materialize(i);
-                self.instances[i].serving_preempted = want;
-                self.reprice(i);
-                let kind = if want {
-                    EventKind::ServingPreempt { instance: i }
-                } else {
-                    EventKind::ServingResume { instance: i }
-                };
-                self.journal.push(self.tick, self.now, kind);
-            }
+        if let Some(srv) = self.serving.as_mut() {
+            srv.set_headroom(headroom);
+            srv.fire_while(due, self.tick, &mut self.journal);
         }
-        self.serving = Some(srv);
+    }
+
+    /// The per-tick sharing decision: the policy says whether serving
+    /// holds the backbone for the next tick (temporal preemption) or
+    /// co-batches in the Eq. 7 slot headroom (spatial). A flip re-prices
+    /// every instance and journals a preempt or resume marker for each.
+    ///
+    /// With serving enabled but no requests in the system this is
+    /// observably a no-op — no journal events, no rate changes — so an
+    /// empty-stream run is bitwise identical to a serving-disabled run
+    /// (the differential gate in `tests/serving_props.rs`).
+    fn share_backbone(&mut self) {
+        let Some(srv) = self.serving.as_mut() else {
+            return;
+        };
+        let want = srv.wants_backbone(self.now);
+        if want == srv.preempted() {
+            return;
+        }
+        srv.set_preempted(want);
+        for i in 0..self.instances.len() {
+            self.materialize(i);
+            self.instances[i].serving_preempted = want;
+            self.reprice(i);
+            let kind = if want {
+                EventKind::ServingPreempt { instance: i }
+            } else {
+                EventKind::ServingResume { instance: i }
+            };
+            self.journal.push(self.tick, self.now, kind);
+        }
     }
 
     /// Samples throughput, stall shares, and SLO burn for every running
@@ -2381,11 +2351,7 @@ impl FineTuneService {
                 });
                 self.reprice(instance); // rates drop to 0 until resume
                 let backoff = self.cfg.retry.backoff(1);
-                self.resumes.push(Reverse(ResumeEvent {
-                    at: self.now + backoff,
-                    instance,
-                    token,
-                }));
+                self.schedule(self.now + backoff, Timed::Retry { instance, token });
             }
             ServiceFault::DeviceLoss { instance, device } => {
                 self.check_instance(instance)?;
@@ -2536,24 +2502,24 @@ impl FineTuneService {
     }
 
     /// Runs until every job is completed or rejected, or no pending
-    /// completion remains (replan sheds zero-rate jobs, so a live running
-    /// set always has one). Returns the final time.
+    /// event remains (replan sheds zero-rate jobs, so a live running set
+    /// always has one). Returns the final time.
     pub fn run_to_completion(&mut self) -> f64 {
         while self
             .jobs
             .values()
             .any(|j| matches!(j.state, JobState::Queued | JobState::Running { .. }))
         {
-            let Some(step) = self.next_event_in() else {
+            let Some(at) = self.next_event_at() else {
                 // Nothing is running: retry dispatch once for any queued
                 // stragglers, then stop rather than spin forever.
                 self.dispatch_queued();
-                if self.next_event_in().is_none() {
+                if self.next_event_at().is_none() {
                     break;
                 }
                 continue;
             };
-            self.advance(step.max(1e-6));
+            self.advance_to(at);
         }
         self.now
     }
@@ -3289,6 +3255,57 @@ mod tests {
             |e| matches!(&e.kind, EventKind::FaultCleared { kind, .. } if kind == "comm_transient")
         ));
         assert_eq!(svc.fault_stats().recoveries.get("retry"), Some(&3));
+    }
+
+    #[test]
+    fn an_event_due_exactly_now_fires_and_the_clock_stays() {
+        let mut cfg = ServiceConfig::a40_pool(4);
+        cfg.backbone_layers = Some(8);
+        cfg.retry = RetryPolicy {
+            base_backoff: 0.0,
+            max_backoff: 0.0,
+        };
+        let mut svc = FineTuneService::new(cfg);
+        svc.submit(spec(50_000));
+        svc.advance(0.5);
+        svc.inject_fault(ServiceFault::TransientComm {
+            instance: 0,
+            failures: 1,
+        })
+        .expect("valid fault");
+        // The zero backoff schedules the retry at `now` itself.
+        assert_eq!(svc.next_event_at(), Some(0.5));
+        svc.advance_to(0.5);
+        assert_eq!(svc.now(), 0.5);
+        let kinds: Vec<&str> = svc
+            .journal()
+            .events()
+            .iter()
+            .map(|e| e.kind.name())
+            .collect();
+        assert_eq!(kinds[kinds.len() - 2..], ["recover_retry", "fault_cleared"]);
+        assert!(svc.journal().events().iter().all(|e| e.now <= 0.5));
+        assert!(svc.next_event_at().is_some_and(|at| at > 0.5));
+    }
+
+    #[test]
+    fn non_finite_or_past_targets_leave_the_clock_alone() {
+        let mut svc = service(4);
+        let id = svc.submit(spec(50_000));
+        svc.advance(1.0);
+        let events = svc.journal().events().len();
+        svc.advance(f64::INFINITY);
+        svc.advance(f64::NAN);
+        svc.advance(-1.0);
+        svc.advance_to(f64::INFINITY);
+        svc.advance_to(f64::NEG_INFINITY);
+        svc.advance_to(f64::NAN);
+        svc.advance_to(0.5);
+        assert_eq!(svc.now(), 1.0);
+        assert_eq!(svc.journal().events().len(), events, "nothing fired");
+        svc.run_to_completion();
+        assert!(svc.now().is_finite());
+        assert_eq!(svc.job(id).unwrap().state, JobState::Completed);
     }
 
     #[test]

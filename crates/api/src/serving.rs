@@ -127,17 +127,24 @@ pub struct RequestSpec {
     pub output_tokens: u64,
 }
 
-/// A request admitted to the prefill queue.
-#[derive(Debug, Clone)]
-struct Queued {
-    spec: RequestSpec,
-}
-
 /// The in-flight co-batched prefill (one serialized batch server).
 #[derive(Debug, Clone)]
 struct PrefillBatch {
     members: Vec<RequestSpec>,
     ends: f64,
+}
+
+/// A serving event class. On equal times the earlier variant fires
+/// first: an arrival joins the queue before a freed batch server picks
+/// its members, and a batch end frees the server before the front
+/// request's timeout, so the request joins the next batch instead of
+/// expiring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Class {
+    Arrival,
+    PrefillEnd,
+    DecodeEnd,
+    Timeout,
 }
 
 /// A scheduled "request finishes decoding" event.
@@ -196,15 +203,15 @@ struct TenantServing {
     slo_attained: u64,
 }
 
-/// The serving subsystem state machine, stepped by
-/// [`FineTuneService::tick`](crate::service::FineTuneService::tick).
+/// The serving subsystem state machine, fired event by event by
+/// [`FineTuneService::advance_to`](crate::service::FineTuneService::advance_to).
 #[derive(Debug, Clone)]
 pub struct ServingRuntime {
     cfg: ServingConfig,
     /// Submitted requests not yet arrived, ordered by `(arrival, id)`.
     pending: VecDeque<RequestSpec>,
     /// Admitted requests awaiting a prefill slot (FIFO).
-    queue: VecDeque<Queued>,
+    queue: VecDeque<RequestSpec>,
     /// The in-flight prefill batch, if the batch server is busy.
     batch: Option<PrefillBatch>,
     /// Scheduled decode completions.
@@ -215,10 +222,8 @@ pub struct ServingRuntime {
     stats: ServingStats,
     /// Whether training is currently preempted for serving.
     preempted: bool,
-    /// Serving latency multiplier sampled at schedule time: 1 while
-    /// preempted (full device), else the reciprocal spatial share.
-    scale: f64,
-    /// Last tick's Eq. 7 free-slot share, for the report.
+    /// The Eq. 7 free-slot share latched before the last burst of
+    /// events.
     headroom: f64,
 }
 
@@ -239,7 +244,6 @@ impl ServingRuntime {
             tenants: BTreeMap::new(),
             stats: ServingStats::default(),
             preempted: false,
-            scale: 1.0,
             headroom: 1.0,
         }
     }
@@ -261,15 +265,13 @@ impl ServingRuntime {
 
     /// Queues future request arrivals. Order of calls does not matter:
     /// the pending set is kept sorted by `(arrival, id)`.
-    pub fn submit(&mut self, mut requests: Vec<RequestSpec>) {
-        self.pending.extend(requests.drain(..));
-        let mut v: Vec<RequestSpec> = self.pending.drain(..).collect();
-        v.sort_by(|a, b| {
+    pub fn submit(&mut self, requests: Vec<RequestSpec>) {
+        self.pending.extend(requests);
+        self.pending.make_contiguous().sort_by(|a, b| {
             a.arrival
                 .total_cmp(&b.arrival)
                 .then_with(|| a.id.cmp(&b.id))
         });
-        self.pending = v.into();
     }
 
     /// Whether every submitted request has reached a terminal state.
@@ -287,16 +289,22 @@ impl ServingRuntime {
             + self.decoding.len()
     }
 
-    /// Latches this tick's Eq. 7 grouping headroom (free co-location
-    /// slots / total slots) and the resulting serving latency scale.
-    /// Called by the service before [`Self::step`] each tick.
+    /// Latches the Eq. 7 grouping headroom (free co-location slots /
+    /// total slots) that spatial serving derates by. The service latches
+    /// the live headroom before it fires each burst of events.
     pub fn set_headroom(&mut self, headroom: f64) {
         self.headroom = headroom.clamp(0.0, 1.0);
-        self.scale = if self.preempted || self.cfg.policy == ServingPolicy::Temporal {
+    }
+
+    /// The serving latency multiplier: 1 while preempted or temporal (the
+    /// full device), else the reciprocal headroom, floored at
+    /// `min_spatial_share`.
+    fn scale(&self) -> f64 {
+        if self.preempted || self.cfg.policy == ServingPolicy::Temporal {
             1.0
         } else {
             1.0 / self.headroom.clamp(self.cfg.min_spatial_share, 1.0)
-        };
+        }
     }
 
     /// Whether the policy wants training preempted right now.
@@ -312,7 +320,7 @@ impl ServingRuntime {
                 } else {
                     self.queue
                         .front()
-                        .map(|q| now - q.spec.arrival > 0.5 * self.cfg.ttft_slo_seconds)
+                        .map(|q| now - q.arrival > 0.5 * self.cfg.ttft_slo_seconds)
                         .unwrap_or(false)
                 }
             }
@@ -326,51 +334,50 @@ impl ServingRuntime {
             self.stats.preemptions += 1;
         }
         self.preempted = preempted;
-        // Re-latch the scale under the new sharing mode.
-        self.set_headroom(self.headroom);
     }
 
-    /// Processes every serving event up to absolute time `until`,
-    /// journaling each transition at its exact simulated time. `tick` is
-    /// the service tick stamped on the journal lines (replay orders by
-    /// `(now, tick)`, so sub-tick event times replay correctly).
-    pub fn step(&mut self, until: f64, tick: u64, journal: &mut Journal) {
+    /// The earliest event and its time. Ties break by [`Class`] order so
+    /// firing is deterministic; an event at +∞ or NaN never fires.
+    fn next(&self) -> Option<(f64, Class)> {
+        let timeout = self.cfg.queue_timeout_seconds;
+        [
+            self.pending.front().map(|r| (r.arrival, Class::Arrival)),
+            self.batch.as_ref().map(|b| (b.ends, Class::PrefillEnd)),
+            self.decoding.peek().map(|d| (d.0.at, Class::DecodeEnd)),
+            // Timeouts bite while the queue waits behind a batch.
+            self.queue
+                .front()
+                .map(|q| (q.arrival + timeout, Class::Timeout)),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&(t, _)| t < f64::INFINITY)
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// When the earliest event is due, absolute seconds (`None` when
+    /// nothing is scheduled).
+    pub(crate) fn next_event_at(&self) -> Option<f64> {
+        self.next().map(|(t, _)| t)
+    }
+
+    /// Fires, in order, every event whose time passes `due`, journaling
+    /// each at its exact simulated time. `tick` is the service tick
+    /// stamped on the journal lines (replay orders by `(now, tick)`, so
+    /// sub-tick event times replay correctly).
+    pub(crate) fn fire_while(
+        &mut self,
+        due: impl Fn(f64) -> bool,
+        tick: u64,
+        journal: &mut Journal,
+    ) {
         let _span = mux_obs::span("serving.step");
-        loop {
-            // The earliest actionable event at or before `until`; ties
-            // break by a fixed class order (arrive < prefill-end <
-            // decode-end < timeout) so processing is deterministic.
-            let mut best: Option<(f64, u8)> = None;
-            let mut consider = |t: f64, class: u8| {
-                if t <= until {
-                    let key = (t, class);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-            };
-            if let Some(r) = self.pending.front() {
-                consider(r.arrival, 0);
-            }
-            if let Some(b) = &self.batch {
-                consider(b.ends, 1);
-            }
-            if let Some(Reverse(d)) = self.decoding.peek() {
-                consider(d.at, 2);
-            }
-            // Timeouts bite while the queue waits behind an in-flight
-            // batch; on a tie with the batch end, the class order above
-            // frees the server first, so the request joins the next
-            // batch instead of expiring.
-            if let Some(q) = self.queue.front() {
-                consider(q.spec.arrival + self.cfg.queue_timeout_seconds, 3);
-            }
-            let Some((t, class)) = best else { break };
+        while let Some((t, class)) = self.next().filter(|&(t, _)| due(t)) {
             match class {
-                0 => self.admit(t, tick, journal),
-                1 => self.finish_prefill(tick, journal),
-                2 => self.finish_decode(tick, journal),
-                _ => self.expire_front(t, tick, journal),
+                Class::Arrival => self.admit(t, tick, journal),
+                Class::PrefillEnd => self.finish_prefill(tick, journal),
+                Class::DecodeEnd => self.finish_decode(tick, journal),
+                Class::Timeout => self.expire_front(t, tick, journal),
             }
             // A freed batch server (or fresh admissions) may allow a new
             // batch to start at exactly `t`.
@@ -406,7 +413,7 @@ impl ServingRuntime {
             );
             return;
         }
-        self.queue.push_back(Queued { spec });
+        self.queue.push_back(spec);
     }
 
     /// Starts a prefill batch at time `t` if the server is free and
@@ -416,9 +423,9 @@ impl ServingRuntime {
             return;
         }
         let n = self.queue.len().min(self.cfg.prefill_batch_cap);
-        let members: Vec<RequestSpec> = self.queue.drain(..n).map(|q| q.spec).collect();
+        let members: Vec<RequestSpec> = self.queue.drain(..n).collect();
         let prompts: Vec<u64> = members.iter().map(|m| m.prompt_tokens).collect();
-        let dur = self.cfg.phase.prefill_batch_time(&prompts) * self.scale;
+        let dur = self.cfg.phase.prefill_batch_time(&prompts) * self.scale();
         self.batch = Some(PrefillBatch {
             members,
             ends: t + dur,
@@ -430,7 +437,7 @@ impl ServingRuntime {
     /// schedules each member's decode completion.
     fn finish_prefill(&mut self, tick: u64, journal: &mut Journal) {
         let batch = self.batch.take().expect("batch in flight");
-        let step = self.cfg.phase.decode_step_time() * self.scale;
+        let step = self.cfg.phase.decode_step_time() * self.scale();
         for spec in batch.members {
             let ttft = batch.ends - spec.arrival;
             self.stats.prompt_tokens += spec.prompt_tokens;
@@ -498,8 +505,8 @@ impl ServingRuntime {
             tick,
             t,
             EventKind::RequestTimeout {
-                request: q.spec.id,
-                waited_seconds: t - q.spec.arrival,
+                request: q.id,
+                waited_seconds: t - q.arrival,
             },
         );
     }
@@ -591,7 +598,7 @@ pub fn report_json(runtime: Option<&ServingRuntime>, now: f64) -> Value {
         "preempted": runtime.is_some_and(|r| r.preempted),
         "preemptions": stats.preemptions,
         "headroom": runtime.map_or(1.0, |r| r.headroom),
-        "latency_scale": runtime.map_or(1.0, |r| r.scale),
+        "latency_scale": runtime.map_or(1.0, ServingRuntime::scale),
         "requests": {
             "arrived": stats.arrived,
             "completed": stats.completed,
@@ -641,6 +648,11 @@ mod tests {
         PhaseModel::for_model(GpuSpec::a40(), &ModelConfig::tiny(4, 256, 8, 1024))
     }
 
+    /// Fires every event due at or before `until`.
+    fn run_until(rt: &mut ServingRuntime, until: f64, tick: u64, journal: &mut Journal) {
+        rt.fire_while(|t| t <= until, tick, journal);
+    }
+
     fn req(id: u64, arrival: f64, prompt: u64, output: u64) -> RequestSpec {
         RequestSpec {
             id,
@@ -656,7 +668,7 @@ mod tests {
         let mut rt = ServingRuntime::new(ServingConfig::new(ServingPolicy::Spatial, phase()));
         rt.submit(vec![req(1, 0.5, 128, 16)]);
         let mut journal = Journal::new();
-        rt.step(100.0, 1, &mut journal);
+        run_until(&mut rt, 100.0, 1, &mut journal);
         assert!(rt.idle());
         assert_eq!(rt.stats().completed, 1);
         assert_eq!(rt.stats().decode_tokens, 16);
@@ -684,7 +696,7 @@ mod tests {
             req(3, 0.0, 64, 4),
         ]);
         let mut journal = Journal::new();
-        rt.step(100.0, 1, &mut journal);
+        run_until(&mut rt, 100.0, 1, &mut journal);
         assert!(rt.idle());
         // First arrival starts a singleton batch immediately; 2 and 3
         // co-batch once the server frees up.
@@ -719,13 +731,13 @@ mod tests {
             req(3, 2e-5, 64, 1),
         ]);
         let mut journal = Journal::new();
-        rt.step(1e-4, 1, &mut journal);
+        run_until(&mut rt, 1e-4, 1, &mut journal);
         // 1 is prefilling; 3 bounced off the queue cap (2 still queued at
         // its arrival instant — ties admit before expiring); 2 then waited
         // out its timeout behind the in-flight batch.
         assert_eq!(rt.stats().rejected, 1);
         assert_eq!(rt.stats().timed_out, 1);
-        rt.step(100.0, 2, &mut journal);
+        run_until(&mut rt, 100.0, 2, &mut journal);
         assert!(rt.idle());
         assert_eq!(rt.stats().completed, 1);
         // Conservation: every request reached exactly one terminal state.
@@ -746,12 +758,12 @@ mod tests {
             "pending-but-not-arrived is not live"
         );
         let mut journal = Journal::new();
-        rt.step(1e-6, 1, &mut journal);
+        run_until(&mut rt, 1e-6, 1, &mut journal);
         assert!(
             rt.wants_backbone(1e-6),
             "in-flight prefill holds the backbone"
         );
-        rt.step(100.0, 2, &mut journal);
+        run_until(&mut rt, 100.0, 2, &mut journal);
         assert!(!rt.wants_backbone(100.0), "drained stream releases it");
     }
 
@@ -763,7 +775,7 @@ mod tests {
         let mut rt = ServingRuntime::new(cfg);
         rt.submit(vec![req(1, 0.0, 4096, 1), req(2, 1e-5, 64, 1)]);
         let mut journal = Journal::new();
-        rt.step(1e-4, 1, &mut journal);
+        run_until(&mut rt, 1e-4, 1, &mut journal);
         // Request 2 queued behind a long prefill but not yet past half
         // its TTFT SLO: stay spatial.
         assert!(!rt.wants_backbone(0.1));
@@ -775,12 +787,12 @@ mod tests {
     fn spatial_scale_derates_by_free_slot_share() {
         let mut rt = ServingRuntime::new(ServingConfig::new(ServingPolicy::Spatial, phase()));
         rt.set_headroom(0.5);
-        assert!((rt.scale - 2.0).abs() < 1e-12);
+        assert!((rt.scale() - 2.0).abs() < 1e-12);
         rt.set_headroom(0.1); // clamped at min_spatial_share = 0.25
-        assert!((rt.scale - 4.0).abs() < 1e-12);
+        assert!((rt.scale() - 4.0).abs() < 1e-12);
         // Preemption grants the full device regardless of headroom.
         rt.set_preempted(true);
-        assert!((rt.scale - 1.0).abs() < 1e-12);
+        assert!((rt.scale() - 1.0).abs() < 1e-12);
         assert_eq!(rt.stats().preemptions, 1);
     }
 
@@ -823,7 +835,7 @@ mod tests {
             let mut t = 0.0;
             while !rt.idle() {
                 t += 0.05;
-                rt.step(t, (t / 0.05) as u64, &mut journal);
+                run_until(&mut rt, t, (t / 0.05) as u64, &mut journal);
             }
             journal.seal();
             journal.to_jsonl()

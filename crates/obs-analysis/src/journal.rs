@@ -1138,6 +1138,32 @@ mod tests {
     }
 
     #[test]
+    fn an_escaped_astral_tenant_reads_as_the_raw_line_does() {
+        let event = JournalEvent {
+            seq: 0,
+            tick: 3,
+            now: 1.25,
+            kind: EventKind::Submit {
+                job: 7,
+                tenant: "team-\u{1d11e}\u{1f600}".into(),
+                backbone: "LLaMA2-7B".into(),
+                total_tokens: 4096,
+                slo_seconds: None,
+            },
+        };
+        let mut raw = String::new();
+        event.write_jsonl(&mut raw);
+        // Python's `json.dumps` writes each astral char as a surrogate
+        // pair of `\u` escapes.
+        let escaped = raw
+            .replace("\u{1d11e}", "\\ud834\\udd1e")
+            .replace("\u{1f600}", "\\uD83D\\uDE00");
+        assert_ne!(escaped, raw);
+        assert_eq!(parse_jsonl(&escaped).unwrap(), parse_jsonl(&raw).unwrap());
+        assert_eq!(parse_jsonl(&raw).unwrap(), vec![event]);
+    }
+
+    #[test]
     fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
         let depth = 50_000;
         let line = format!(

@@ -3,10 +3,11 @@
 //! pending queue and letting a [`SchedulingPolicy`] choose what the
 //! service sees next.
 //!
-//! The replayer is event-driven: it jumps between trace arrivals,
-//! cancellations, scheduled chaos faults, and the service's own
-//! completion/retry events (via `next_event_in`), so a 10⁴-job replay
-//! never polls in fixed steps. A job is submitted only when it would
+//! The replayer is event-driven: it sorts trace arrivals, cancellations
+//! and scheduled chaos faults into one time-ordered input list once, and
+//! interleaves it with the service's own completion/retry events (via
+//! `next_event_at` and `advance_to`), so a 10⁴-job replay never polls in
+//! fixed steps. A job is submitted only when it would
 //! dispatch immediately (a same-backbone slot or pool headroom exists) —
 //! *that* is what gives the policy authority over ordering — with one
 //! exception: a job whose backbone can never be hosted again is submitted
@@ -24,7 +25,7 @@ use mux_obs::QuantileSketch;
 use mux_obs_analysis::{jain_index, slo_attainment};
 use serde_json::{Map, Value};
 
-use crate::trace::{dataset_by_name, Trace};
+use crate::trace::{dataset_by_name, Trace, TraceJob};
 
 /// Admission control applied before a job reaches the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,6 +302,16 @@ pub fn replay_trace_by_name(
     replay_trace(trace, p.as_ref(), opts)
 }
 
+/// One timed replay input (see [`Replayer::inputs`]).
+enum Input<'a> {
+    /// A trace job arrives in the policy's pending queue.
+    Arrive(&'a TraceJob),
+    /// The tenant cancels the trace job with this id.
+    Cancel(u64),
+    /// A chaos fault-plan action lands.
+    Fault(&'a ChaosAction),
+}
+
 /// The candidate snapshot captured at one policy pick (see
 /// [`Replayer::dispatch_provenance`]).
 struct DispatchProvenance {
@@ -384,100 +395,64 @@ impl<'a> Replayer<'a> {
         // A lazy owned span name: per-policy phases can't be `&'static str`,
         // and the closure never runs while collection is off.
         let _span = mux_obs::span_with(|| format!("replay.run.{}", self.policy.name()));
-        let mut cancels: Vec<(f64, u64)> = self
-            .trace
-            .jobs
-            .iter()
-            .filter_map(|j| j.cancel_at.map(|c| (c, j.id)))
-            .collect();
-        cancels.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let faults: Vec<(f64, ChaosAction)> = self
-            .opts
-            .fault_plan
-            .iter()
-            .flat_map(|p| p.events.iter())
-            .map(|ev| (ev.at_tick as f64 * self.opts.fault_dt, ev.action.clone()))
-            .collect();
-
-        let (mut ai, mut ci, mut fi) = (0usize, 0usize, 0usize);
+        let inputs = self.inputs();
+        let mut next = 0usize;
         loop {
-            let next_times = [
-                self.trace.jobs.get(ai).map(|j| j.arrival_seconds),
-                cancels.get(ci).map(|c| c.0),
-                faults.get(fi).map(|f| f.0),
-            ];
-            let Some(t) = next_times
-                .into_iter()
-                .flatten()
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a: f64| a.min(v)))
-                })
-            else {
-                break;
-            };
-            self.advance_to(t)?;
-            // Fire everything scheduled at exactly `t`, in a fixed order
-            // (arrivals, cancels, faults) for determinism.
-            while let Some(job) = self.trace.jobs.get(ai) {
-                if job.arrival_seconds > t {
-                    break;
+            let due = inputs.get(next).map(|&(t, _)| t);
+            if let Some(at) = self
+                .svc
+                .next_event_at()
+                .filter(|&at| due.is_none_or(|t| at <= t))
+            {
+                // A service event comes first: fire it, then refill freed
+                // slots under the policy's ordering instead of idling
+                // until the next input.
+                self.svc.advance_to(at);
+            } else if let Some(t) = due {
+                self.svc.advance_to(t);
+                while let Some((_, input)) =
+                    inputs.get(next).filter(|(at, _)| at.total_cmp(&t).is_eq())
+                {
+                    match input {
+                        Input::Arrive(job) => self.pending.push(PendingJob {
+                            trace_id: job.id,
+                            tenant: job.tenant.clone(),
+                            backbone: job.backbone.clone(),
+                            arrival: job.arrival_seconds,
+                            priority: job.priority,
+                            total_tokens: job.total_tokens,
+                            slo_seconds: job.slo_seconds,
+                        }),
+                        &Input::Cancel(trace_id) => {
+                            if let Some(pos) =
+                                self.pending.iter().position(|p| p.trace_id == trace_id)
+                            {
+                                self.pending.remove(pos);
+                                self.cancelled_pre_dispatch.insert(trace_id);
+                            } else if let Some(&jid) = self.id_of_trace.get(&trace_id) {
+                                self.svc.cancel(jid, "trace churn");
+                            }
+                        }
+                        Input::Fault(action) => {
+                            self.applied_faults +=
+                                apply_action(&mut self.svc, &mut self.submitted, action) as usize;
+                        }
+                    }
+                    next += 1;
                 }
-                self.pending.push(PendingJob {
-                    trace_id: job.id,
-                    tenant: job.tenant.clone(),
-                    backbone: job.backbone.clone(),
-                    arrival: job.arrival_seconds,
-                    priority: job.priority,
-                    total_tokens: job.total_tokens,
-                    slo_seconds: job.slo_seconds,
-                });
-                ai += 1;
-            }
-            while let Some(&(at, trace_id)) = cancels.get(ci) {
-                if at > t {
-                    break;
-                }
-                if let Some(pos) = self.pending.iter().position(|p| p.trace_id == trace_id) {
-                    self.pending.remove(pos);
-                    self.cancelled_pre_dispatch.insert(trace_id);
-                } else if let Some(&jid) = self.id_of_trace.get(&trace_id) {
-                    self.svc.cancel(jid, "trace churn");
-                }
-                ci += 1;
-            }
-            while let Some((at, action)) = faults.get(fi) {
-                if *at > t {
-                    break;
-                }
-                self.applied_faults +=
-                    apply_action(&mut self.svc, &mut self.submitted, action) as usize;
-                fi += 1;
-            }
-            self.reap_terminal();
-            self.submit_ready()?;
-            mux_obs::profile::work("replay_timeline_steps", 1);
-        }
-
-        // Streams exhausted: drain pending + in-flight work.
-        loop {
-            self.submit_ready()?;
-            if let Some(step) = self.svc.next_event_in() {
-                self.svc.advance(step.max(1e-6));
-                self.reap_terminal();
-            } else if self.pending.is_empty() {
-                break;
-            } else {
-                // Nothing running yet the queue is non-empty: submit the
-                // policy's head unconditionally so the service records a
-                // terminal verdict instead of the replay spinning.
-                let Some(i) = self.policy.pick(&self.pending, &self.usage) else {
-                    break;
-                };
+                mux_obs::profile::work("replay_timeline_steps", 1);
+            } else if let Some(i) = self.policy.pick(&self.pending, &self.usage) {
+                // Nothing scheduled yet jobs wait: submit the policy's
+                // head unconditionally so the service records a terminal
+                // verdict instead of the replay spinning.
                 let prov = self.dispatch_provenance();
                 let pj = self.pending.remove(i);
                 self.submit(&pj, prov)?;
-                self.reap_terminal();
+            } else {
+                break;
             }
+            self.reap_terminal();
+            self.submit_ready()?;
         }
         self.svc.run_to_completion();
         self.reap_terminal();
@@ -485,23 +460,45 @@ impl<'a> Replayer<'a> {
         Ok(())
     }
 
-    /// Steps the service to absolute time `t`, re-trying dispatch after
-    /// every internal completion so freed slots are refilled under the
-    /// policy's ordering instead of idling until the next arrival.
-    fn advance_to(&mut self, t: f64) -> Result<(), String> {
-        while let Some(step) = self.svc.next_event_in() {
-            if self.svc.now() + step > t {
-                break;
-            }
-            self.svc.advance(step.max(0.0));
-            self.reap_terminal();
-            self.submit_ready()?;
+    /// The trace's arrivals, cancels and chaos faults as one list in
+    /// firing order: by time, then arrival < cancel < fault, then each
+    /// stream's own order. An input timed before its stream's previous
+    /// one fires with that one, as a merge of the three streams would.
+    fn inputs(&self) -> Vec<(f64, Input<'a>)> {
+        let (trace, opts) = (self.trace, self.opts);
+        let mut cancels: Vec<(f64, u64)> = trace
+            .jobs
+            .iter()
+            .filter_map(|j| j.cancel_at.map(|c| (c, j.id)))
+            .collect();
+        cancels.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let streams: [Vec<(f64, Input<'a>)>; 3] = [
+            trace
+                .jobs
+                .iter()
+                .map(|j| (j.arrival_seconds, Input::Arrive(j)))
+                .collect(),
+            cancels
+                .into_iter()
+                .map(|(t, id)| (t, Input::Cancel(id)))
+                .collect(),
+            opts.fault_plan
+                .iter()
+                .flat_map(|p| &p.events)
+                .map(|ev| (ev.at_tick as f64 * opts.fault_dt, Input::Fault(&ev.action)))
+                .collect(),
+        ];
+        let mut inputs = Vec::new();
+        for stream in streams {
+            let mut last = f64::NEG_INFINITY;
+            inputs.extend(stream.into_iter().map(|(t, input)| {
+                last = last.max(t);
+                (last, input)
+            }));
         }
-        if t > self.svc.now() {
-            self.svc.advance(t - self.svc.now());
-            self.reap_terminal();
-        }
-        Ok(())
+        // Stable, so equal times keep the streams' concatenation order.
+        inputs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        inputs
     }
 
     /// Moves every policy-picked job that can dispatch right now (or can

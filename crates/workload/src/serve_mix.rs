@@ -2,9 +2,11 @@
 //! request stream multiplexed through one `FineTuneService` on the same
 //! frozen backbone (ROADMAP item 1, MuxServe/Loquetier-style).
 //!
-//! The driver ticks the service at a fixed `dt`, submitting training
-//! arrivals from a [`crate::gen`] trace and request arrivals from a
-//! [`crate::requests`] stream, and keeps ticking until both sides drain.
+//! The driver ticks the service at a fixed `dt` (the interval of the
+//! per-tick sharing decision; request and training events fire at their
+//! own times inside each tick), submitting training arrivals from a
+//! [`crate::gen`] trace and request arrivals from a [`crate::requests`]
+//! stream, and keeps ticking until both sides drain.
 //! Everything — job lifecycle, request lifecycle, preempt/resume markers —
 //! lands in the one journal, so a single fingerprint pins the whole mixed
 //! run: same seed ⇒ bitwise-identical journal.
@@ -76,9 +78,9 @@ pub struct ServeMixReport {
     pub jobs_rejected: usize,
     /// Serving totals at the end of the run.
     pub serving: ServingStats,
-    /// The full `service_report()` snapshot (carries the `serving`
-    /// section with per-tenant TTFT/per-token p50/p95/p99).
-    pub report: Value,
+    /// The `service_report()` `serving` section at the end of the run
+    /// (per-tenant TTFT/per-token p50/p95/p99).
+    pub serving_report: Value,
 }
 
 impl ServeMixReport {
@@ -120,9 +122,8 @@ impl ServeMixReport {
             }
         ));
         if let Some(tenants) = self
-            .report
-            .get("serving")
-            .and_then(|v| v.get("per_tenant"))
+            .serving_report
+            .get("per_tenant")
             .and_then(Value::as_array)
         {
             for t in tenants {
@@ -162,10 +163,7 @@ impl ServeMixReport {
         m.insert("ticks".into(), self.ticks.into());
         m.insert("jobs_completed".into(), self.jobs_completed.into());
         m.insert("jobs_rejected".into(), self.jobs_rejected.into());
-        m.insert(
-            "serving".into(),
-            self.report.get("serving").cloned().unwrap_or(Value::Null),
-        );
+        m.insert("serving".into(), self.serving_report.clone());
         Value::Object(m)
     }
 }
@@ -275,6 +273,7 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
         }
     }
     let serving = svc.serving().map(|s| s.stats().clone()).unwrap_or_default();
+    let serving_report = mux_api::serving::report_json(svc.serving(), svc.now());
     let journal = svc.journal().to_jsonl();
     Ok(ServeMixReport {
         fingerprint: Journal::fingerprint_of(&journal),
@@ -284,7 +283,7 @@ pub fn run_serve_mix(cfg: &ServeMixConfig) -> Result<ServeMixReport, String> {
         jobs_completed,
         jobs_rejected,
         serving,
-        report: svc.service_report(),
+        serving_report,
     })
 }
 

@@ -245,8 +245,8 @@ impl Trace {
     }
 
     /// Structural invariants every trace upholds: contiguous ids in
-    /// arrival order, non-negative arrivals, known datasets, cancels not
-    /// before arrival.
+    /// arrival order, finite non-negative arrivals, known datasets,
+    /// finite cancels not before arrival.
     pub fn check_well_formed(&self) -> Result<(), String> {
         let mut last_arrival = 0.0f64;
         let mut seen_tenants: BTreeSet<&str> = BTreeSet::new();
@@ -268,6 +268,9 @@ impl Trace {
                 return Err(format!("job {i}: unknown dataset {:?}", job.dataset));
             }
             if let Some(c) = job.cancel_at {
+                if !c.is_finite() {
+                    return Err(format!("job {i}: cancel_at {c} is not a finite time"));
+                }
                 if c < job.arrival_seconds {
                     return Err(format!("job {i}: cancel_at {c} precedes arrival"));
                 }
@@ -363,6 +366,25 @@ mod tests {
         let mut t = tiny_trace();
         t.jobs[0].dataset = "IMAGENET".into();
         assert!(t.check_well_formed().is_err());
+    }
+
+    #[test]
+    fn a_non_finite_cancel_is_refused_at_load_naming_the_job() {
+        // `1e999` reads as +∞ and writes back as `null`, the value the
+        // line had, so the fingerprint alone cannot see this edit.
+        let text = tiny_trace().to_jsonl();
+        let edited = text.replacen("\"cancel_at\":null", "\"cancel_at\":1e999", 1);
+        assert_ne!(edited, text);
+        assert_eq!(
+            Trace::from_jsonl(&edited).unwrap_err(),
+            "job 0: cancel_at inf is not a finite time"
+        );
+        let mut t = tiny_trace();
+        t.jobs[1].cancel_at = Some(f64::NAN);
+        assert_eq!(
+            t.check_well_formed().unwrap_err(),
+            "job 1: cancel_at NaN is not a finite time"
+        );
     }
 
     #[test]

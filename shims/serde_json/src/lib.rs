@@ -579,17 +579,20 @@ impl<'a> Lexer<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            let hex = bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("bad \\u"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
+                            let mut code = self.hex4()?;
+                            // A high and a low surrogate spell one scalar; a
+                            // lone surrogate reads as U+FFFD.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.src[self.pos..].starts_with("\\u")
+                            {
+                                self.pos += 2;
+                                match self.hex4()? {
+                                    low @ 0xdc00..0xe000 => {
+                                        code = 0x10000 + (code - 0xd800) * 0x400 + low - 0xdc00
+                                    }
+                                    _ => self.pos -= 6, // no low half: it reads alone
+                                }
+                            }
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -606,6 +609,17 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\u` escape: no sign, no fewer.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self.src.get(self.pos..self.pos + 4);
+        let code = hex
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Number, Error> {
@@ -809,6 +823,48 @@ mod tests {
             from_str("\"é\\/𝄞\\u00e9\\b𝄞\"").unwrap(),
             Value::from("é/𝄞é\u{8}𝄞")
         );
+    }
+
+    #[test]
+    fn a_surrogate_pair_escape_reads_as_its_one_scalar() {
+        assert_eq!(
+            from_str("\"\\ud834\\udd1e\"").unwrap(),
+            Value::from("\u{1d11e}")
+        );
+        assert_eq!(
+            from_str("\"a\\uD834\\uDD1Eb\\u00e9\"").unwrap(),
+            Value::from("a\u{1d11e}b\u{e9}")
+        );
+    }
+
+    #[test]
+    fn a_lone_surrogate_escape_reads_as_the_replacement_char() {
+        for (text, want) in [
+            ("\"\\ud834\"", "\u{fffd}"),
+            ("\"\\ud834x\"", "\u{fffd}x"),
+            ("\"\\udd1e\"", "\u{fffd}"),
+            // A high half followed by an escape that is no low half: the
+            // second escape reads on its own.
+            ("\"\\ud834\\u0041\"", "\u{fffd}A"),
+            ("\"\\ud834\\ud834\\udd1e\"", "\u{fffd}\u{1d11e}"),
+        ] {
+            assert_eq!(from_str(text).unwrap(), Value::from(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_unicode_escape_needs_exactly_four_hex_digits() {
+        for text in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u04g1\"",
+            "\"\\ud834\\u+c00\"",
+        ] {
+            let err = from_str(text).unwrap_err().to_string();
+            assert!(err.contains("bad \\u at byte"), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use muxtune::api::{EventKind, JobId, Journal};
+use muxtune::api::{EventKind, JobId, Journal, JournalEvent};
 use muxtune::prelude::*;
 use muxtune::workload::{
     generate_requests, request_outcomes, run_serve_mix, RequestConfig, ServeMixConfig,
     ServeMixReport,
 };
+use proptest::prelude::*;
 
 fn small_mix(seed: u64, requests: usize, training_jobs: usize) -> ServeMixReport {
     let mut cfg = ServeMixConfig::standard(requests);
@@ -213,4 +214,110 @@ fn empty_request_stream_is_differentially_invisible() {
     );
     assert_eq!(fp_on, fp_off);
     assert_eq!(outcomes_on, outcomes_off);
+}
+
+/// How a run's clock is driven to drain.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// `advance_to` the next event, until none is scheduled.
+    Events,
+    /// `tick(dt)` until every job and request is terminal.
+    Ticks(f64),
+}
+
+/// A Spatial-policy service (the one policy with no per-tick decision)
+/// on a 4-GPU pool with `requests` seeded requests, slowed to arrive
+/// while three LoRA jobs of `tokens`, `tokens / 2` and `tokens / 4`
+/// train, driven to drain by `drive`. Returns the unsealed journal's
+/// lines with every tick stamp masked to 0.
+fn spatial_journal_lines(seed: u64, requests: usize, tokens: u64, drive: Drive) -> Vec<String> {
+    let mut cfg = ServiceConfig::a40_pool(4);
+    cfg.backbone_layers = Some(8);
+    let mut svc = FineTuneService::new(cfg);
+    svc.enable_serving(ServingConfig::new(
+        ServingPolicy::Spatial,
+        PhaseModel::for_model(GpuSpec::a40(), &ModelConfig::llama2_7b().with_layers(8)),
+    ));
+    let stream = RequestConfig {
+        base_rate: 8.0,
+        ..RequestConfig::standard(requests)
+    };
+    svc.submit_requests(generate_requests(seed, &stream));
+    let lora = |dataset, tokens| JobSpec::lora("LLaMA2-7B", dataset, 16, 4, tokens);
+    let jobs = [
+        svc.submit(lora(DatasetKind::Sst2, tokens)),
+        svc.submit(lora(DatasetKind::OpenBookQa, tokens / 2)),
+        svc.submit(lora(DatasetKind::Rte, tokens / 4)),
+    ];
+    let drained = |svc: &FineTuneService| {
+        svc.serving_idle()
+            && jobs.iter().all(|&id| {
+                matches!(
+                    svc.job(id).map(|j| j.state),
+                    Some(JobState::Completed | JobState::Rejected)
+                )
+            })
+    };
+    // Bounded, so a loop that stops firing fails instead of hanging.
+    for _ in 0..100_000 {
+        match drive {
+            Drive::Events => match svc.next_event_at() {
+                Some(at) => svc.advance_to(at),
+                None => break,
+            },
+            Drive::Ticks(_) if drained(&svc) => break,
+            Drive::Ticks(dt) => svc.tick(dt),
+        }
+    }
+    assert!(drained(&svc), "{drive:?} left work undone");
+    svc.journal()
+        .events()
+        .iter()
+        .map(|e| {
+            let mut line = String::new();
+            JournalEvent {
+                tick: 0,
+                ..e.clone()
+            }
+            .write_jsonl(&mut line);
+            line
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One event loop: training and serving events fire at their own
+    /// times in one `(time, class)` order, so how the clock is driven
+    /// cannot move a journal line. Driving by `advance_to` alone, by
+    /// `tick(0.05)` and by `tick(0.01)` journals the same events in the
+    /// same order, at the same `now`, with the same payloads.
+    #[test]
+    fn serving_and_training_events_fire_in_one_order_however_the_clock_is_driven(
+        seed in 0u64..1_000_000,
+        requests in 16usize..48,
+        tokens in 10_000u64..60_000,
+    ) {
+        let by_events = spatial_journal_lines(seed, requests, tokens, Drive::Events);
+        prop_assert!(
+            by_events.iter().any(|l| l.contains("\"request_prefill\"")),
+            "advance_to alone must serve"
+        );
+        for dt in [0.05, 0.01] {
+            let by_ticks = spatial_journal_lines(seed, requests, tokens, Drive::Ticks(dt));
+            let first_diff = by_events
+                .iter()
+                .zip(&by_ticks)
+                .position(|(a, b)| a != b)
+                .or((by_events.len() != by_ticks.len()).then(|| by_events.len().min(by_ticks.len())));
+            prop_assert!(
+                first_diff.is_none(),
+                "tick({dt}) differs from advance_to at line {}: {:?} vs {:?}",
+                first_diff.unwrap_or(0),
+                by_events.get(first_diff.unwrap_or(0)),
+                by_ticks.get(first_diff.unwrap_or(0))
+            );
+        }
+    }
 }
